@@ -37,12 +37,10 @@ from .core import (
     statistical_error,
     union_bound_constant,
 )
-from .cli import ExperimentConfig
 from .corrwin import CorrelationBank, as_vote_matrix
 from .driftgen import (
     BlockSpec,
     Stream,
-    StreamStep,
     SyntheticStreamConfig,
     apply_permute_drift,
     block_drift_preset,
@@ -76,7 +74,6 @@ from .triplet import (
     AccuracyEstimate,
     correlation_from_accuracies,
     recover_accuracies,
-    recover_accuracies_batch,
 )
 
 __version__ = "0.1.0"
@@ -87,7 +84,6 @@ __all__ = [
     "BlockSpec",
     "CorrelationBank",
     "ErrorBudget",
-    "ExperimentConfig",
     "GapProbe",
     "ROLLING_LOOKAHEAD",
     "RunSummary",
@@ -101,7 +97,6 @@ __all__ = [
     "Stream",
     "StreamFormatError",
     "StreamRecord",
-    "StreamStep",
     "SyntheticStreamConfig",
     "WindowDecision",
     "WindowSchedule",
@@ -122,7 +117,6 @@ __all__ = [
     "read_stream",
     "records_to_arrays",
     "recover_accuracies",
-    "recover_accuracies_batch",
     "resolve_abstentions",
     "role_rngs",
     "rolling_accuracy",

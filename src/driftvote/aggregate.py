@@ -23,7 +23,7 @@ import numpy as np
 from .adaptive import select_window
 from .core import AdaptiveConfig
 from .corrwin import CorrelationBank, as_vote_matrix
-from .triplet import recover_accuracies, recover_accuracies_batch
+from .triplet import _recover_raw
 
 STRATEGY_ADAPTIVE = "adaptive"
 STRATEGY_MAJORITY = "majority"
@@ -102,6 +102,34 @@ def _check_truths(truths, steps: int) -> np.ndarray | None:
     return arr.astype(np.int8)
 
 
+def _checked_votes(votes, config: AdaptiveConfig | None) -> tuple[np.ndarray, AdaptiveConfig]:
+    """Input check shared by both runners: a nonempty (T, n) +/-1 matrix as
+    int8, and a config for n labelers (``AdaptiveConfig(n)`` when None)."""
+    v = np.asarray(votes)
+    if v.ndim != 2 or v.shape[0] < 1:
+        raise ValueError(f"expected a nonempty (T, n) vote matrix, got shape {v.shape}")
+    n = v.shape[1]
+    if config is None:
+        config = AdaptiveConfig(n=n)
+    if config.n != n:
+        raise ValueError(f"config expects {config.n} labelers, stream has {n}")
+    return as_vote_matrix(v, n), config
+
+
+def _estimate(mats: np.ndarray, config: AdaptiveConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped accuracies and log-odds weights, each (B, n), for a (B, n, n)
+    stack of bank correlations.
+
+    Same arithmetic as :func:`.triplet.recover_accuracies` followed by
+    :func:`log_odds_weights`, without their checks: a bank matrix is an
+    integer sum of +/-1 outer products over ``min(t, r)``, so it is exactly
+    symmetric with a unit diagonal, and ``AdaptiveConfig`` has already
+    checked the clip band.
+    """
+    p = np.clip(_recover_raw(mats), config.clip_lo, config.clip_hi)
+    return p, np.log(p / (1.0 - p))
+
+
 def run_strategy(
     votes,
     strategy: str,
@@ -116,22 +144,16 @@ def run_strategy(
         One row per step, entries +/-1 (resolve abstentions first).
     strategy : str
         ``adaptive``, ``majority``, or ``fixed:R`` with
-        ``1 <= R <= config.schedule.max_size``.
+        ``1 <= R <= config.schedule.max_size``.  ``adaptive`` needs a
+        ladder whose first size is 1, so that step 1 has a window.
     config : AdaptiveConfig, optional
         Defaults to ``AdaptiveConfig(n)`` for the stream's width.
     truths : (T,) array, optional
         True labels; fills ``truth``/``correct`` in the reports.
     """
     kind, fixed_r = parse_strategy(strategy)
-    v = np.asarray(votes)
-    if v.ndim != 2 or v.shape[0] < 1:
-        raise ValueError(f"expected a nonempty (T, n) vote matrix, got shape {v.shape}")
+    v, config = _checked_votes(votes, config)
     steps, n = v.shape
-    if config is None:
-        config = AdaptiveConfig(n=n)
-    if config.n != n:
-        raise ValueError(f"config expects {config.n} labelers, stream has {n}")
-    v = as_vote_matrix(v, n)
     truth_arr = _check_truths(truths, steps)
 
     reports: list[StepReport] = []
@@ -154,6 +176,11 @@ def run_strategy(
             )
         bank = CorrelationBank(n, [fixed_r])
     else:
+        if config.schedule.sizes[0] != 1:
+            raise ValueError(
+                f"adaptive runs need a ladder that starts at 1, got sizes "
+                f"{list(config.schedule.sizes)}"
+            )
         bank = CorrelationBank(n, config.schedule.sizes)
 
     for t in range(steps):
@@ -165,14 +192,13 @@ def run_strategy(
         else:
             used, stop = bank.window_length(fixed_r), None
             corr = bank.correlation(fixed_r)
-        est = recover_accuracies(corr, config.clip_lo, config.clip_hi, window=used)
-        w = log_odds_weights(est.accuracies)
+        p_hat, weights = _estimate(corr[None], config)
         finish(
             t,
-            weighted_vote(v[t], w),
+            weighted_vote(v[t], weights[0]),
             window=used,
-            p_hat=tuple(float(x) for x in est.accuracies),
-            weights=tuple(float(x) for x in w),
+            p_hat=tuple(p_hat[0].tolist()),
+            weights=tuple(weights[0].tolist()),
             stop_reason=stop,
         )
     return reports
@@ -186,15 +212,8 @@ def run_fixed_sweep(votes, config: AdaptiveConfig | None = None, sizes=None) -> 
     ``{r: (T,) array of +/-1 predictions}``; step-for-step identical to
     ``run_strategy(votes, f"fixed:{r}", config)``.
     """
-    v = np.asarray(votes)
-    if v.ndim != 2 or v.shape[0] < 1:
-        raise ValueError(f"expected a nonempty (T, n) vote matrix, got shape {v.shape}")
+    v, config = _checked_votes(votes, config)
     steps, n = v.shape
-    if config is None:
-        config = AdaptiveConfig(n=n)
-    if config.n != n:
-        raise ValueError(f"config expects {config.n} labelers, stream has {n}")
-    v = as_vote_matrix(v, n)
     ladder = tuple(sorted(set(int(r) for r in sizes))) if sizes is not None else config.schedule.sizes
     if not ladder:
         raise ValueError("need at least one window size to sweep")
@@ -210,7 +229,9 @@ def run_fixed_sweep(votes, config: AdaptiveConfig | None = None, sizes=None) -> 
     out = np.empty((len(ladder), steps), dtype=np.int8)
     for t in range(steps):
         bank.push(v[t])
-        acc = recover_accuracies_batch(bank.all_correlations(), config.clip_lo, config.clip_hi)
-        scores = np.log(acc / (1.0 - acc)) @ v[t].astype(float)
-        out[:, t] = np.where(scores >= 0.0, 1, -1)
+        _, weights = _estimate(bank.all_correlations(), config)
+        # one weighted_vote per window, not one matrix-vector product: BLAS
+        # sums a row of a matrix product in another order than a dot product,
+        # which can flip the sign of a near-tie for n >= 4
+        out[:, t] = [weighted_vote(v[t], w) for w in weights]
     return {r: out[k] for k, r in enumerate(ladder)}

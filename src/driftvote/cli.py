@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import io as dio
 from .aggregate import parse_strategy, run_strategy
-from .core import AdaptiveConfig, WindowSchedule, error_budget, selection_overhead
+from .core import DRIFT_TO_CORR, AdaptiveConfig, WindowSchedule, error_budget, selection_overhead
 from .driftgen import (
     BlockSpec,
     SyntheticStreamConfig,
@@ -36,10 +36,6 @@ from .driftgen import (
 from .metrics import ROLLING_LOOKAHEAD, comparison_rows, summarize
 
 PRESETS = ("block-drift",)
-
-#: multiplier converting a one-step accuracy jump into its worst-case
-#: effect on a correlation entry (two factors, each moving two entries).
-DRIFT_TO_CORR = 12.0
 
 
 @dataclass

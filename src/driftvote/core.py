@@ -22,6 +22,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
+#: multiplier converting a one-step accuracy jump into its worst-case
+#: effect on a correlation entry (two factors, each moving two entries).
+DRIFT_TO_CORR = 12.0
+
 
 def union_bound_constant(n: int, m: int, delta: float) -> float:
     """Deviation constant ``sqrt(2 ln((2m - 1) n (n - 1) / delta))``.
@@ -103,10 +107,6 @@ class WindowSchedule:
     def max_ratio(self) -> float:
         """max over consecutive sizes of sqrt(r_k / r_{k+1}), in (0, 1)."""
         return max(math.sqrt(a / b) for a, b in zip(self.sizes, self.sizes[1:]))
-
-    def feasible_count(self, t: int) -> int:
-        """How many ladder sizes fit in a stream of length ``t``."""
-        return sum(1 for s in self.sizes if s <= t)
 
 
 def selection_overhead(schedule: WindowSchedule, beta: float) -> float:

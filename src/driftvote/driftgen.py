@@ -79,15 +79,6 @@ class SyntheticStreamConfig:
         return np.repeat(rows, lengths, axis=0)
 
 
-@dataclass(frozen=True)
-class StreamStep:
-    """One step of a stream: raw votes (0 = abstain), truth, block index."""
-
-    votes: tuple[int, ...]
-    truth: int | None
-    block: int | None
-
-
 @dataclass
 class Stream:
     """Column-oriented stream: (T, n) votes plus optional truth/block arrays."""
@@ -98,13 +89,6 @@ class Stream:
 
     def __len__(self) -> int:
         return self.votes.shape[0]
-
-    def step(self, i: int) -> StreamStep:
-        return StreamStep(
-            votes=tuple(int(x) for x in self.votes[i]),
-            truth=int(self.truth[i]) if self.truth is not None else None,
-            block=int(self.block[i]) if self.block is not None else None,
-        )
 
 
 def generate_synthetic(config: SyntheticStreamConfig) -> Stream:

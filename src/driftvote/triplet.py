@@ -65,19 +65,6 @@ def correlation_from_accuracies(p) -> np.ndarray:
     return corr
 
 
-def recover_accuracies_batch(mats: np.ndarray, clip_lo: float, clip_hi: float) -> np.ndarray:
-    """Clipped accuracy estimates for a (B, n, n) stack of correlation
-    matrices; returns a (B, n) array.  Fast path for sweeps: per-matrix
-    validation is skipped.  See :func:`recover_accuracies`."""
-    if not 0.0 < clip_lo < 0.5 < clip_hi < 1.0:
-        raise ValueError(f"clip band must satisfy 0 < lo < 0.5 < hi < 1, got [{clip_lo}, {clip_hi}]")
-    mats = np.asarray(mats, dtype=float)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] < 3:
-        raise ValueError(f"expected a (B, n, n) stack with n >= 3, got shape {mats.shape}")
-    raw = _recover_raw(mats)
-    return np.clip(raw, clip_lo, clip_hi)
-
-
 def _recover_raw(mats: np.ndarray) -> np.ndarray:
     batch, n = mats.shape[0], mats.shape[1]
     masks = _witness_masks(n)

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftvote import (
     AdaptiveConfig,
+    CorrelationBank,
     STOP_HORIZON,
     STOP_SCHEDULE,
     STOP_THRESHOLD,
@@ -15,8 +18,10 @@ from driftvote import (
     log_odds_weights,
     majority_vote,
     parse_strategy,
+    recover_accuracies,
     run_fixed_sweep,
     run_strategy,
+    select_window,
     weighted_vote,
 )
 
@@ -170,6 +175,16 @@ def test_run_strategy_validation(stream):
         run_strategy(votes, "majority", truths=np.ones(7, dtype=np.int8))
 
 
+def test_adaptive_rejects_ladder_not_starting_at_one(stream):
+    votes = np.asarray(stream.votes)
+    cfg = AdaptiveConfig(n=3, schedule=WindowSchedule((4, 8, 16)))
+    # step 1 has no window on this ladder, so the run fails before its loop
+    with pytest.raises(ValueError, match=r"starts at 1, got sizes \[4, 8, 16\]"):
+        run_strategy(votes, "adaptive", config=cfg)
+    # a fixed window clamps to min(t, R) and needs no rung at 1
+    assert len(run_strategy(votes[:20], "fixed:8", config=cfg)) == 20
+
+
 def test_fixed_sweep_matches_per_size_runs(stream):
     votes = np.asarray(stream.votes)
     cfg = AdaptiveConfig(n=3)
@@ -193,3 +208,56 @@ def test_fixed_sweep_rejects_oversized_window(stream):
     votes = np.asarray(stream.votes)
     with pytest.raises(ValueError):
         run_fixed_sweep(votes, config=AdaptiveConfig(n=3), sizes=(4, 2**21))
+
+
+@st.composite
+def drifting_runs(draw):
+    """A two-block stream of n in [3, 8] labelers (some below chance, so
+    estimates clip), a ladder from 1, and one of its sizes as a fixed R."""
+    n = draw(st.integers(3, 8))
+    steps = draw(st.integers(1, 300))
+    rungs = draw(st.lists(st.integers(2, 96), min_size=1, max_size=5, unique=True))
+    sizes = (1, *sorted(rungs))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edge = int(rng.integers(0, steps + 1))
+    before, after = rng.uniform(0.3, 0.95, size=(2, n))
+    acc = np.where(np.arange(steps)[:, None] < edge, before, after)
+    truth = rng.choice(np.array([-1, 1], dtype=np.int8), size=steps)
+    votes = np.where(rng.random((steps, n)) < acc, truth[:, None], -truth[:, None]).astype(np.int8)
+    config = AdaptiveConfig(n=n, schedule=WindowSchedule(sizes))
+    return votes, config, draw(st.sampled_from(sizes))
+
+
+def reference_reports(votes, config, fixed_r=None):
+    """Each step rebuilt anew through the public checked calls."""
+    sizes = config.schedule.sizes if fixed_r is None else (fixed_r,)
+    out = []
+    for t in range(1, votes.shape[0] + 1):
+        bank = CorrelationBank.from_history(config.n, votes[:t], sizes)
+        if fixed_r is None:
+            decision = select_window(bank, config)
+            r, used, stop = decision.window, decision.window, decision.stop_reason
+        else:
+            r, used, stop = fixed_r, bank.window_length(fixed_r), None
+        est = recover_accuracies(bank.correlation(r), config.clip_lo, config.clip_hi, window=used)
+        w = log_odds_weights(est.accuracies)
+        pred = weighted_vote(votes[t - 1], w)
+        out.append((pred, used, tuple(est.accuracies.tolist()), tuple(w.tolist()), stop))
+    return out
+
+
+def report_tuples(reports):
+    return [(r.prediction, r.window, r.p_hat, r.weights, r.stop_reason) for r in reports]
+
+
+@settings(max_examples=40, deadline=None)
+@given(drifting_runs())
+def test_runs_match_checked_per_step_reference(run):
+    votes, config, fixed_r = run
+    adaptive = run_strategy(votes, "adaptive", config)
+    assert report_tuples(adaptive) == reference_reports(votes, config)
+    fixed = {r: run_strategy(votes, f"fixed:{r}", config) for r in config.schedule.sizes}
+    assert report_tuples(fixed[fixed_r]) == reference_reports(votes, config, fixed_r)
+    sweep = run_fixed_sweep(votes, config)
+    for r, reports in fixed.items():
+        assert sweep[r].tolist() == [rep.prediction for rep in reports]

@@ -1,12 +1,16 @@
 """End-to-end CLI coverage: simulate -> run -> eval, bound, error paths."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftvote
 from driftvote import (
-    ExperimentConfig,
     WindowSchedule,
     read_reports,
     read_stream,
@@ -16,7 +20,7 @@ from driftvote import (
     true_drift_error,
     union_bound_constant,
 )
-from driftvote.cli import main
+from driftvote.cli import ExperimentConfig, main
 
 
 def run_cli(*argv):
@@ -151,6 +155,36 @@ def test_errors_exit_2_with_message(tmp_path, capsys):
                    "--out", str(tmp_path / "r.jsonl"))
     assert code == 2
     assert "unknown strategy" in capsys.readouterr().err
+
+
+def test_run_rejects_adaptive_ladder_not_starting_at_one(tmp_path, capsys):
+    stream = tmp_path / "s.jsonl"
+    run_cli("simulate", "--blocks", "30:0.9,0.8,0.7", "--seed", "0",
+            "--out", str(stream))
+    capsys.readouterr()
+    out = tmp_path / "r.jsonl"
+    code = run_cli("run", "--input", str(stream), "--sizes", "4,8,16", "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+    assert "[4, 8, 16]" in err[0]
+    assert not out.exists()
+
+
+def test_module_entry_point_warns_nothing():
+    # the package must not import its CLI, or runpy executes cli.py twice
+    # and warns on `python -m driftvote.cli`
+    env = dict(os.environ)
+    src = str(Path(driftvote.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "driftvote.cli", "bound", "--n", "3", "--m", "4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert json.loads(proc.stdout)["sizes"] == [1, 2, 4, 8]
 
 
 def test_argparse_rejects_unknown_command():

@@ -84,14 +84,6 @@ def test_schedule_ratios_nonuniform():
     assert 0.0 < s.min_ratio <= s.max_ratio < 1.0
 
 
-def test_schedule_feasible_count():
-    s = WindowSchedule.doubling(6)  # 1 2 4 8 16 32
-    assert s.feasible_count(0) == 0
-    assert s.feasible_count(1) == 1
-    assert s.feasible_count(16) == 5
-    assert s.feasible_count(10**9) == 6
-
-
 def test_schedule_validation():
     with pytest.raises(ValueError):
         WindowSchedule((4,))

@@ -62,10 +62,6 @@ def test_generate_shapes_and_annotations():
     assert set(np.unique(stream.votes)) <= {-1, 1}
     assert set(np.unique(stream.truth)) <= {-1, 1}
     assert stream.block.tolist() == [0] * 100 + [1] * 100
-    step = stream.step(0)
-    assert step.votes == tuple(int(x) for x in stream.votes[0])
-    assert step.truth == int(stream.truth[0])
-    assert step.block == 0
 
 
 def test_generate_is_deterministic():
@@ -263,6 +259,6 @@ def test_block_drift_preset_layout():
 def test_stream_without_annotations():
     votes = np.array([[1, -1, 1]], dtype=np.int8)
     s = Stream(votes=votes)
-    step = s.step(0)
-    assert step.truth is None
-    assert step.block is None
+    assert len(s) == 1
+    assert s.truth is None
+    assert s.block is None

@@ -9,11 +9,7 @@ covers the degenerate branch, tie-breaking, equivariance, and stability.
 import numpy as np
 import pytest
 
-from driftvote import (
-    correlation_from_accuracies,
-    recover_accuracies,
-    recover_accuracies_batch,
-)
+from driftvote import correlation_from_accuracies, recover_accuracies
 
 
 def test_correlation_from_accuracies_frozen_example():
@@ -118,17 +114,6 @@ def test_stability_under_small_perturbation():
         assert np.abs(est.raw - p).max() < 50 * eta
 
 
-def test_batch_matches_single():
-    rng = np.random.default_rng(24)
-    mats = np.stack([
-        correlation_from_accuracies(rng.uniform(0.55, 0.95, size=4)) for _ in range(16)
-    ])
-    batch = recover_accuracies_batch(mats, 0.1, 0.9)
-    for b in range(16):
-        single = recover_accuracies(mats[b], 0.1, 0.9)
-        assert np.array_equal(batch[b], single.accuracies)
-
-
 def test_input_validation():
     good = correlation_from_accuracies([0.8, 0.7, 0.6])
     with pytest.raises(ValueError):
@@ -147,5 +132,3 @@ def test_input_validation():
         recover_accuracies(good, clip_lo=0.6)
     with pytest.raises(ValueError):
         recover_accuracies(good, clip_hi=0.4)
-    with pytest.raises(ValueError):
-        recover_accuracies_batch(good, 0.1, 0.9)  # not a stack
