@@ -51,11 +51,8 @@ from .driftgen import (
 )
 from .io import (
     StreamFormatError,
-    StreamRecord,
     read_reports,
     read_stream,
-    records_to_arrays,
-    stream_records,
     write_reports,
     write_series_csv,
     write_stream,
@@ -96,7 +93,6 @@ __all__ = [
     "StepReport",
     "Stream",
     "StreamFormatError",
-    "StreamRecord",
     "SyntheticStreamConfig",
     "WindowDecision",
     "WindowSchedule",
@@ -115,7 +111,6 @@ __all__ = [
     "prediction_accuracy",
     "read_reports",
     "read_stream",
-    "records_to_arrays",
     "recover_accuracies",
     "resolve_abstentions",
     "role_rngs",
@@ -125,7 +120,6 @@ __all__ = [
     "select_window",
     "selection_overhead",
     "statistical_error",
-    "stream_records",
     "summarize",
     "true_drift_error",
     "union_bound_constant",

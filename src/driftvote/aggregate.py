@@ -102,6 +102,24 @@ def _check_truths(truths, steps: int) -> np.ndarray | None:
     return arr.astype(np.int8)
 
 
+def _checked_strategy(strategy: str, config: AdaptiveConfig) -> tuple[str, int | None]:
+    """Parse ``strategy`` and check it against ``config``'s ladder: a fixed
+    window must not exceed its largest size, and an adaptive ladder must
+    start at 1 so that step 1 has a window."""
+    kind, fixed_r = parse_strategy(strategy)
+    if kind == STRATEGY_FIXED and fixed_r > config.schedule.max_size:
+        raise ValueError(
+            f"fixed window {fixed_r} exceeds the schedule's largest size "
+            f"{config.schedule.max_size}"
+        )
+    if kind == STRATEGY_ADAPTIVE and config.schedule.sizes[0] != 1:
+        raise ValueError(
+            f"adaptive runs need a ladder that starts at 1, got sizes "
+            f"{list(config.schedule.sizes)}"
+        )
+    return kind, fixed_r
+
+
 def _checked_votes(votes, config: AdaptiveConfig | None) -> tuple[np.ndarray, AdaptiveConfig]:
     """Input check shared by both runners: a nonempty (T, n) +/-1 matrix as
     int8, and a config for n labelers (``AdaptiveConfig(n)`` when None)."""
@@ -151,8 +169,8 @@ def run_strategy(
     truths : (T,) array, optional
         True labels; fills ``truth``/``correct`` in the reports.
     """
-    kind, fixed_r = parse_strategy(strategy)
     v, config = _checked_votes(votes, config)
+    kind, fixed_r = _checked_strategy(strategy, config)
     steps, n = v.shape
     truth_arr = _check_truths(truths, steps)
 
@@ -168,20 +186,7 @@ def run_strategy(
             finish(t, majority_vote(v[t]))
         return reports
 
-    if kind == STRATEGY_FIXED:
-        if fixed_r > config.schedule.max_size:
-            raise ValueError(
-                f"fixed window {fixed_r} exceeds the schedule's largest size "
-                f"{config.schedule.max_size}"
-            )
-        bank = CorrelationBank(n, [fixed_r])
-    else:
-        if config.schedule.sizes[0] != 1:
-            raise ValueError(
-                f"adaptive runs need a ladder that starts at 1, got sizes "
-                f"{list(config.schedule.sizes)}"
-            )
-        bank = CorrelationBank(n, config.schedule.sizes)
+    bank = CorrelationBank(n, [fixed_r] if kind == STRATEGY_FIXED else config.schedule.sizes)
 
     for t in range(steps):
         bank.push(v[t])

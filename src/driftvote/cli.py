@@ -17,11 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import io as dio
-from .aggregate import parse_strategy, run_strategy
+from .aggregate import _checked_strategy, run_strategy
 from .core import DRIFT_TO_CORR, AdaptiveConfig, WindowSchedule, error_budget, selection_overhead
 from .driftgen import (
     BlockSpec,
@@ -140,20 +140,24 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    parse_strategy(args.strategy)  # fail fast, before any file work
+    # check the whole run configuration before any file work; n=3 stands in
+    # until the stream's width is known, and replace() checks the real n
     clip_lo, clip_hi = _parse_clip(args.clip)
-    records = dio.read_stream(args.input)
-    votes, labels = dio.records_to_arrays(records)
-    votes = resolve_abstentions(votes, args.abstain_seed)
     config = AdaptiveConfig(
-        n=votes.shape[1],
+        n=3,
         schedule=_schedule(args),
         beta=args.beta,
         delta=args.delta,
         clip_lo=clip_lo,
         clip_hi=clip_hi,
     )
-    reports = run_strategy(votes, args.strategy, config, truths=labels)
+    _checked_strategy(args.strategy, config)
+    stream = dio.read_stream(args.input)
+    if len(stream) == 0:
+        raise ValueError(f"{args.input}: stream file is empty")
+    votes = resolve_abstentions(stream.votes, args.abstain_seed)
+    config = replace(config, n=votes.shape[1])
+    reports = run_strategy(votes, args.strategy, config, truths=stream.truth)
     dio.write_reports(args.out, reports)
     _save_config(args, "run")
     return 0

@@ -116,11 +116,6 @@ class CorrelationBank:
         self._ring[t % self._cap] = v8
         self._t = t + 1
 
-    def extend(self, votes: np.ndarray) -> None:
-        """Push the rows of a (T, n) matrix in order."""
-        for row in as_vote_matrix(votes, self.n):
-            self.push(row)
-
     def _key(self, r: int) -> int:
         try:
             return self._index[int(r)]

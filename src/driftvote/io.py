@@ -1,24 +1,28 @@
 """Reading and writing vote streams and per-step reports.
 
-Two stream formats:
+A stream file holds a :class:`~driftvote.driftgen.Stream`: one line per
+step, in one of two formats.
 
 * JSONL (canonical): one object per line, ``{"votes": [...], "label": ...,
   "t": ...}`` with ``label``/``t`` optional.
 * CSV: a header row; every column except ``label`` and ``t`` is a vote
   column, read in header order.  Written files use ``votes_1..votes_n``.
 
-Votes are -1, 0 (abstain), or +1; labels are +/-1.  Reports are always
-JSONL with fields ``t``, ``window``, ``p_hat``, ``weights``,
-``prediction``, ``truth``, ``correct``, ``stop_reason`` (absent fields
-were not produced by the strategy).  Floats round-trip exactly through
-JSON's shortest-repr encoding.
+Votes are -1, 0 (abstain), or +1; labels are +/-1.  A read stream
+carries labels (``truth``) only when every line has one.  ``t`` is
+accepted and checked on read but not kept; written streams carry no
+``t`` and no block annotations.
+
+Reports are always JSONL with fields ``t``, ``window``, ``p_hat``,
+``weights``, ``prediction``, ``truth``, ``correct``, ``stop_reason``
+(absent fields were not produced by the strategy).  Floats round-trip
+exactly through JSON's shortest-repr encoding.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +35,6 @@ class StreamFormatError(ValueError):
     """A stream or report file violates the format contract."""
 
 
-@dataclass(frozen=True)
-class StreamRecord:
-    """One parsed stream line: raw votes, optional label, optional step."""
-
-    votes: tuple[int, ...]
-    label: int | None = None
-    t: int | None = None
-
-
 _VOTE_VALUES = (-1, 0, 1)
 _LABEL_VALUES = (-1, 1)
 
@@ -48,15 +43,13 @@ def _bad(path, lineno: int, msg: str) -> StreamFormatError:
     return StreamFormatError(f"{path}:{lineno}: {msg}")
 
 
-def _check_votes(votes, path, lineno: int) -> tuple[int, ...]:
+def _check_votes(votes, path, lineno: int) -> list[int]:
     if not isinstance(votes, (list, tuple)) or not votes:
         raise _bad(path, lineno, "votes must be a nonempty list")
-    out = []
     for x in votes:
         if isinstance(x, bool) or not isinstance(x, int) or x not in _VOTE_VALUES:
             raise _bad(path, lineno, f"vote values must be -1, 0, or 1, got {x!r}")
-        out.append(x)
-    return tuple(out)
+    return votes
 
 
 def _check_label(label, path, lineno: int) -> int | None:
@@ -67,8 +60,8 @@ def _check_label(label, path, lineno: int) -> int | None:
     return label
 
 
-def _read_stream_jsonl(path) -> list[StreamRecord]:
-    records = []
+def _jsonl_rows(path):
+    """Yield checked ``(votes, label or None)`` for each nonblank JSONL line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -82,24 +75,15 @@ def _read_stream_jsonl(path) -> list[StreamRecord]:
             t = obj.get("t")
             if t is not None and (isinstance(t, bool) or not isinstance(t, int)):
                 raise _bad(path, lineno, f"t must be an int, got {t!r}")
-            records.append(
-                StreamRecord(
-                    votes=_check_votes(obj["votes"], path, lineno),
-                    label=_check_label(obj.get("label"), path, lineno),
-                    t=t,
-                )
-            )
-    return records
+            votes = _check_votes(obj["votes"], path, lineno)
+            yield votes, _check_label(obj.get("label"), path, lineno)
 
 
-def _read_stream_csv(path) -> list[StreamRecord]:
-    records = []
+def _csv_rows(path):
+    """Yield checked ``(votes, label or None)`` for each nonblank CSV row."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return []
+        header = next(reader)
         vote_cols = [i for i, name in enumerate(header) if name not in ("label", "t")]
         label_col = header.index("label") if "label" in header else None
         t_col = header.index("t") if "t" in header else None
@@ -124,106 +108,68 @@ def _read_stream_csv(path) -> list[StreamRecord]:
             if any(x is None for x in raw_votes):
                 raise _bad(path, lineno, "empty vote cell")
             label = cell_int(label_col, "label") if label_col is not None else None
-            t = cell_int(t_col, "t") if t_col is not None else None
-            records.append(
-                StreamRecord(
-                    votes=_check_votes(raw_votes, path, lineno),
-                    label=_check_label(label, path, lineno),
-                    t=t,
-                )
-            )
-    return records
+            if t_col is not None:
+                cell_int(t_col, "t")
+            votes = _check_votes(raw_votes, path, lineno)
+            yield votes, _check_label(label, path, lineno)
 
 
-def read_stream(path) -> list[StreamRecord]:
-    """Parse a stream file (JSONL or CSV, sniffed from the first line).
+def read_stream(path) -> Stream:
+    """Parse a stream file (JSONL or CSV, sniffed from the first nonblank
+    line) into a :class:`Stream` of int8 votes, 0 kept for an abstention.
 
-    All records must have the same number of votes; format violations
-    raise :class:`StreamFormatError` naming the file and line.
+    ``truth`` is set only when every line carries a label.  An empty or
+    blank file reads as a zero-row stream.  All lines must have the same
+    number of votes; format violations raise :class:`StreamFormatError`
+    naming the file and line.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        head = ""
-        for line in fh:
-            if line.strip():
-                head = line.lstrip()
-                break
-    records = _read_stream_jsonl(path) if head.startswith("{") else _read_stream_csv(path)
-    widths = {len(rec.votes) for rec in records}
+        head = next((line.lstrip() for line in fh if line.strip()), "")
+    rows: list[list[int]] = []
+    labels: list[int | None] = []
+    if head:
+        for votes, label in (_jsonl_rows if head.startswith("{") else _csv_rows)(path):
+            rows.append(votes)
+            labels.append(label)
+    widths = {len(row) for row in rows}
     if len(widths) > 1:
         raise StreamFormatError(f"{path}: inconsistent labeler counts {sorted(widths)}")
-    return records
+    votes = np.array(rows, dtype=np.int8).reshape(len(rows), widths.pop() if widths else 0)
+    truth = np.array(labels, dtype=np.int8) if rows and None not in labels else None
+    return Stream(votes=votes, truth=truth)
 
 
-def write_stream(path, records, fmt: str | None = None) -> None:
-    """Write stream records (or a :class:`Stream`) as JSONL or CSV.
+def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
+    """Write a :class:`Stream`'s votes, plus its labels when ``truth`` is
+    set, as JSONL or CSV.
 
     ``fmt`` defaults to the file extension (".csv" means CSV, anything
     else JSONL).
     """
     path = Path(path)
-    if isinstance(records, Stream):
-        records = stream_records(records)
     if fmt is None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown stream format {fmt!r}")
-    records = list(records)
+    rows = stream.votes.tolist()
+    labels = None if stream.truth is None else stream.truth.tolist()
     if fmt == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                obj: dict = {"votes": list(rec.votes)}
-                if rec.label is not None:
-                    obj["label"] = rec.label
-                if rec.t is not None:
-                    obj["t"] = rec.t
+            for i, row in enumerate(rows):
+                obj: dict = {"votes": row}
+                if labels is not None:
+                    obj["label"] = labels[i]
                 fh.write(json.dumps(obj) + "\n")
         return
-    n = len(records[0].votes) if records else 0
-    with_label = any(rec.label is not None for rec in records)
-    with_t = any(rec.t is not None for rec in records)
+    header = [f"votes_{i + 1}" for i in range(stream.votes.shape[1])]
+    if labels is not None:
+        header.append("label")
+        rows = [row + [label] for row, label in zip(rows, labels)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        header = [f"votes_{i + 1}" for i in range(n)]
-        header += ["label"] if with_label else []
-        header += ["t"] if with_t else []
         writer.writerow(header)
-        for rec in records:
-            row = list(rec.votes)
-            if with_label:
-                row.append("" if rec.label is None else rec.label)
-            if with_t:
-                row.append("" if rec.t is None else rec.t)
-            writer.writerow(row)
-
-
-def stream_records(stream: Stream) -> list[StreamRecord]:
-    """View a :class:`Stream` as records (block annotations are dropped)."""
-    truth = stream.truth
-    return [
-        StreamRecord(
-            votes=tuple(int(x) for x in stream.votes[i]),
-            label=int(truth[i]) if truth is not None else None,
-        )
-        for i in range(len(stream))
-    ]
-
-
-def records_to_arrays(records) -> tuple[np.ndarray, np.ndarray | None]:
-    """Stack records into a (T, n) vote matrix plus labels.
-
-    Labels are returned only when every record carries one; otherwise the
-    second element is None.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("empty stream")
-    votes = np.array([rec.votes for rec in records], dtype=np.int8)
-    if all(rec.label is not None for rec in records):
-        labels = np.array([rec.label for rec in records], dtype=np.int8)
-    else:
-        labels = None
-    return votes, labels
+        writer.writerows(rows)
 
 
 _REPORT_FIELDS = ("t", "window", "p_hat", "weights", "prediction", "truth", "correct", "stop_reason")

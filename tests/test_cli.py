@@ -14,7 +14,6 @@ from driftvote import (
     WindowSchedule,
     read_reports,
     read_stream,
-    records_to_arrays,
     selection_overhead,
     statistical_error,
     true_drift_error,
@@ -36,9 +35,9 @@ def test_pipeline_simulate_run_eval(tmp_path, capsys):
         "simulate", "--preset", "block-drift", "--block-len", "100",
         "--seed", "3", "--out", str(stream),
     ) == 0
-    records = read_stream(stream)
-    assert len(records) == 400  # 100 + 200 + 100
-    assert all(rec.label in (-1, 1) for rec in records)
+    back = read_stream(stream)
+    assert len(back) == 400  # 100 + 200 + 100
+    assert set(back.truth.tolist()) <= {-1, 1}
 
     assert run_cli(
         "run", "--input", str(stream), "--strategy", "adaptive",
@@ -97,10 +96,10 @@ def test_csv_and_jsonl_streams_agree(tmp_path):
     assert run_cli(*flags, "--out", str(csv_path)) == 0
     assert run_cli(*flags, "--out", str(jsonl_path)) == 0
     assert csv_path.read_text().splitlines()[0] == "votes_1,votes_2,votes_3,label"
-    a, la = records_to_arrays(read_stream(csv_path))
-    b, lb = records_to_arrays(read_stream(jsonl_path))
-    assert np.array_equal(a, b)
-    assert np.array_equal(la, lb)
+    a = read_stream(csv_path)
+    b = read_stream(jsonl_path)
+    assert np.array_equal(a.votes, b.votes)
+    assert np.array_equal(a.truth, b.truth)
 
 
 def test_majority_equals_fixed_one_with_shared_abstain_seed(tmp_path):
@@ -169,6 +168,40 @@ def test_run_rejects_adaptive_ladder_not_starting_at_one(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith("error: ")
     assert "[4, 8, 16]" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--clip", "0.6:0.9"], "clip_lo"),
+        (["--beta", "0"], "beta"),
+        (["--delta", "1.5"], "delta"),
+        (["--sizes", "4,8,16"], "starts at 1"),
+    ],
+)
+def test_run_rejects_bad_config_before_reading_input(tmp_path, capsys, flags, message):
+    out = tmp_path / "r.jsonl"
+    code = run_cli("run", "--input", str(tmp_path / "missing.jsonl"), *flags,
+                   "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+    assert message in err[0]
+    assert "No such file" not in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n \n"])
+def test_run_rejects_empty_stream_file(tmp_path, capsys, text):
+    stream = tmp_path / "empty.jsonl"
+    stream.write_text(text)
+    out = tmp_path / "r.jsonl"
+    code = run_cli("run", "--input", str(stream), "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {stream}: stream file is empty"]
     assert not out.exists()
 
 

@@ -81,18 +81,6 @@ def test_from_history_equals_push_loop():
         assert np.array_equal(loaded.pair_sums(r), pushed.pair_sums(r))
 
 
-def test_extend_equals_push():
-    rng = np.random.default_rng(14)
-    votes = random_votes(rng, 120, 4)
-    a = CorrelationBank(4, (2, 8, 32))
-    b = CorrelationBank(4, (2, 8, 32))
-    for row in votes:
-        a.push(row)
-    b.extend(votes)
-    for r in (2, 8, 32):
-        assert np.array_equal(a.pair_sums(r), b.pair_sums(r))
-
-
 def test_retention_never_exceeds_largest_window():
     rng = np.random.default_rng(15)
     bank = CorrelationBank(3, (1, 2, 4, 8, 16, 32, 64))

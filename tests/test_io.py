@@ -4,80 +4,150 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftvote import (
     AdaptiveConfig,
     BlockSpec,
+    Stream,
     StreamFormatError,
-    StreamRecord,
     SyntheticStreamConfig,
     generate_synthetic,
     read_reports,
     read_stream,
-    records_to_arrays,
     run_strategy,
-    stream_records,
     write_reports,
     write_series_csv,
     write_stream,
 )
 
-RECORDS = [
-    StreamRecord(votes=(1, -1, 0), label=1, t=1),
-    StreamRecord(votes=(1, 1, 1), label=-1, t=2),
-    StreamRecord(votes=(-1, 0, 0), label=None, t=3),
-]
+STREAM = Stream(
+    votes=np.array([[1, -1, 0], [1, 1, 1], [-1, 0, 0]], dtype=np.int8),
+    truth=np.array([1, -1, 1], dtype=np.int8),
+)
+
+
+def assert_same_stream(got, want):
+    assert got.votes.dtype == np.int8
+    assert np.array_equal(got.votes, want.votes)
+    if want.truth is None:
+        assert got.truth is None
+    else:
+        assert got.truth.dtype == np.int8
+        assert np.array_equal(got.truth, want.truth)
 
 
 def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "stream.jsonl"
-    write_stream(path, RECORDS)
-    assert read_stream(path) == RECORDS
+    write_stream(path, STREAM)
+    assert json.loads(path.read_text().splitlines()[0]) == {"votes": [1, -1, 0], "label": 1}
+    assert_same_stream(read_stream(path), STREAM)
 
 
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "stream.csv"
-    write_stream(path, RECORDS)
+    write_stream(path, STREAM)
     header = path.read_text().splitlines()[0]
-    assert header == "votes_1,votes_2,votes_3,label,t"
-    assert read_stream(path) == RECORDS
+    assert header == "votes_1,votes_2,votes_3,label"
+    assert_same_stream(read_stream(path), STREAM)
 
 
 def test_format_sniffing_ignores_extension(tmp_path):
     path = tmp_path / "stream.dat"
-    write_stream(path, RECORDS, fmt="jsonl")
-    assert read_stream(path) == RECORDS
-    write_stream(path, RECORDS, fmt="csv")
-    assert read_stream(path) == RECORDS
+    write_stream(path, STREAM, fmt="jsonl")
+    assert_same_stream(read_stream(path), STREAM)
+    write_stream(path, STREAM, fmt="csv")
+    assert_same_stream(read_stream(path), STREAM)
 
 
 def test_write_stream_unknown_format(tmp_path):
     with pytest.raises(ValueError):
-        write_stream(tmp_path / "x.jsonl", RECORDS, fmt="parquet")
+        write_stream(tmp_path / "x.jsonl", STREAM, fmt="parquet")
 
 
 def test_csv_reader_takes_any_vote_headers(tmp_path):
     path = tmp_path / "votes.csv"
     path.write_text("alice,bob,carol,label\n1,-1,1,1\n-1,0,1,\n")
-    records = read_stream(path)
-    assert records == [
-        StreamRecord(votes=(1, -1, 1), label=1),
-        StreamRecord(votes=(-1, 0, 1), label=None),
-    ]
+    stream = read_stream(path)
+    assert stream.votes.tolist() == [[1, -1, 1], [-1, 0, 1]]
+    assert stream.truth is None  # the second line is unlabeled
 
 
 def test_jsonl_optional_fields(tmp_path):
     path = tmp_path / "s.jsonl"
     path.write_text('{"votes": [1, -1]}\n\n{"votes": [0, 1], "label": -1}\n')
-    records = read_stream(path)
-    assert records[0] == StreamRecord(votes=(1, -1))
-    assert records[1] == StreamRecord(votes=(0, 1), label=-1)
+    stream = read_stream(path)
+    assert stream.votes.tolist() == [[1, -1], [0, 1]]
+    assert stream.truth is None
+    path.write_text('{"votes": [1, -1], "label": 1}\n\n{"votes": [0, 1], "label": -1}\n')
+    assert read_stream(path).truth.tolist() == [1, -1]
+
+
+def test_partially_labeled_file_reads_without_truth(tmp_path):
+    jsonl = tmp_path / "s.jsonl"
+    jsonl.write_text('{"votes": [1, -1, 1], "label": 1}\n{"votes": [0, 1, 1]}\n')
+    csv_path = tmp_path / "s.csv"
+    csv_path.write_text("votes_1,votes_2,votes_3,label\n1,-1,1,1\n0,1,1,\n")
+    for path in (jsonl, csv_path):
+        stream = read_stream(path)
+        assert stream.votes.tolist() == [[1, -1, 1], [0, 1, 1]]
+        assert stream.truth is None
+
+
+def test_step_column_is_checked_but_not_kept(tmp_path):
+    plain = tmp_path / "plain.jsonl"
+    write_stream(plain, STREAM)
+    timed = tmp_path / "timed.jsonl"
+    timed.write_text(
+        '{"votes": [1, -1, 0], "label": 1, "t": 1}\n'
+        '{"votes": [1, 1, 1], "label": -1, "t": 2}\n'
+        '{"votes": [-1, 0, 0], "t": 3, "label": 1}\n'
+    )
+    timed_csv = tmp_path / "timed.csv"
+    timed_csv.write_text("t,votes_1,votes_2,votes_3,label\n1,1,-1,0,1\n2,1,1,1,-1\n3,-1,0,0,1\n")
+    want = read_stream(plain)
+    for path in (timed, timed_csv):
+        got = read_stream(path)
+        assert_same_stream(got, want)
+        assert got.block is None
 
 
 def test_empty_file_reads_empty(tmp_path):
     path = tmp_path / "empty.csv"
-    path.write_text("")
-    assert read_stream(path) == []
+    for text in ("", "\n  \n"):
+        path.write_text(text)
+        stream = read_stream(path)
+        assert len(stream) == 0
+        assert stream.votes.dtype == np.int8
+        assert stream.truth is None
+
+
+@st.composite
+def streams(draw):
+    n = draw(st.integers(1, 8))
+    steps = draw(st.integers(1, 60))
+    cells = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=steps * n, max_size=steps * n))
+    votes = np.array(cells, dtype=np.int8).reshape(steps, n)
+    truth = None
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.sampled_from((-1, 1)), min_size=steps, max_size=steps))
+        truth = np.array(labels, dtype=np.int8)
+    return Stream(votes=votes, truth=truth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=streams(), fmt=st.sampled_from(("jsonl", "csv")), by_suffix=st.booleans())
+def test_write_read_round_trip_property(tmp_path_factory, stream, fmt, by_suffix):
+    # the format comes either from the file extension or from fmt=, never both
+    if by_suffix:
+        path = tmp_path_factory.mktemp("rt") / f"stream.{fmt}"
+        write_stream(path, stream)
+    else:
+        path = tmp_path_factory.mktemp("rt") / "stream.txt"
+        write_stream(path, stream, fmt=fmt)
+    assert path.read_text().startswith("votes_1" if fmt == "csv" else '{"votes": ')
+    assert_same_stream(read_stream(path), stream)
 
 
 def test_error_messages_carry_path_and_line(tmp_path):
@@ -134,23 +204,10 @@ def test_stream_object_writes_labels(tmp_path):
     stream = generate_synthetic(cfg)
     path = tmp_path / "stream.jsonl"
     write_stream(path, stream)
-    records = read_stream(path)
-    assert len(records) == 8
-    votes, labels = records_to_arrays(records)
-    assert np.array_equal(votes, stream.votes)
-    assert np.array_equal(labels, stream.truth)
-    assert records == stream_records(stream)
-
-
-def test_records_to_arrays():
-    votes, labels = records_to_arrays(RECORDS)
-    assert votes.dtype == np.int8
-    assert votes.shape == (3, 3)
-    assert labels is None  # third record is unlabeled
-    votes2, labels2 = records_to_arrays(RECORDS[:2])
-    assert labels2.tolist() == [1, -1]
-    with pytest.raises(ValueError):
-        records_to_arrays([])
+    back = read_stream(path)
+    assert len(back) == 8
+    assert_same_stream(back, stream)
+    assert back.block is None  # block annotations are not written
 
 
 @pytest.fixture(scope="module")
