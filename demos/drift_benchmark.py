@@ -41,7 +41,7 @@ def main(seed: int) -> None:
     print(f"majority accuracy: {prediction_accuracy(majority):.4f}")
 
     # window usage per block
-    windows = np.array([r.window for r in adaptive])
+    windows = adaptive.window
     edges = np.cumsum([0] + [b.length for b in layout.blocks])
     for b in range(len(layout.blocks)):
         seg = windows[edges[b]:edges[b + 1]]
@@ -49,7 +49,7 @@ def main(seed: int) -> None:
               f"max {seg.max()}, weak labeler is #{list(layout.blocks[b].accuracies).index(0.6) + 1}")
 
     # estimated accuracies at the end of each block (should match the profile)
-    p_hat = np.array([r.p_hat for r in adaptive])
+    p_hat = adaptive.p_hat
     for b in range(len(layout.blocks)):
         tail = p_hat[edges[b + 1] - 100:edges[b + 1]].mean(axis=0)
         print(f"block {b} final estimates: " +

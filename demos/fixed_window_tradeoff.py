@@ -37,7 +37,7 @@ def main() -> None:
     print(f"best fixed window: {best_r} at {best:.4f}")
 
     adaptive = run_strategy(votes, "adaptive", config, truths=truth)
-    acc = float(np.mean([r.correct for r in adaptive]))
+    acc = float(np.mean(adaptive.correct))
     print(f"adaptive (online): {acc:.4f}  (gap to best fixed {best - acc:+.4f})")
 
 

@@ -26,11 +26,9 @@ SHUFFLE_PROB = 1e-3
 
 
 def describe(tag, reports):
-    windows = np.array([r.window for r in reports])
-    acc = float(np.mean([r.correct for r in reports]))
-    stops = {}
-    for r in reports:
-        stops[r.stop_reason] = stops.get(r.stop_reason, 0) + 1
+    windows = reports.window
+    acc = float(np.mean(reports.correct))
+    stops = dict(zip(*np.unique(reports.stop_reason, return_counts=True)))
     print(f"{tag}: accuracy {acc:.4f}, median window {int(np.median(windows))}, "
           f"p90 window {int(np.percentile(windows, 90))}")
     print(f"{tag}: stop reasons " +

@@ -17,7 +17,7 @@ from .adaptive import (
     select_window,
 )
 from .aggregate import (
-    StepReport,
+    Reports,
     STRATEGY_ADAPTIVE,
     STRATEGY_FIXED,
     STRATEGY_MAJORITY,
@@ -83,6 +83,7 @@ __all__ = [
     "ErrorBudget",
     "GapProbe",
     "ROLLING_LOOKAHEAD",
+    "Reports",
     "RunSummary",
     "STOP_HORIZON",
     "STOP_SCHEDULE",
@@ -90,7 +91,6 @@ __all__ = [
     "STRATEGY_ADAPTIVE",
     "STRATEGY_FIXED",
     "STRATEGY_MAJORITY",
-    "StepReport",
     "Stream",
     "StreamFormatError",
     "SyntheticStreamConfig",

@@ -30,23 +30,32 @@ STRATEGY_MAJORITY = "majority"
 STRATEGY_FIXED = "fixed"
 
 
-@dataclass
-class StepReport:
-    """Everything the engine decided at one step.
+@dataclass(eq=False)
+class Reports:
+    """Everything the engine decided over a stream, one row per step.
 
-    ``window`` is the sample count actually used (None for majority),
-    ``p_hat`` the clipped accuracy estimates, ``truth``/``correct`` filled
-    when the stream is labeled, ``stop_reason`` only for adaptive runs.
+    Row ``i`` is step ``t = i + 1``.  ``prediction`` is (T,) int8;
+    ``window`` (T,) int64 is the sample count actually used (None for
+    majority); ``p_hat`` and ``weights`` are (T, n) float64 clipped
+    accuracy estimates and their log odds (None for majority); ``truth``
+    (T,) int8 is set when the stream is labeled; ``stop_reason`` (T,) str
+    only for adaptive runs.
     """
 
-    t: int
-    prediction: int
-    window: int | None = None
-    p_hat: tuple[float, ...] | None = None
-    weights: tuple[float, ...] | None = None
-    truth: int | None = None
-    correct: bool | None = None
-    stop_reason: str | None = None
+    prediction: np.ndarray
+    window: np.ndarray | None = None
+    p_hat: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    truth: np.ndarray | None = None
+    stop_reason: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.prediction)
+
+    @property
+    def correct(self) -> np.ndarray | None:
+        """(T,) bool ``prediction == truth``; None when unlabeled."""
+        return None if self.truth is None else self.prediction == self.truth
 
 
 def log_odds_weights(p) -> np.ndarray:
@@ -153,7 +162,7 @@ def run_strategy(
     strategy: str,
     config: AdaptiveConfig | None = None,
     truths=None,
-) -> list[StepReport]:
+) -> Reports:
     """Run one aggregation strategy over a resolved +/-1 vote stream.
 
     Parameters
@@ -167,46 +176,39 @@ def run_strategy(
     config : AdaptiveConfig, optional
         Defaults to ``AdaptiveConfig(n)`` for the stream's width.
     truths : (T,) array, optional
-        True labels; fills ``truth``/``correct`` in the reports.
+        True labels; fills ``truth`` (and so ``correct``) in the reports.
     """
     v, config = _checked_votes(votes, config)
     kind, fixed_r = _checked_strategy(strategy, config)
     steps, n = v.shape
-    truth_arr = _check_truths(truths, steps)
-
-    reports: list[StepReport] = []
-
-    def finish(t: int, pred: int, **kw) -> None:
-        truth = int(truth_arr[t]) if truth_arr is not None else None
-        correct = (pred == truth) if truth is not None else None
-        reports.append(StepReport(t=t + 1, prediction=pred, truth=truth, correct=correct, **kw))
+    truth = _check_truths(truths, steps)
 
     if kind == STRATEGY_MAJORITY:
-        for t in range(steps):
-            finish(t, majority_vote(v[t]))
-        return reports
+        # exact integer row sums, the same sign as majority_vote per row
+        return Reports(prediction=np.where(v.sum(axis=1) >= 0, 1, -1).astype(np.int8), truth=truth)
 
+    prediction = np.empty(steps, dtype=np.int8)
+    window = np.empty(steps, dtype=np.int64)
+    p_hat = np.empty((steps, n))
+    weights = np.empty((steps, n))
+    stops = []
     bank = CorrelationBank(n, [fixed_r] if kind == STRATEGY_FIXED else config.schedule.sizes)
 
     for t in range(steps):
         bank.push(v[t])
         if kind == STRATEGY_ADAPTIVE:
             decision = select_window(bank, config)
-            used, stop = decision.window, decision.stop_reason
-            corr = bank.correlation(used)
+            window[t] = decision.window
+            stops.append(decision.stop_reason)
+            corr = bank.correlation(decision.window)
         else:
-            used, stop = bank.window_length(fixed_r), None
+            window[t] = bank.window_length(fixed_r)
             corr = bank.correlation(fixed_r)
-        p_hat, weights = _estimate(corr[None], config)
-        finish(
-            t,
-            weighted_vote(v[t], weights[0]),
-            window=used,
-            p_hat=tuple(p_hat[0].tolist()),
-            weights=tuple(weights[0].tolist()),
-            stop_reason=stop,
-        )
-    return reports
+        p, w = _estimate(corr[None], config)
+        p_hat[t], weights[t] = p[0], w[0]
+        prediction[t] = weighted_vote(v[t], w[0])
+    stop_reason = np.array(stops) if kind == STRATEGY_ADAPTIVE else None
+    return Reports(prediction, window, p_hat, weights, truth, stop_reason)
 
 
 def run_fixed_sweep(votes, config: AdaptiveConfig | None = None, sizes=None) -> dict[int, np.ndarray]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import io as dio
@@ -36,26 +36,6 @@ from .driftgen import (
 from .metrics import ROLLING_LOOKAHEAD, comparison_rows, summarize
 
 PRESETS = ("block-drift",)
-
-
-@dataclass
-class ExperimentConfig:
-    """Reproducible record of one CLI invocation."""
-
-    command: str
-    params: dict
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"command": self.command, "params": self.params}, indent=2, sort_keys=True
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        obj = json.loads(text)
-        if not isinstance(obj, dict) or "command" not in obj or "params" not in obj:
-            raise ValueError("experiment config needs 'command' and 'params'")
-        return cls(command=obj["command"], params=dict(obj["params"]))
 
 
 def _parse_blocks(text: str) -> tuple[BlockSpec, ...]:
@@ -104,6 +84,15 @@ def _schedule(args) -> WindowSchedule:
     return WindowSchedule.doubling(args.m)
 
 
+def _config(args, n: int) -> AdaptiveConfig:
+    """The engine config that the schedule flags describe, for n labelers."""
+    clip_lo, clip_hi = _parse_clip(args.clip)
+    return AdaptiveConfig(
+        n=n, schedule=_schedule(args), beta=args.beta, delta=args.delta,
+        clip_lo=clip_lo, clip_hi=clip_hi,
+    )
+
+
 def _synthetic_config(args, seed: int) -> SyntheticStreamConfig:
     if (args.preset is None) == (args.blocks is None):
         raise ValueError("give exactly one of --preset or --blocks")
@@ -118,8 +107,8 @@ def _save_config(args, command: str) -> None:
         return
     skip = {"func", "save_config"}
     params = {k: v for k, v in vars(args).items() if k not in skip}
-    cfg = ExperimentConfig(command=command, params=params)
-    Path(args.save_config).write_text(cfg.to_json() + "\n", encoding="utf-8")
+    text = json.dumps({"command": command, "params": params}, indent=2, sort_keys=True)
+    Path(args.save_config).write_text(text + "\n", encoding="utf-8")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -142,15 +131,7 @@ def cmd_simulate(args) -> int:
 def cmd_run(args) -> int:
     # check the whole run configuration before any file work; n=3 stands in
     # until the stream's width is known, and replace() checks the real n
-    clip_lo, clip_hi = _parse_clip(args.clip)
-    config = AdaptiveConfig(
-        n=3,
-        schedule=_schedule(args),
-        beta=args.beta,
-        delta=args.delta,
-        clip_lo=clip_lo,
-        clip_hi=clip_hi,
-    )
+    config = _config(args, n=3)
     _checked_strategy(args.strategy, config)
     stream = dio.read_stream(args.input)
     if len(stream) == 0:
@@ -166,9 +147,12 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     summaries = {}
     for path_text in args.reports:
-        path = Path(path_text)
-        name = path.stem if path.stem not in summaries else path_text
-        summaries[name] = summarize(dio.read_reports(path), lookahead=args.lookahead)
+        stem = Path(path_text).stem
+        name, k = stem, 1
+        while name in summaries:  # a repeated stem takes the first free stem-2, stem-3, ...
+            k += 1
+            name = f"{stem}-{k}"
+        summaries[name] = summarize(dio.read_reports(path_text), lookahead=args.lookahead)
     doc = {
         "runs": {name: s.to_json_dict() for name, s in summaries.items()},
         "comparison": comparison_rows(summaries),
@@ -184,15 +168,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    clip_lo, clip_hi = _parse_clip(args.clip)
-    config = AdaptiveConfig(
-        n=args.n,
-        schedule=_schedule(args),
-        beta=args.beta,
-        delta=args.delta,
-        clip_lo=clip_lo,
-        clip_hi=clip_hi,
-    )
+    config = _config(args, n=args.n)
     budget = error_budget(config, margin=args.margin)
     doc: dict = {
         "n": config.n,

@@ -13,10 +13,12 @@ carries labels (``truth``) only when every line has one.  ``t`` is
 accepted and checked on read but not kept; written streams carry no
 ``t`` and no block annotations.
 
-Reports are always JSONL with fields ``t``, ``window``, ``p_hat``,
-``weights``, ``prediction``, ``truth``, ``correct``, ``stop_reason``
-(absent fields were not produced by the strategy).  Floats round-trip
-exactly through JSON's shortest-repr encoding.
+Reports (:class:`~driftvote.aggregate.Reports`) are always JSONL with
+fields ``t``, ``window``, ``p_hat``, ``weights``, ``prediction``,
+``truth``, ``correct``, ``stop_reason`` (absent fields were not produced
+by the strategy).  On read, a column is kept only when every line has
+it; ``t`` is checked but not kept, and ``correct`` is recomputed.
+Floats round-trip exactly through JSON's shortest-repr encoding.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import StepReport
+from .aggregate import Reports
 from .driftgen import Stream
 
 
@@ -174,23 +176,39 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
 
 _REPORT_FIELDS = ("t", "window", "p_hat", "weights", "prediction", "truth", "correct", "stop_reason")
 
+#: dtype and dimension of each report column kept on read
+_REPORT_COLUMNS = {
+    "window": (np.int64, 1),
+    "p_hat": (np.float64, 2),
+    "weights": (np.float64, 2),
+    "prediction": (np.int8, 1),
+    "truth": (np.int8, 1),
+    "stop_reason": (str, 1),
+}
 
-def write_reports(path, reports) -> None:
-    """Write per-step reports as JSONL, omitting absent fields."""
+
+def write_reports(path, reports: Reports) -> None:
+    """Write :class:`Reports` as JSONL, one line per step with ``t`` = 1..T
+    and the derived ``correct``, omitting absent columns."""
+    columns = [("t", range(1, len(reports) + 1))]
+    for name in _REPORT_FIELDS[1:]:
+        column = getattr(reports, name)
+        if column is not None:
+            columns.append((name, column.tolist()))
+    names = [name for name, _ in columns]
     with open(path, "w", encoding="utf-8") as fh:
-        for rep in reports:
-            obj = {}
-            for name in _REPORT_FIELDS:
-                value = getattr(rep, name)
-                if value is None:
-                    continue
-                obj[name] = list(value) if isinstance(value, tuple) else value
-            fh.write(json.dumps(obj) + "\n")
+        for row in zip(*(column for _, column in columns)):
+            fh.write(json.dumps(dict(zip(names, row))) + "\n")
 
 
-def read_reports(path) -> list[StepReport]:
-    """Read reports written by :func:`write_reports`; exact round-trip."""
-    out = []
+def read_reports(path) -> Reports:
+    """Read reports written by :func:`write_reports`; exact round-trip.
+
+    A column is kept only when every line has it; ``t`` must be present
+    but is not kept, and ``correct`` is recomputed from the columns.  An
+    empty file reads as zero rows.
+    """
+    lines = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -201,12 +219,20 @@ def read_reports(path) -> list[StepReport]:
                 raise _bad(path, lineno, f"bad JSON: {err}") from None
             if not isinstance(obj, dict) or "t" not in obj or "prediction" not in obj:
                 raise _bad(path, lineno, "expected an object with 't' and 'prediction'")
-            kw = {name: obj.get(name) for name in _REPORT_FIELDS}
-            for name in ("p_hat", "weights"):
-                if kw[name] is not None:
-                    kw[name] = tuple(float(x) for x in kw[name])
-            out.append(StepReport(**kw))
-    return out
+            lines.append(obj)
+    columns = {}
+    for name, (dtype, ndim) in _REPORT_COLUMNS.items():
+        values = [obj.get(name) for obj in lines]
+        if name != "prediction" and (not values or None in values):
+            continue
+        try:
+            column = np.array(values, dtype=dtype)
+        except (TypeError, ValueError, OverflowError):
+            column = None
+        if column is None or column.ndim != ndim:
+            raise StreamFormatError(f"{path}: {name!r} values are ragged or of the wrong type")
+        columns[name] = column
+    return Reports(**columns)
 
 
 def write_series_csv(path, values, start: int = 1) -> None:

@@ -6,29 +6,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import StepReport
+from .aggregate import Reports
 
 #: default lookahead of the rolling accuracy series
 ROLLING_LOOKAHEAD = 128
 
 
-def _truth_pairs(reports: list[StepReport]) -> tuple[np.ndarray, np.ndarray]:
-    if not reports:
+def _truth_pairs(reports: Reports) -> tuple[np.ndarray, np.ndarray]:
+    if len(reports) == 0:
         raise ValueError("no reports to evaluate")
-    if any(rep.truth is None for rep in reports):
+    if reports.truth is None:
         raise ValueError("reports lack truth labels; accuracy metrics need a labeled stream")
-    pred = np.array([rep.prediction for rep in reports], dtype=np.int8)
-    truth = np.array([rep.truth for rep in reports], dtype=np.int8)
-    return pred, truth
+    return reports.prediction, reports.truth
 
 
-def prediction_accuracy(reports: list[StepReport]) -> float:
+def prediction_accuracy(reports: Reports) -> float:
     """Fraction of steps whose prediction matches the truth."""
     pred, truth = _truth_pairs(reports)
     return float(np.mean(pred == truth))
 
 
-def f1_score(reports: list[StepReport]) -> float:
+def f1_score(reports: Reports) -> float:
     """F1 of the +1 class: harmonic mean of precision and recall.
 
     Degenerate cases (no predicted positives, no true positives) score 0.
@@ -44,7 +42,7 @@ def f1_score(reports: list[StepReport]) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def rolling_accuracy(reports: list[StepReport], lookahead: int = ROLLING_LOOKAHEAD) -> np.ndarray:
+def rolling_accuracy(reports: Reports, lookahead: int = ROLLING_LOOKAHEAD) -> np.ndarray:
     """Accuracy over the next ``lookahead`` steps starting at each step.
 
     Entry ``i`` averages correctness over steps ``i .. i + lookahead - 1``
@@ -62,16 +60,16 @@ def rolling_accuracy(reports: list[StepReport], lookahead: int = ROLLING_LOOKAHE
     return (csum[end] - csum[idx]) / (end - idx)
 
 
-def window_histogram(reports: list[StepReport]) -> dict[int, int]:
+def window_histogram(reports: Reports) -> dict[int, int]:
     """Counts of the window sizes used, keyed by size, ascending.
 
-    Every report must carry a window (majority-vote reports do not).
+    The reports must carry windows (majority-vote reports do not).
     """
-    if not reports:
+    if len(reports) == 0:
         raise ValueError("no reports to evaluate")
-    if any(rep.window is None for rep in reports):
+    if reports.window is None:
         raise ValueError("reports lack windows; histogram needs a windowed strategy")
-    sizes, counts = np.unique([rep.window for rep in reports], return_counts=True)
+    sizes, counts = np.unique(reports.window, return_counts=True)
     return {int(s): int(c) for s, c in zip(sizes, counts)}
 
 
@@ -93,17 +91,14 @@ class RunSummary:
         return out
 
 
-def summarize(reports: list[StepReport], lookahead: int = ROLLING_LOOKAHEAD) -> RunSummary:
+def summarize(reports: Reports, lookahead: int = ROLLING_LOOKAHEAD) -> RunSummary:
     """Bundle accuracy, F1, the window histogram (when the strategy used
     windows), and the rolling-accuracy series."""
-    histogram = None
-    if reports and all(rep.window is not None for rep in reports):
-        histogram = window_histogram(reports)
     return RunSummary(
         steps=len(reports),
         accuracy=prediction_accuracy(reports),
         f1=f1_score(reports),
-        histogram=histogram,
+        histogram=None if reports.window is None else window_histogram(reports),
         rolling=rolling_accuracy(reports, lookahead),
     )
 

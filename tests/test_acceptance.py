@@ -122,9 +122,9 @@ def bench_runs():
         sweep = run_fixed_sweep(votes, config)
         runs.append({
             "layout": layout,
-            "windows": np.array([r.window for r in reports]),
-            "p_hat": np.array([r.p_hat for r in reports]),
-            "adaptive_correct": np.array([r.correct for r in reports], dtype=bool),
+            "windows": reports.window,
+            "p_hat": reports.p_hat,
+            "adaptive_correct": reports.correct,
             "fixed_acc": {r: float(np.mean(pred == truth)) for r, pred in sweep.items()},
         })
     return runs
@@ -174,9 +174,7 @@ def test_criterion_4_majority_equals_fixed_one():
         votes = resolve_abstentions(raw, seed)  # shared seed for both strategies
         maj = run_strategy(votes, "majority")
         fx1 = run_strategy(votes, "fixed:1")
-        mismatches += sum(
-            m.prediction != f.prediction for m, f in zip(maj, fx1)
-        )
+        mismatches += int(np.sum(maj.prediction != fx1.prediction))
     ok = mismatches == 0
     report(4, "majority = fixed:1", ok,
            f"{mismatches} prediction mismatches over 5 streams x 500 steps")
@@ -208,12 +206,8 @@ def test_criterion_6_permute_sensitivity():
         stream = stationary_stream((0.9, 0.9, 0.6), 20_000, seed)
         shuffled = apply_permute_drift(stream, 1e-3, role_rngs(seed)["permute"])
         config = AdaptiveConfig(n=3)
-        plain_w = np.array(
-            [r.window for r in run_strategy(np.asarray(stream.votes), "adaptive", config)]
-        )
-        drift_w = np.array(
-            [r.window for r in run_strategy(np.asarray(shuffled.votes), "adaptive", config)]
-        )
+        plain_w = run_strategy(np.asarray(stream.votes), "adaptive", config).window
+        drift_w = run_strategy(np.asarray(shuffled.votes), "adaptive", config).window
         m_plain, m_drift = float(np.median(plain_w)), float(np.median(drift_w))
         medians.append((m_plain, m_drift))
         wins += m_drift < m_plain

@@ -93,41 +93,39 @@ def test_majority_matches_fixed_one(stream):
     fx1 = run_strategy(votes, "fixed:1", config=AdaptiveConfig(n=3))
     # a length-1 window makes every pairwise correlation +/-1, so all three
     # estimates clip to the same value and the weighted vote is a majority
-    agree = np.mean(
-        [m.prediction == f.prediction for m, f in zip(maj, fx1)]
-    )
-    assert agree == 1.0
+    assert np.array_equal(maj.prediction, fx1.prediction)
 
 
 def test_majority_reports_are_bare(stream):
     votes = np.asarray(stream.votes)
     reports = run_strategy(votes, "majority", truths=np.asarray(stream.truth))
     assert len(reports) == votes.shape[0]
-    first = reports[0]
-    assert first.t == 1
-    assert first.window is None
-    assert first.p_hat is None
-    assert first.weights is None
-    assert first.stop_reason is None
-    assert first.truth in (-1, 1)
-    assert first.correct == (first.prediction == first.truth)
+    assert reports.prediction.dtype == np.int8
+    assert reports.prediction.tolist() == [majority_vote(row) for row in votes]
+    assert reports.window is None
+    assert reports.p_hat is None
+    assert reports.weights is None
+    assert reports.stop_reason is None
+    assert np.array_equal(reports.truth, stream.truth)
+    assert np.array_equal(reports.correct, reports.prediction == reports.truth)
 
 
 def test_fixed_strategy_reports(stream):
     votes = np.asarray(stream.votes)
     cfg = AdaptiveConfig(n=3)
     reports = run_strategy(votes, "fixed:64", config=cfg)
-    for i, rep in enumerate(reports):
-        assert rep.t == i + 1
-        assert rep.window == min(i + 1, 64)
-        assert rep.stop_reason is None
-        assert len(rep.p_hat) == 3
-        assert all(cfg.clip_lo <= p <= cfg.clip_hi for p in rep.p_hat)
-        assert rep.weights == pytest.approx(
-            [math.log(p / (1.0 - p)) for p in rep.p_hat], rel=1e-12
+    steps = votes.shape[0]
+    assert reports.window.dtype == np.int64
+    assert reports.window.tolist() == [min(i + 1, 64) for i in range(steps)]
+    assert reports.stop_reason is None
+    assert reports.p_hat.shape == reports.weights.shape == (steps, 3)
+    assert np.all((cfg.clip_lo <= reports.p_hat) & (reports.p_hat <= cfg.clip_hi))
+    for p_hat, weights in zip(reports.p_hat, reports.weights):
+        assert weights.tolist() == pytest.approx(
+            [math.log(p / (1.0 - p)) for p in p_hat], rel=1e-12
         )
-    assert reports[0].truth is None
-    assert reports[0].correct is None
+    assert reports.truth is None
+    assert reports.correct is None
 
 
 def test_adaptive_strategy_reports(stream):
@@ -135,14 +133,13 @@ def test_adaptive_strategy_reports(stream):
     cfg = AdaptiveConfig(n=3, schedule=WindowSchedule.doubling(8))
     reports = run_strategy(votes, "adaptive", config=cfg)
     stops = {STOP_THRESHOLD, STOP_SCHEDULE, STOP_HORIZON}
-    for i, rep in enumerate(reports):
-        assert rep.t == i + 1
-        assert rep.stop_reason in stops
-        assert rep.window <= min(i + 1, cfg.schedule.max_size)
-        assert rep.window in cfg.schedule.sizes
+    assert set(reports.stop_reason.tolist()) <= stops
+    for i, window in enumerate(reports.window.tolist()):
+        assert window <= min(i + 1, cfg.schedule.max_size)
+        assert window in cfg.schedule.sizes
     # by the end of a 400-step stationary stream the full ladder should apply
-    assert reports[-1].window == cfg.schedule.max_size
-    assert reports[-1].stop_reason == STOP_SCHEDULE
+    assert reports.window[-1] == cfg.schedule.max_size
+    assert reports.stop_reason[-1] == STOP_SCHEDULE
 
 
 def test_adaptive_accuracy_on_stationary_stream(stream):
@@ -150,7 +147,7 @@ def test_adaptive_accuracy_on_stationary_stream(stream):
     truth = np.asarray(stream.truth)
     cfg = AdaptiveConfig(n=3, schedule=WindowSchedule.doubling(8))
     reports = run_strategy(votes, "adaptive", config=cfg, truths=truth)
-    acc = np.mean([r.correct for r in reports[100:]])
+    acc = np.mean(reports.correct[100:])
     # an oracle-weighted majority of (0.9, 0.8, 0.7) labelers is right on
     # ~90% of steps; leave slack for estimation noise in a 300-step sample
     assert acc > 0.85
@@ -194,7 +191,7 @@ def test_fixed_sweep_matches_per_size_runs(stream):
     for r in sizes:
         single = run_strategy(votes, f"fixed:{r}", config=cfg)
         assert sweep[r].dtype == np.int8
-        assert sweep[r].tolist() == [rep.prediction for rep in single]
+        assert sweep[r].tolist() == single.prediction.tolist()
 
 
 def test_fixed_sweep_default_sizes(stream):
@@ -247,7 +244,15 @@ def reference_reports(votes, config, fixed_r=None):
 
 
 def report_tuples(reports):
-    return [(r.prediction, r.window, r.p_hat, r.weights, r.stop_reason) for r in reports]
+    """The columns of ``reports`` as one tuple per step, in the reference's form."""
+    stops = [None] * len(reports) if reports.stop_reason is None else reports.stop_reason.tolist()
+    return list(zip(
+        reports.prediction.tolist(),
+        reports.window.tolist(),
+        map(tuple, reports.p_hat.tolist()),
+        map(tuple, reports.weights.tolist()),
+        stops,
+    ))
 
 
 @settings(max_examples=40, deadline=None)
@@ -260,4 +265,4 @@ def test_runs_match_checked_per_step_reference(run):
     assert report_tuples(fixed[fixed_r]) == reference_reports(votes, config, fixed_r)
     sweep = run_fixed_sweep(votes, config)
     for r, reports in fixed.items():
-        assert sweep[r].tolist() == [rep.prediction for rep in reports]
+        assert sweep[r].tolist() == reports.prediction.tolist()

@@ -19,7 +19,7 @@ from driftvote import (
     true_drift_error,
     union_bound_constant,
 )
-from driftvote.cli import ExperimentConfig, main
+from driftvote.cli import main
 
 
 def run_cli(*argv):
@@ -45,8 +45,8 @@ def test_pipeline_simulate_run_eval(tmp_path, capsys):
     ) == 0
     reps = read_reports(reports)
     assert len(reps) == 400
-    assert reps[0].t == 1
-    assert all(r.window is not None for r in reps)
+    assert reps.window.shape == (400,)
+    assert reps.stop_reason.shape == (400,)
 
     assert run_cli(
         "eval", "--reports", str(reports), "--lookahead", "64",
@@ -115,9 +115,7 @@ def test_majority_equals_fixed_one_with_shared_abstain_seed(tmp_path):
     base = ["run", "--input", str(stream), "--abstain-seed", "5"]
     assert run_cli(*base, "--strategy", "majority", "--out", str(out_m)) == 0
     assert run_cli(*base, "--strategy", "fixed:1", "--out", str(out_f)) == 0
-    preds_m = [r.prediction for r in read_reports(out_m)]
-    preds_f = [r.prediction for r in read_reports(out_f)]
-    assert preds_m == preds_f
+    assert np.array_equal(read_reports(out_m).prediction, read_reports(out_f).prediction)
 
 
 def test_errors_exit_2_with_message(tmp_path, capsys):
@@ -299,15 +297,15 @@ def test_save_config_round_trip(tmp_path):
         "simulate", "--blocks", "30:0.9,0.8,0.7", "--seed", "6",
         "--out", str(stream), "--save-config", str(cfg_path),
     ) == 0
-    cfg = ExperimentConfig.from_json(cfg_path.read_text())
-    assert cfg.command == "simulate"
-    assert cfg.params["seed"] == 6
-    assert cfg.params["blocks"] == "30:0.9,0.8,0.7"
-    assert "func" not in cfg.params
-    assert "save_config" not in cfg.params
-
-    with pytest.raises(ValueError):
-        ExperimentConfig.from_json('{"command": "run"}')
+    text = cfg_path.read_text()
+    cfg = json.loads(text)
+    assert text == json.dumps(cfg, indent=2, sort_keys=True) + "\n"
+    assert set(cfg) == {"command", "params"}
+    assert cfg["command"] == "simulate"
+    assert cfg["params"]["seed"] == 6
+    assert cfg["params"]["blocks"] == "30:0.9,0.8,0.7"
+    assert "func" not in cfg["params"]
+    assert "save_config" not in cfg["params"]
 
 
 def test_eval_duplicate_stems(tmp_path, capsys):
@@ -339,3 +337,37 @@ def test_eval_writes_summary_file(tmp_path):
     assert run_cli("eval", "--reports", str(reports), "--out", str(out)) == 0
     doc = json.loads(out.read_text())
     assert doc["runs"]["r"]["steps"] == 40
+
+
+def test_eval_names_repeated_stems_apart(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_cli("simulate", "--blocks", "40:0.9,0.8,0.7", "--seed", "2", "--out", "s.jsonl")
+    for sub, strategy in (("a", "majority"), ("b", "fixed:4")):
+        Path(sub).mkdir()
+        run_cli("run", "--input", "s.jsonl", "--strategy", strategy, "--out", f"{sub}/run.jsonl")
+    capsys.readouterr()
+    # two directories with one stem, and the first path given twice
+    assert run_cli(
+        "eval", "--reports", "a/run.jsonl", "b/run.jsonl", "a/run.jsonl", "--series-dir", "s",
+    ) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["runs"]) == ["run", "run-2", "run-3"]
+    assert [row["run"] for row in doc["comparison"]] == ["run", "run-2", "run-3"]
+    assert doc["runs"]["run"] == doc["runs"]["run-3"]
+    assert "window_histogram" in doc["runs"]["run-2"]
+    assert sorted(p.name for p in Path("s").iterdir()) == [
+        "run-2_rolling.csv", "run-3_rolling.csv", "run_rolling.csv",
+    ]
+
+
+def test_eval_rejects_empty_and_ragged_report_files(tmp_path, capsys):
+    path = tmp_path / "r.jsonl"
+    path.write_text("")
+    assert run_cli("eval", "--reports", str(path)) == 2
+    assert capsys.readouterr().err == "error: no reports to evaluate\n"
+    path.write_text(
+        '{"t": 1, "p_hat": [0.5, 0.5], "prediction": 1, "truth": 1}\n'
+        '{"t": 2, "p_hat": [0.5], "prediction": 1, "truth": 1}\n'
+    )
+    assert run_cli("eval", "--reports", str(path)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: 'p_hat'")

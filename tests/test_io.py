@@ -8,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftvote import (
+    STOP_HORIZON,
+    STOP_SCHEDULE,
+    STOP_THRESHOLD,
     AdaptiveConfig,
     BlockSpec,
+    Reports,
     Stream,
     StreamFormatError,
     SyntheticStreamConfig,
@@ -217,13 +221,33 @@ def labeled_votes():
     return np.asarray(stream.votes), np.asarray(stream.truth)
 
 
+REPORT_COLUMNS = ("prediction", "window", "p_hat", "weights", "truth", "stop_reason")
+
+
+def assert_same_reports(got, want):
+    """Every column equal, with its dtype; floats bit for bit."""
+    assert len(got) == len(want)
+    for name in (*REPORT_COLUMNS, "correct"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        elif b.dtype.kind == "f":
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        elif b.dtype.kind == "U":
+            assert a.tolist() == b.tolist(), name
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def test_report_round_trip_exact(tmp_path, labeled_votes):
     votes, truth = labeled_votes
     reports = run_strategy(votes, "fixed:16", config=AdaptiveConfig(n=3), truths=truth)
     path = tmp_path / "reports.jsonl"
     write_reports(path, reports)
-    back = read_reports(path)
-    assert back == reports  # dataclass equality, floats bit-exact
+    first = json.loads(path.read_text().splitlines()[0])
+    assert list(first) == ["t", "window", "p_hat", "weights", "prediction", "truth", "correct"]
+    assert first["t"] == 1
+    assert_same_reports(read_reports(path), reports)
 
 
 def test_majority_reports_omit_fields(tmp_path, labeled_votes):
@@ -233,8 +257,79 @@ def test_majority_reports_omit_fields(tmp_path, labeled_votes):
     write_reports(path, reports)
     first = json.loads(path.read_text().splitlines()[0])
     assert set(first) == {"t", "prediction"}
+    assert_same_reports(read_reports(path), reports)
+
+
+@st.composite
+def report_columns(draw):
+    steps = draw(st.integers(1, 60))
+    n = draw(st.integers(3, 8))
+    signs = st.lists(st.sampled_from((-1, 1)), min_size=steps, max_size=steps)
+    floats = st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=steps * n, max_size=steps * n
+    )
+    columns = {"prediction": np.array(draw(signs), dtype=np.int8)}
+    if draw(st.booleans()):
+        windows = draw(st.lists(st.integers(1, 2**40), min_size=steps, max_size=steps))
+        columns["window"] = np.array(windows, dtype=np.int64)
+    for name in ("p_hat", "weights"):
+        if draw(st.booleans()):
+            columns[name] = np.array(draw(floats), dtype=np.float64).reshape(steps, n)
+    if draw(st.booleans()):
+        columns["truth"] = np.array(draw(signs), dtype=np.int8)
+    if draw(st.booleans()):
+        stops = st.sampled_from((STOP_THRESHOLD, STOP_SCHEDULE, STOP_HORIZON))
+        columns["stop_reason"] = np.array(draw(st.lists(stops, min_size=steps, max_size=steps)))
+    return Reports(**columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reports=report_columns())
+def test_report_write_read_round_trip_property(tmp_path_factory, reports):
+    path = tmp_path_factory.mktemp("reports") / "reports.jsonl"
+    write_reports(path, reports)
+    assert len(path.read_text().splitlines()) == len(reports)
+    assert_same_reports(read_reports(path), reports)
+
+
+def test_report_column_missing_on_one_line_reads_as_none(tmp_path):
+    path = tmp_path / "r.jsonl"
+    path.write_text(
+        '{"t": 1, "window": 1, "p_hat": [0.5, 0.5, 0.5], "prediction": 1, "truth": 1}\n'
+        '{"t": 2, "p_hat": [0.5, 0.6, 0.7], "prediction": -1}\n'
+    )
     back = read_reports(path)
-    assert back == reports
+    assert back.prediction.tolist() == [1, -1]
+    assert back.p_hat.tolist() == [[0.5, 0.5, 0.5], [0.5, 0.6, 0.7]]
+    assert back.window is None
+    assert back.truth is None
+    assert back.correct is None
+
+
+def test_ragged_report_column_is_rejected(tmp_path):
+    path = tmp_path / "r.jsonl"
+    path.write_text(
+        '{"t": 1, "p_hat": [0.5, 0.5, 0.5], "prediction": 1}\n'
+        '{"t": 2, "p_hat": [0.5, 0.6], "prediction": 1}\n'
+    )
+    with pytest.raises(StreamFormatError, match=rf"{path.name}: 'p_hat'"):
+        read_reports(path)
+    path.write_text('{"t": 1, "window": "wide", "prediction": 1}\n')
+    with pytest.raises(StreamFormatError, match=rf"{path.name}: 'window'"):
+        read_reports(path)
+    path.write_text('{"t": 1, "weights": 0.5, "prediction": 1}\n')
+    with pytest.raises(StreamFormatError, match=rf"{path.name}: 'weights'"):
+        read_reports(path)
+
+
+def test_empty_report_file_reads_zero_rows(tmp_path):
+    path = tmp_path / "r.jsonl"
+    for text in ("", "\n  \n"):
+        path.write_text(text)
+        back = read_reports(path)
+        assert len(back) == 0
+        assert back.prediction.dtype == np.int8
+        assert all(getattr(back, name) is None for name in REPORT_COLUMNS[1:])
 
 
 def test_read_reports_requires_core_fields(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from driftvote import (
     ROLLING_LOOKAHEAD,
-    StepReport,
+    Reports,
     comparison_rows,
     f1_score,
     prediction_accuracy,
@@ -16,11 +16,14 @@ from driftvote import (
 
 
 def make_reports(preds, truths, windows=None):
-    windows = windows if windows is not None else [None] * len(preds)
-    return [
-        StepReport(t=i + 1, prediction=p, truth=g, correct=(p == g), window=w)
-        for i, (p, g, w) in enumerate(zip(preds, truths, windows))
-    ]
+    return Reports(
+        prediction=np.array(preds, dtype=np.int8),
+        truth=np.array(truths, dtype=np.int8),
+        window=None if windows is None else np.array(windows, dtype=np.int64),
+    )
+
+
+EMPTY = Reports(prediction=np.empty(0, dtype=np.int8))
 
 
 def test_prediction_accuracy_hand_example():
@@ -48,12 +51,12 @@ def test_f1_degenerate_cases():
 
 
 def test_metrics_require_truth():
-    bare = [StepReport(t=1, prediction=1)]
+    bare = Reports(prediction=np.array([1], dtype=np.int8))
     for fn in (prediction_accuracy, f1_score, rolling_accuracy):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lack truth labels"):
             fn(bare)
-    with pytest.raises(ValueError):
-        prediction_accuracy([])
+    with pytest.raises(ValueError, match="no reports"):
+        prediction_accuracy(EMPTY)
 
 
 def test_rolling_accuracy_hand_example():
@@ -90,7 +93,7 @@ def test_window_histogram():
     with pytest.raises(ValueError):
         window_histogram(make_reports([1], [1]))  # no window recorded
     with pytest.raises(ValueError):
-        window_histogram([])
+        window_histogram(EMPTY)
 
 
 def test_summarize_windowed_run():
