@@ -1,0 +1,121 @@
+"""How the offline engine and the online per-step path scale with n and T.
+
+For each labeler count n this draws one stationary stream of ``--steps``
+steps (labeler accuracies spread over 0.6..0.9) and prints:
+
+* ``engine``: ``run_strategy(votes, "adaptive")`` over the whole stream,
+  in microseconds per step;
+* ``online``: the per-step public calls a streaming caller makes
+  (``CorrelationBank.push``, ``select_window``, ``recover_accuracies``,
+  ``log_odds_weights``, ``weighted_vote``) over the last
+  ``--online-steps`` steps, in microseconds per step.  The bank is
+  bulk-loaded with every step before them, so each walk sees the whole
+  history, as it would at the end of a long online run;
+* the peak RSS of each, from ``resource.getrusage`` in a child process of
+  its own, so that one measurement does not inherit another's peak.
+
+Both use the default 20-rung doubling ladder.  Run from the repository
+root::
+
+    python demos/engine_scaling.py                  # 2000 steps, a few seconds
+    python demos/engine_scaling.py --steps 100000
+    python demos/engine_scaling.py --steps 1000000 --n 3,8
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+
+SEED = 5
+
+
+def stream(n: int, steps: int):
+    """(steps, n) int8 votes of labelers with accuracies 0.6..0.9."""
+    import numpy as np
+
+    rng = np.random.default_rng([SEED, n])
+    acc = np.linspace(0.6, 0.9, n)
+    votes = np.empty((steps, n), dtype=np.int8)
+    for start in range(0, steps, 65536):  # bounded float temporaries
+        rows = min(65536, steps - start)
+        truth = rng.choice(np.array([-1, 1], dtype=np.int8), size=rows)
+        right = rng.random((rows, n)) < acc
+        votes[start:start + rows] = np.where(right, truth[:, None], -truth[:, None])
+    return votes
+
+
+def measure(case: str, n: int, steps: int, online_steps: int) -> dict:
+    """Time one case in this process; returns us/step and peak RSS in MB."""
+    import resource
+    import time
+
+    from driftvote import (
+        AdaptiveConfig,
+        CorrelationBank,
+        log_odds_weights,
+        recover_accuracies,
+        run_strategy,
+        select_window,
+        weighted_vote,
+    )
+
+    votes = stream(n, steps)
+    config = AdaptiveConfig(n=n)
+    if case == "engine":
+        t0 = time.perf_counter()
+        run_strategy(votes, "adaptive", config)
+        elapsed, timed = time.perf_counter() - t0, steps
+    else:
+        timed = min(online_steps, steps)
+        bank = CorrelationBank.from_history(n, votes[:steps - timed], config.schedule.sizes)
+        lo, hi = config.clip_lo, config.clip_hi
+        t0 = time.perf_counter()
+        for row in votes[steps - timed:]:
+            bank.push(row)
+            window = select_window(bank, config).window
+            est = recover_accuracies(bank.correlation(window), lo, hi, window=window)
+            weighted_vote(row, log_odds_weights(est.accuracies))
+        elapsed = time.perf_counter() - t0
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return {"us_per_step": elapsed / timed * 1e6, "peak_rss_mb": rss_mb, "timed_steps": timed}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--steps", type=int, default=2000, help="stream length T (default 2000)")
+    parser.add_argument("--online-steps", type=int, default=200,
+                        help="steps timed on the online path, at the end of the stream (default 200)")
+    parser.add_argument("--n", default="3,8,32", help="labeler counts, comma-separated")
+    parser.add_argument("--case", choices=("engine", "online"), help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.steps < 1 or args.online_steps < 1:
+        parser.error("--steps and --online-steps must be positive")
+    counts = [int(x) for x in args.n.split(",")]
+
+    if args.case:  # child process: one measurement, one JSON line
+        print(json.dumps(measure(args.case, counts[0], args.steps, args.online_steps)))
+        return 0
+
+    print(f"T = {args.steps} steps, default ladder (20 rungs); online timed over the last "
+          f"{min(args.online_steps, args.steps)} steps")
+    print(f"{'n':>4}  {'engine us/step':>14}  {'online us/step':>14}  {'speed-up':>8}  "
+          f"{'engine RSS MB':>13}  {'online RSS MB':>13}")
+    for n in counts:
+        result = {}
+        for case in ("engine", "online"):
+            out = subprocess.run(
+                [sys.executable, __file__, "--case", case, "--n", str(n),
+                 "--steps", str(args.steps), "--online-steps", str(args.online_steps)],
+                capture_output=True, text=True, check=True,
+            )
+            result[case] = json.loads(out.stdout)
+        engine, online = result["engine"], result["online"]
+        print(f"{n:>4}  {engine['us_per_step']:>14.1f}  {online['us_per_step']:>14.1f}  "
+              f"{online['us_per_step'] / engine['us_per_step']:>7.1f}x  "
+              f"{engine['peak_rss_mb']:>13.1f}  {online['peak_rss_mb']:>13.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

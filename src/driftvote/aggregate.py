@@ -7,11 +7,20 @@ labeler errors are independent given the truth.  Exact ties go to +1.
 
 Three strategies share one driver:
 
-* ``adaptive``   - pick the window with :func:`.adaptive.select_window`,
-  recover accuracies from it, weight, vote.
+* ``adaptive``   - pick the window :func:`.adaptive.select_window` would
+  pick, recover accuracies from it, weight, vote.
 * ``fixed:R``    - same pipeline with a fixed window of min(t, R).
 * ``majority``   - unweighted majority vote (equivalent to ``fixed:1``,
   where every recovered accuracy clips to the same constant).
+
+``adaptive``, ``fixed:R`` and :func:`run_fixed_sweep` run on one offline
+engine that works on chunks of steps at once: exact integer window sums
+from cumulative sums, every step's ladder walk as one table of gaps, one
+batched recovery, and one dot-product vote per step.  Its outputs are
+bit-identical to pushing each step into a :class:`.CorrelationBank` and
+calling :func:`.adaptive.select_window`, :func:`.triplet.recover_accuracies`,
+:func:`log_odds_weights` and :func:`weighted_vote`; that per-step online
+API stays the engine's oracle.
 """
 
 from __future__ import annotations
@@ -20,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptive import select_window
+from .adaptive import STOP_HORIZON, STOP_SCHEDULE, STOP_THRESHOLD, _threshold_ladder
 from .core import AdaptiveConfig
-from .corrwin import CorrelationBank, as_vote_matrix
+from .corrwin import as_vote_matrix
 from .triplet import _recover_raw
 
 STRATEGY_ADAPTIVE = "adaptive"
@@ -143,9 +152,9 @@ def _checked_votes(votes, config: AdaptiveConfig | None) -> tuple[np.ndarray, Ad
     return as_vote_matrix(v, n), config
 
 
-def _estimate(mats: np.ndarray, config: AdaptiveConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Clipped accuracies and log-odds weights, each (B, n), for a (B, n, n)
-    stack of bank correlations.
+def _estimate(pairs: np.ndarray, n: int, config: AdaptiveConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped accuracies and log-odds weights, each (B, n), for (B, P)
+    upper-triangle bank correlations of n labelers.
 
     Same arithmetic as :func:`.triplet.recover_accuracies` followed by
     :func:`log_odds_weights`, without their checks: a bank matrix is an
@@ -153,8 +162,93 @@ def _estimate(mats: np.ndarray, config: AdaptiveConfig) -> tuple[np.ndarray, np.
     symmetric with a unit diagonal, and ``AdaptiveConfig`` has already
     checked the clip band.
     """
+    iu, ju = np.triu_indices(n, 1)
+    mats = np.empty((len(pairs), n, n))
+    mats[:, iu, ju] = pairs
+    mats[:, ju, iu] = pairs
+    mats[:, np.arange(n), np.arange(n)] = 1.0
     p = np.clip(_recover_raw(mats), config.clip_lo, config.clip_hi)
     return p, np.log(p / (1.0 - p))
+
+
+#: a chunk of the offline engine holds _CHUNK_BUDGET // (rungs * labeler
+#: pairs) rows of window sums, so that its tables stay small, but at least
+#: _CHUNK_MIN_ROWS rows, so that its per-chunk numpy calls stay few at large n
+_CHUNK_BUDGET = 2**12
+_CHUNK_MIN_ROWS = 16
+
+#: stop reasons by the code the engine's walk assigns them
+_STOPS = (STOP_THRESHOLD, STOP_HORIZON, STOP_SCHEDULE)
+
+
+def _correlation_chunks(v: np.ndarray, sizes, chunk: int | None = None):
+    """Yield ``(start, corr)`` over consecutive row chunks of ``v``: ``corr``
+    (c, K, P) float64 holds, after each row ``start .. start + c - 1``, the
+    upper-triangle correlations of every window in ``sizes``.
+
+    The same numbers as :meth:`.CorrelationBank.correlation` after each
+    push: a window's integer pair sums are the previous chunk's sums plus
+    the cumulative sum of the chunk's new rows minus that of the rows each
+    new row evicts, divided by ``min(t, r)``.  The diagonal is left out;
+    it is exactly 1.
+    """
+    steps, n = v.shape
+    iu, ju = np.triu_indices(n, 1)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if chunk is None:
+        chunk = max(_CHUNK_MIN_ROWS, _CHUNK_BUDGET // (len(sizes) * len(iu)))
+    carry = np.zeros((len(sizes), len(iu)), dtype=np.int64)
+    for start in range(0, steps, chunk):
+        stop = min(start + chunk, steps)
+        rows = v[start:stop]
+        sums = carry + np.cumsum(rows[:, iu] * rows[:, ju], axis=0, dtype=np.int64)[:, None, :]
+        live = int(np.searchsorted(sizes, stop))  # rungs r < stop evict in this chunk
+        if live:
+            gone = np.arange(start, stop)[:, None] - sizes[:live]
+            old = v[np.maximum(gone, 0)]
+            pairs = old[..., iu] * old[..., ju] * (gone >= 0)[..., None]
+            sums[:, :live] -= np.cumsum(pairs, axis=0, dtype=np.int64)
+        carry = sums[-1].copy()
+        t = np.arange(start + 1, stop + 1)
+        yield start, sums / np.minimum(t[:, None], sizes)[..., None]
+
+
+def _walk(
+    corr: np.ndarray, t: np.ndarray, sizes: np.ndarray, thresholds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's :func:`.adaptive.select_window` at once: the accepted
+    rung index and the stop code (an index into ``_STOPS``), given the
+    (c, K, P) correlations of the ladder ``sizes`` after steps ``t`` and
+    the K - 1 thresholds between its rungs."""
+    rows, rungs = corr.shape[:2]
+    horizon = np.zeros((rows, rungs), dtype=bool)
+    horizon[:, :-1] = sizes[1:] > t[:, None]
+    gap = np.subtract(corr[:, 1:], corr[:, :-1])
+    gap = np.abs(gap, out=gap).max(axis=2)
+    # the walk stops at the first rung whose next window is past the
+    # horizon or whose gap fails; the last column stands for the ladder's end
+    fails = np.ones((rows, rungs), dtype=bool)
+    fails[:, :-1] = horizon[:, :-1] | ~(gap <= thresholds)
+    k = fails.argmax(axis=1)
+    code = np.where(k == rungs - 1, 2, horizon[np.arange(rows), k].astype(int))
+    return k, code
+
+
+def _votes(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """:func:`weighted_vote` of each row: one dot product per row, because a
+    batched product may sum in another order and flip a near-tie."""
+    return np.array(
+        [1 if float(v @ w) >= 0.0 else -1 for v, w in zip(rows.astype(float), weights)],
+        dtype=np.int8,
+    )
+
+
+def _stop_names(codes: np.ndarray) -> np.ndarray:
+    """Stop reasons as strings, with the dtype ``np.array`` gives the list
+    of them: as wide as the longest reason present."""
+    present = np.bincount(codes, minlength=len(_STOPS)) > 0
+    width = max(len(name) for name, used in zip(_STOPS, present) if used)
+    return np.array(_STOPS, dtype=f"<U{width}")[codes]
 
 
 def run_strategy(
@@ -162,6 +256,8 @@ def run_strategy(
     strategy: str,
     config: AdaptiveConfig | None = None,
     truths=None,
+    *,
+    _chunk: int | None = None,
 ) -> Reports:
     """Run one aggregation strategy over a resolved +/-1 vote stream.
 
@@ -177,6 +273,9 @@ def run_strategy(
         Defaults to ``AdaptiveConfig(n)`` for the stream's width.
     truths : (T,) array, optional
         True labels; fills ``truth`` (and so ``correct``) in the reports.
+    _chunk : int, optional
+        Steps per engine chunk, in place of the sized default; outputs do
+        not depend on it (tests compare chunk lengths).
     """
     v, config = _checked_votes(votes, config)
     kind, fixed_r = _checked_strategy(strategy, config)
@@ -187,37 +286,41 @@ def run_strategy(
         # exact integer row sums, the same sign as majority_vote per row
         return Reports(prediction=np.where(v.sum(axis=1) >= 0, 1, -1).astype(np.int8), truth=truth)
 
+    adaptive = kind == STRATEGY_ADAPTIVE
+    sizes = np.array(config.schedule.sizes if adaptive else (fixed_r,))
     prediction = np.empty(steps, dtype=np.int8)
     window = np.empty(steps, dtype=np.int64)
     p_hat = np.empty((steps, n))
     weights = np.empty((steps, n))
-    stops = []
-    bank = CorrelationBank(n, [fixed_r] if kind == STRATEGY_FIXED else config.schedule.sizes)
-
-    for t in range(steps):
-        bank.push(v[t])
-        if kind == STRATEGY_ADAPTIVE:
-            decision = select_window(bank, config)
-            window[t] = decision.window
-            stops.append(decision.stop_reason)
-            corr = bank.correlation(decision.window)
+    codes = np.empty(steps, dtype=np.intp)
+    if adaptive:
+        thresholds = np.array(_threshold_ladder(config.schedule.sizes, config.beta, config.bound_const))
+    for start, corr in _correlation_chunks(v, sizes, _chunk):
+        rows = slice(start, start + len(corr))
+        t = np.arange(rows.start + 1, rows.stop + 1)
+        if adaptive:
+            k, codes[rows] = _walk(corr, t, sizes, thresholds)
         else:
-            window[t] = bank.window_length(fixed_r)
-            corr = bank.correlation(fixed_r)
-        p, w = _estimate(corr[None], config)
-        p_hat[t], weights[t] = p[0], w[0]
-        prediction[t] = weighted_vote(v[t], w[0])
-    stop_reason = np.array(stops) if kind == STRATEGY_ADAPTIVE else None
+            k = np.zeros(len(corr), dtype=np.intp)
+        window[rows] = np.minimum(t, sizes[k])
+        p_hat[rows], weights[rows] = _estimate(corr[np.arange(len(corr)), k], n, config)
+        prediction[rows] = _votes(v[rows], weights[rows])
+    stop_reason = _stop_names(codes) if adaptive else None
     return Reports(prediction, window, p_hat, weights, truth, stop_reason)
 
 
-def run_fixed_sweep(votes, config: AdaptiveConfig | None = None, sizes=None) -> dict[int, np.ndarray]:
+def run_fixed_sweep(
+    votes, config: AdaptiveConfig | None = None, sizes=None, *, _chunk: int | None = None
+) -> dict[int, np.ndarray]:
     """Predictions of every fixed-window strategy in one pass.
 
-    Shares a single correlation bank across all window sizes, so a sweep
-    over the whole ladder costs barely more than one fixed run.  Returns
-    ``{r: (T,) array of +/-1 predictions}``; step-for-step identical to
-    ``run_strategy(votes, f"fixed:{r}", config)``.
+    The same offline engine as :func:`run_strategy` with every window of
+    the ladder (``sizes``, default ``config.schedule.sizes``) kept as a
+    fixed window: one chunked pass computes all windows' sums, then each
+    step recovers accuracies and votes once per window.  Returns
+    ``{r: (T,) int8 array of +/-1 predictions}``, step-for-step identical
+    to ``run_strategy(votes, f"fixed:{r}", config).prediction``, and so to
+    the per-step :class:`.CorrelationBank` path, the engine's oracle.
     """
     v, config = _checked_votes(votes, config)
     steps, n = v.shape
@@ -232,13 +335,10 @@ def run_fixed_sweep(votes, config: AdaptiveConfig | None = None, sizes=None) -> 
             f"{config.schedule.max_size}"
         )
 
-    bank = CorrelationBank(n, ladder)
     out = np.empty((len(ladder), steps), dtype=np.int8)
-    for t in range(steps):
-        bank.push(v[t])
-        _, weights = _estimate(bank.all_correlations(), config)
-        # one weighted_vote per window, not one matrix-vector product: BLAS
-        # sums a row of a matrix product in another order than a dot product,
-        # which can flip the sign of a near-tie for n >= 4
-        out[:, t] = [weighted_vote(v[t], w) for w in weights]
+    for start, corr in _correlation_chunks(v, ladder, _chunk):
+        rows, rungs, pairs = corr.shape
+        _, w = _estimate(corr.reshape(rows * rungs, pairs), n, config)
+        voters = np.repeat(v[start:start + rows], rungs, axis=0)
+        out[:, start:start + rows] = _votes(voters, w).reshape(rows, rungs).T
     return {r: out[k] for k, r in enumerate(ladder)}

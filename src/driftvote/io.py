@@ -18,13 +18,17 @@ fields ``t``, ``window``, ``p_hat``, ``weights``, ``prediction``,
 ``truth``, ``correct``, ``stop_reason`` (absent fields were not produced
 by the strategy).  On read, a column is kept only when every line has
 it; ``t`` is checked but not kept, and ``correct`` is recomputed.
-Floats round-trip exactly through JSON's shortest-repr encoding.
+Windows must be positive JSON integers, predictions and labels -1 or 1
+(a boolean is not an integer), ``p_hat``/``weights`` numbers and stop
+reasons strings; anything else is a :class:`StreamFormatError` naming
+the file.  Floats round-trip exactly through JSON's shortest-repr encoding.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -176,14 +180,16 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
 
 _REPORT_FIELDS = ("t", "window", "p_hat", "weights", "prediction", "truth", "correct", "stop_reason")
 
-#: dtype and dimension of each report column kept on read
+#: per report column kept on read: dtype, dimension, the JSON value types
+#: it accepts (a boolean is not an integer here), what its values must be,
+#: and a check of the read array
 _REPORT_COLUMNS = {
-    "window": (np.int64, 1),
-    "p_hat": (np.float64, 2),
-    "weights": (np.float64, 2),
-    "prediction": (np.int8, 1),
-    "truth": (np.int8, 1),
-    "stop_reason": (str, 1),
+    "window": (np.int64, 1, {int}, "positive integers", lambda c: c >= 1),
+    "p_hat": (np.float64, 2, {int, float}, "numbers", lambda c: True),
+    "weights": (np.float64, 2, {int, float}, "numbers", lambda c: True),
+    "prediction": (np.int8, 1, {int}, "-1 or 1", lambda c: np.abs(c) == 1),
+    "truth": (np.int8, 1, {int}, "-1 or 1", lambda c: np.abs(c) == 1),
+    "stop_reason": (str, 1, {str}, "strings", lambda c: True),
 }
 
 
@@ -221,17 +227,22 @@ def read_reports(path) -> Reports:
                 raise _bad(path, lineno, "expected an object with 't' and 'prediction'")
             lines.append(obj)
     columns = {}
-    for name, (dtype, ndim) in _REPORT_COLUMNS.items():
+    for name, (dtype, ndim, kinds, rule, check) in _REPORT_COLUMNS.items():
         values = [obj.get(name) for obj in lines]
         if name != "prediction" and (not values or None in values):
             continue
         try:
-            column = np.array(values, dtype=dtype)
+            # +/-1 columns read as int64 first, so that an out-of-range
+            # value fails the value check, not the conversion
+            column = np.array(values, dtype=np.int64 if dtype is np.int8 else dtype)
         except (TypeError, ValueError, OverflowError):
             column = None
         if column is None or column.ndim != ndim:
             raise StreamFormatError(f"{path}: {name!r} values are ragged or of the wrong type")
-        columns[name] = column
+        flat = values if ndim == 1 else chain.from_iterable(values)
+        if not set(map(type, flat)) <= kinds or not np.all(check(column)):
+            raise StreamFormatError(f"{path}: {name!r} values must be {rule}")
+        columns[name] = column.astype(dtype, copy=False)
     return Reports(**columns)
 
 

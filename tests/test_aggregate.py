@@ -210,7 +210,10 @@ def test_fixed_sweep_rejects_oversized_window(stream):
 @st.composite
 def drifting_runs(draw):
     """A two-block stream of n in [3, 8] labelers (some below chance, so
-    estimates clip), a ladder from 1, and one of its sizes as a fixed R."""
+    estimates clip; maybe one that always votes the same way), a ladder
+    from 1 with uneven gaps, one of its sizes as a fixed R, and an engine
+    chunk length from {1, 2, 7, T, T + 5}, so that rungs longer than a
+    chunk evict rows across chunk edges."""
     n = draw(st.integers(3, 8))
     steps = draw(st.integers(1, 300))
     rungs = draw(st.lists(st.integers(2, 96), min_size=1, max_size=5, unique=True))
@@ -221,8 +224,11 @@ def drifting_runs(draw):
     acc = np.where(np.arange(steps)[:, None] < edge, before, after)
     truth = rng.choice(np.array([-1, 1], dtype=np.int8), size=steps)
     votes = np.where(rng.random((steps, n)) < acc, truth[:, None], -truth[:, None]).astype(np.int8)
+    if draw(st.booleans()):
+        votes[:, draw(st.integers(0, n - 1))] = draw(st.sampled_from((-1, 1)))
     config = AdaptiveConfig(n=n, schedule=WindowSchedule(sizes))
-    return votes, config, draw(st.sampled_from(sizes))
+    chunk = draw(st.sampled_from((1, 2, 7, steps, steps + 5)))
+    return votes, config, draw(st.sampled_from(sizes)), chunk
 
 
 def reference_reports(votes, config, fixed_r=None):
@@ -255,14 +261,94 @@ def report_tuples(reports):
     ))
 
 
+def assert_matches_reference(reports, reference):
+    """Field for field, dtypes included: ``np.array`` of the reference's
+    stop reasons is as wide as the longest reason present."""
+    assert report_tuples(reports) == reference
+    assert reports.prediction.dtype == np.int8
+    assert reports.window.dtype == np.int64
+    assert reports.p_hat.dtype == reports.weights.dtype == np.float64
+    stops = [row[-1] for row in reference]
+    if stops[0] is None:
+        assert reports.stop_reason is None
+    else:
+        assert reports.stop_reason.dtype == np.array(stops).dtype
+
+
 @settings(max_examples=40, deadline=None)
 @given(drifting_runs())
 def test_runs_match_checked_per_step_reference(run):
-    votes, config, fixed_r = run
-    adaptive = run_strategy(votes, "adaptive", config)
-    assert report_tuples(adaptive) == reference_reports(votes, config)
-    fixed = {r: run_strategy(votes, f"fixed:{r}", config) for r in config.schedule.sizes}
-    assert report_tuples(fixed[fixed_r]) == reference_reports(votes, config, fixed_r)
-    sweep = run_fixed_sweep(votes, config)
+    votes, config, fixed_r, chunk = run
+    adaptive = run_strategy(votes, "adaptive", config, _chunk=chunk)
+    assert_matches_reference(adaptive, reference_reports(votes, config))
+    fixed = {r: run_strategy(votes, f"fixed:{r}", config, _chunk=chunk) for r in config.schedule.sizes}
+    assert_matches_reference(fixed[fixed_r], reference_reports(votes, config, fixed_r))
+    # the default chunk length gives the same bits
+    assert report_tuples(run_strategy(votes, "adaptive", config)) == report_tuples(adaptive)
+    sweep = run_fixed_sweep(votes, config, _chunk=chunk)
     for r, reports in fixed.items():
+        assert sweep[r].dtype == np.int8
         assert sweep[r].tolist() == reports.prediction.tolist()
+
+
+def test_near_tie_votes_follow_the_per_row_dot_product():
+    """n = 16 labelers who vote the truth, with every tenth row split 8 to 8.
+    In a window of 1 every estimate clips to the same value, so each split
+    row's exact score is 0 and the float rounding of the dot product decides
+    its sign; a batched sum (``einsum``, ``(V * W).sum(1)``) rounds in
+    another order.  Every prediction must be the per-row ``weighted_vote``."""
+    rng = np.random.default_rng(16)
+    n, steps = 16, 300
+    truth = rng.choice(np.array([-1, 1], dtype=np.int8), size=steps)
+    votes = np.repeat(truth[:, None], n, axis=1)
+    split = np.arange(5, steps, 10)
+    for t in split:
+        votes[t] = rng.permutation(np.repeat(np.array([1, -1], dtype=np.int8), n // 2))
+    config = AdaptiveConfig(n=n, schedule=WindowSchedule.doubling(8))
+    fixed_one = run_strategy(votes, "fixed:1", config)
+    assert np.all(fixed_one.weights == fixed_one.weights[0, 0])
+    assert_matches_reference(fixed_one, reference_reports(votes, config, 1))
+    for strategy in ("fixed:1", "fixed:64", "adaptive"):
+        for chunk in (None, 1, 7):
+            reports = run_strategy(votes, strategy, config, _chunk=chunk)
+            per_row = [weighted_vote(v, w) for v, w in zip(votes, reports.weights)]
+            assert reports.prediction.tolist() == per_row
+    sweep = run_fixed_sweep(votes, config, sizes=(1, 64))
+    assert sweep[1].tolist() == fixed_one.prediction.tolist()
+
+
+def test_cli_reports_match_reference_with_constant_labeler_and_zero_witness(tmp_path):
+    """Labeler 1 always votes +1.  Over the first 32 steps labelers 2 and 3
+    cycle through (+,+), (+,-), (-,+), (-,-), so in every window of 4k of
+    those steps all pairwise correlations are 0: each accuracy falls back
+    to 1/2.  ``driftvote run`` must write what the per-step bank gives."""
+    from driftvote import Stream, read_reports, write_stream
+    from driftvote.cli import main
+
+    rng = np.random.default_rng(6)
+    steps = 96
+    truth = rng.choice(np.array([-1, 1], dtype=np.int8), size=steps)
+    votes = np.where(rng.random((steps, 3)) < 0.85, truth[:, None], -truth[:, None]).astype(np.int8)
+    votes[:, 0] = 1
+    votes[:32, 1] = np.tile([1, 1, -1, -1], 8)
+    votes[:32, 2] = np.tile([1, -1, 1, -1], 8)
+    stream_path = tmp_path / "stream.jsonl"
+    write_stream(stream_path, Stream(votes=votes, truth=truth))
+    sizes = (1, 2, 4, 8, 16, 32)
+    config = AdaptiveConfig(n=3, schedule=WindowSchedule(sizes))
+    for strategy, fixed_r in (("adaptive", None), ("fixed:4", 4), ("fixed:16", 16)):
+        out = tmp_path / f"{strategy.replace(':', '-')}.jsonl"
+        assert main([
+            "run", "--input", str(stream_path), "--strategy", strategy,
+            "--sizes", ",".join(map(str, sizes)), "--out", str(out),
+        ]) == 0
+        reports = read_reports(out)
+        assert_matches_reference(reports, reference_reports(votes, config, fixed_r))
+        assert np.array_equal(reports.truth, truth)
+        library = run_strategy(votes, strategy, config, truths=truth)
+        assert report_tuples(library) == report_tuples(reports)
+        if fixed_r is not None:
+            # every full window inside the cycling stretch has a zero witness
+            assert np.all(reports.p_hat[fixed_r - 1:32] == 0.5)
+            assert np.all(reports.weights[fixed_r - 1:32] == 0.0)
+            assert np.all(reports.prediction[fixed_r - 1:32] == 1)

@@ -13,7 +13,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 @pytest.mark.parametrize(
-    "name", ["drift_benchmark", "fixed_window_tradeoff", "permute_pair", "theory_numbers"]
+    "name",
+    ["drift_benchmark", "engine_scaling", "fixed_window_tradeoff", "permute_pair", "theory_numbers"],
 )
 def test_demo_runs(name):
     env = dict(os.environ)

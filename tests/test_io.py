@@ -322,6 +322,56 @@ def test_ragged_report_column_is_rejected(tmp_path):
         read_reports(path)
 
 
+def test_report_values_outside_their_range_are_rejected(tmp_path):
+    # a boolean and a fractional window, a fractional prediction, a label of 5
+    path = tmp_path / "r.jsonl"
+    path.write_text(
+        '{"t": 1, "window": true, "prediction": 1.7, "truth": -1}\n'
+        '{"t": 2, "window": 2.9, "prediction": -1, "truth": 5}\n'
+    )
+    with pytest.raises(StreamFormatError, match=rf"{path.name}: 'window' values must be positive"):
+        read_reports(path)
+
+
+_GOOD_REPORT_VALUES = {
+    "window": 3,
+    "prediction": 1,
+    "truth": -1,
+    "p_hat": [0.5, 0.5, 0.5],
+    "weights": [0.0, 0.1, 0.2],
+    "stop_reason": "horizon_reached",
+}
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        ("window", True),
+        ("window", 2.9),
+        ("window", 2.0),
+        ("window", 0),
+        ("window", -4),
+        ("prediction", 1.7),
+        ("prediction", 0),
+        ("prediction", True),
+        ("truth", 5),
+        ("truth", 200),
+        ("truth", False),
+        ("p_hat", [0.5, True, 0.5]),
+        ("weights", ["0.5", 0.1, 0.2]),
+        ("stop_reason", 3),
+    ],
+)
+def test_each_bad_report_value_names_file_and_column(tmp_path, column, value):
+    path = tmp_path / "bad.jsonl"
+    good = {"t": 1, **_GOOD_REPORT_VALUES}
+    path.write_text(json.dumps(good) + "\n")
+    assert len(read_reports(path)) == 1
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "t": 2, column: value}) + "\n")
+    with pytest.raises(StreamFormatError, match=rf"{path.name}: '{column}' values must be"):
+        read_reports(path)
+
+
 def test_empty_report_file_reads_zero_rows(tmp_path):
     path = tmp_path / "r.jsonl"
     for text in ("", "\n  \n"):
