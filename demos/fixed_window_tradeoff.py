@@ -12,7 +12,6 @@ from driftvote import (
     AdaptiveConfig,
     block_drift_preset,
     generate_synthetic,
-    run_fixed_sweep,
     run_strategy,
 )
 
@@ -26,7 +25,9 @@ def main() -> None:
     votes, truth = np.asarray(stream.votes), np.asarray(stream.truth)
     config = AdaptiveConfig(n=3)
 
-    sweep = run_fixed_sweep(votes, config)
+    sweep = {
+        r: run_strategy(votes, f"fixed:{r}", config).prediction for r in config.schedule.sizes
+    }
     print(f"{'window':>8}  accuracy")
     best_r, best = None, -1.0
     for r, preds in sweep.items():

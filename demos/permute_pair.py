@@ -11,6 +11,7 @@ rule should retreat to shorter windows.
 import numpy as np
 
 from driftvote import (
+    STOPS,
     AdaptiveConfig,
     BlockSpec,
     SyntheticStreamConfig,
@@ -28,7 +29,8 @@ SHUFFLE_PROB = 1e-3
 def describe(tag, reports):
     windows = reports.window
     acc = float(np.mean(reports.correct))
-    stops = dict(zip(*np.unique(reports.stop_reason, return_counts=True)))
+    codes, counts = np.unique(reports.stop_reason, return_counts=True)
+    stops = {STOPS[code]: count for code, count in zip(codes, counts)}
     print(f"{tag}: accuracy {acc:.4f}, median window {int(np.median(windows))}, "
           f"p90 window {int(np.percentile(windows, 90))}")
     print(f"{tag}: stop reasons " +

@@ -9,6 +9,7 @@ and predicts with log-odds weighted majority voting.
 
 from .adaptive import (
     GapProbe,
+    STOPS,
     STOP_HORIZON,
     STOP_SCHEDULE,
     STOP_THRESHOLD,
@@ -24,7 +25,6 @@ from .aggregate import (
     log_odds_weights,
     majority_vote,
     parse_strategy,
-    run_fixed_sweep,
     run_strategy,
     weighted_vote,
 )
@@ -85,6 +85,7 @@ __all__ = [
     "ROLLING_LOOKAHEAD",
     "Reports",
     "RunSummary",
+    "STOPS",
     "STOP_HORIZON",
     "STOP_SCHEDULE",
     "STOP_THRESHOLD",
@@ -115,7 +116,6 @@ __all__ = [
     "resolve_abstentions",
     "role_rngs",
     "rolling_accuracy",
-    "run_fixed_sweep",
     "run_strategy",
     "select_window",
     "selection_overhead",

@@ -30,6 +30,9 @@ STOP_THRESHOLD = "threshold_exceeded"
 STOP_SCHEDULE = "schedule_exhausted"
 STOP_HORIZON = "horizon_reached"
 
+#: every stop reason, indexed by the code ``Reports.stop_reason`` stores
+STOPS = (STOP_THRESHOLD, STOP_HORIZON, STOP_SCHEDULE)
+
 
 def drift_threshold(r_small: int, r_large: int, beta: float, bound_const: float) -> float:
     """Largest sup-norm gap between the ``r_small`` and ``r_large`` window

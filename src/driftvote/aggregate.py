@@ -5,7 +5,7 @@ weight of labeler i is its log odds ``ln(p_i / (1 - p_i))``, which is the
 weighting that maximizes the probability of recovering the true label when
 labeler errors are independent given the truth.  Exact ties go to +1.
 
-Three strategies share one driver:
+:func:`run_strategy` is the one entry to three strategies:
 
 * ``adaptive``   - pick the window :func:`.adaptive.select_window` would
   pick, recover accuracies from it, weight, vote.
@@ -13,12 +13,12 @@ Three strategies share one driver:
 * ``majority``   - unweighted majority vote (equivalent to ``fixed:1``,
   where every recovered accuracy clips to the same constant).
 
-``adaptive``, ``fixed:R`` and :func:`run_fixed_sweep` run on one offline
-engine that works on chunks of steps at once: exact integer window sums
-from cumulative sums, every step's ladder walk as one table of gaps, one
-batched recovery, and one dot-product vote per step.  Its outputs are
-bit-identical to pushing each step into a :class:`.CorrelationBank` and
-calling :func:`.adaptive.select_window`, :func:`.triplet.recover_accuracies`,
+``adaptive`` and ``fixed:R`` run on one offline engine that works on
+chunks of steps at once: exact integer window sums from cumulative sums,
+every step's ladder walk as one table of gaps, one batched recovery, and
+one dot-product vote per step.  Its outputs are bit-identical to pushing
+each step into a :class:`.CorrelationBank` and calling
+:func:`.adaptive.select_window`, :func:`.triplet.recover_accuracies`,
 :func:`log_odds_weights` and :func:`weighted_vote`; that per-step online
 API stays the engine's oracle.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptive import STOP_HORIZON, STOP_SCHEDULE, STOP_THRESHOLD, _threshold_ladder
+from .adaptive import _threshold_ladder
 from .core import AdaptiveConfig
 from .corrwin import as_vote_matrix
 from .triplet import _recover_raw
@@ -47,8 +47,9 @@ class Reports:
     ``window`` (T,) int64 is the sample count actually used (None for
     majority); ``p_hat`` and ``weights`` are (T, n) float64 clipped
     accuracy estimates and their log odds (None for majority); ``truth``
-    (T,) int8 is set when the stream is labeled; ``stop_reason`` (T,) str
-    only for adaptive runs.
+    (T,) int8 is set when the stream is labeled; ``stop_reason`` (T,) int8,
+    only for adaptive runs, is each step's walk stop as an index into
+    :data:`.adaptive.STOPS`.
     """
 
     prediction: np.ndarray
@@ -139,7 +140,7 @@ def _checked_strategy(strategy: str, config: AdaptiveConfig) -> tuple[str, int |
 
 
 def _checked_votes(votes, config: AdaptiveConfig | None) -> tuple[np.ndarray, AdaptiveConfig]:
-    """Input check shared by both runners: a nonempty (T, n) +/-1 matrix as
+    """Input check of :func:`run_strategy`: a nonempty (T, n) +/-1 matrix as
     int8, and a config for n labelers (``AdaptiveConfig(n)`` when None)."""
     v = np.asarray(votes)
     if v.ndim != 2 or v.shape[0] < 1:
@@ -177,11 +178,8 @@ def _estimate(pairs: np.ndarray, n: int, config: AdaptiveConfig) -> tuple[np.nda
 _CHUNK_BUDGET = 2**12
 _CHUNK_MIN_ROWS = 16
 
-#: stop reasons by the code the engine's walk assigns them
-_STOPS = (STOP_THRESHOLD, STOP_HORIZON, STOP_SCHEDULE)
 
-
-def _correlation_chunks(v: np.ndarray, sizes, chunk: int | None = None):
+def _correlation_chunks(v: np.ndarray, sizes):
     """Yield ``(start, corr)`` over consecutive row chunks of ``v``: ``corr``
     (c, K, P) float64 holds, after each row ``start .. start + c - 1``, the
     upper-triangle correlations of every window in ``sizes``.
@@ -195,8 +193,7 @@ def _correlation_chunks(v: np.ndarray, sizes, chunk: int | None = None):
     steps, n = v.shape
     iu, ju = np.triu_indices(n, 1)
     sizes = np.asarray(sizes, dtype=np.int64)
-    if chunk is None:
-        chunk = max(_CHUNK_MIN_ROWS, _CHUNK_BUDGET // (len(sizes) * len(iu)))
+    chunk = max(_CHUNK_MIN_ROWS, _CHUNK_BUDGET // (len(sizes) * len(iu)))
     carry = np.zeros((len(sizes), len(iu)), dtype=np.int64)
     for start in range(0, steps, chunk):
         stop = min(start + chunk, steps)
@@ -217,9 +214,9 @@ def _walk(
     corr: np.ndarray, t: np.ndarray, sizes: np.ndarray, thresholds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every row's :func:`.adaptive.select_window` at once: the accepted
-    rung index and the stop code (an index into ``_STOPS``), given the
-    (c, K, P) correlations of the ladder ``sizes`` after steps ``t`` and
-    the K - 1 thresholds between its rungs."""
+    rung index and the stop code (an index into :data:`.adaptive.STOPS`),
+    given the (c, K, P) correlations of the ladder ``sizes`` after steps
+    ``t`` and the K - 1 thresholds between its rungs."""
     rows, rungs = corr.shape[:2]
     horizon = np.zeros((rows, rungs), dtype=bool)
     horizon[:, :-1] = sizes[1:] > t[:, None]
@@ -243,21 +240,11 @@ def _votes(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     )
 
 
-def _stop_names(codes: np.ndarray) -> np.ndarray:
-    """Stop reasons as strings, with the dtype ``np.array`` gives the list
-    of them: as wide as the longest reason present."""
-    present = np.bincount(codes, minlength=len(_STOPS)) > 0
-    width = max(len(name) for name, used in zip(_STOPS, present) if used)
-    return np.array(_STOPS, dtype=f"<U{width}")[codes]
-
-
 def run_strategy(
     votes,
     strategy: str,
     config: AdaptiveConfig | None = None,
     truths=None,
-    *,
-    _chunk: int | None = None,
 ) -> Reports:
     """Run one aggregation strategy over a resolved +/-1 vote stream.
 
@@ -273,9 +260,6 @@ def run_strategy(
         Defaults to ``AdaptiveConfig(n)`` for the stream's width.
     truths : (T,) array, optional
         True labels; fills ``truth`` (and so ``correct``) in the reports.
-    _chunk : int, optional
-        Steps per engine chunk, in place of the sized default; outputs do
-        not depend on it (tests compare chunk lengths).
     """
     v, config = _checked_votes(votes, config)
     kind, fixed_r = _checked_strategy(strategy, config)
@@ -292,53 +276,17 @@ def run_strategy(
     window = np.empty(steps, dtype=np.int64)
     p_hat = np.empty((steps, n))
     weights = np.empty((steps, n))
-    codes = np.empty(steps, dtype=np.intp)
+    stop_reason = np.empty(steps, dtype=np.int8) if adaptive else None
     if adaptive:
         thresholds = np.array(_threshold_ladder(config.schedule.sizes, config.beta, config.bound_const))
-    for start, corr in _correlation_chunks(v, sizes, _chunk):
+    for start, corr in _correlation_chunks(v, sizes):
         rows = slice(start, start + len(corr))
         t = np.arange(rows.start + 1, rows.stop + 1)
         if adaptive:
-            k, codes[rows] = _walk(corr, t, sizes, thresholds)
+            k, stop_reason[rows] = _walk(corr, t, sizes, thresholds)
         else:
             k = np.zeros(len(corr), dtype=np.intp)
         window[rows] = np.minimum(t, sizes[k])
         p_hat[rows], weights[rows] = _estimate(corr[np.arange(len(corr)), k], n, config)
         prediction[rows] = _votes(v[rows], weights[rows])
-    stop_reason = _stop_names(codes) if adaptive else None
     return Reports(prediction, window, p_hat, weights, truth, stop_reason)
-
-
-def run_fixed_sweep(
-    votes, config: AdaptiveConfig | None = None, sizes=None, *, _chunk: int | None = None
-) -> dict[int, np.ndarray]:
-    """Predictions of every fixed-window strategy in one pass.
-
-    The same offline engine as :func:`run_strategy` with every window of
-    the ladder (``sizes``, default ``config.schedule.sizes``) kept as a
-    fixed window: one chunked pass computes all windows' sums, then each
-    step recovers accuracies and votes once per window.  Returns
-    ``{r: (T,) int8 array of +/-1 predictions}``, step-for-step identical
-    to ``run_strategy(votes, f"fixed:{r}", config).prediction``, and so to
-    the per-step :class:`.CorrelationBank` path, the engine's oracle.
-    """
-    v, config = _checked_votes(votes, config)
-    steps, n = v.shape
-    ladder = tuple(sorted(set(int(r) for r in sizes))) if sizes is not None else config.schedule.sizes
-    if not ladder:
-        raise ValueError("need at least one window size to sweep")
-    if ladder[0] < 1:
-        raise ValueError(f"window sizes must be positive, got {ladder[0]}")
-    if ladder[-1] > config.schedule.max_size:
-        raise ValueError(
-            f"sweep window {ladder[-1]} exceeds the schedule's largest size "
-            f"{config.schedule.max_size}"
-        )
-
-    out = np.empty((len(ladder), steps), dtype=np.int8)
-    for start, corr in _correlation_chunks(v, ladder, _chunk):
-        rows, rungs, pairs = corr.shape
-        _, w = _estimate(corr.reshape(rows * rungs, pairs), n, config)
-        voters = np.repeat(v[start:start + rows], rungs, axis=0)
-        out[:, start:start + rows] = _votes(voters, w).reshape(rows, rungs).T
-    return {r: out[k] for k, r in enumerate(ladder)}

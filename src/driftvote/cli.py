@@ -133,6 +133,8 @@ def cmd_run(args) -> int:
     # until the stream's width is known, and replace() checks the real n
     config = _config(args, n=3)
     _checked_strategy(args.strategy, config)
+    if args.abstain_seed < 0:
+        raise ValueError(f"--abstain-seed must be nonnegative, got {args.abstain_seed}")
     stream = dio.read_stream(args.input)
     if len(stream) == 0:
         raise ValueError(f"{args.input}: stream file is empty")

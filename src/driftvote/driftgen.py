@@ -118,11 +118,11 @@ def resolve_abstentions(votes, seed_or_rng) -> np.ndarray:
     v = np.asarray(votes)
     if not np.all(np.isin(v, (-1, 0, 1))):
         raise ValueError("votes must be -1, 0 (abstain), or +1")
-    rng = _as_rng(seed_or_rng)
     out = v.astype(np.int8).copy()
     gaps = out == 0
     count = int(gaps.sum())
-    if count:
+    if count:  # numpy.random is imported only for a stream that needs it
+        rng = _as_rng(seed_or_rng)
         out[gaps] = (2 * rng.integers(0, 2, size=count) - 1).astype(np.int8)
     return out
 

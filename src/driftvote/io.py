@@ -20,8 +20,11 @@ by the strategy).  On read, a column is kept only when every line has
 it; ``t`` is checked but not kept, and ``correct`` is recomputed.
 Windows must be positive JSON integers, predictions and labels -1 or 1
 (a boolean is not an integer), ``p_hat``/``weights`` numbers and stop
-reasons strings; anything else is a :class:`StreamFormatError` naming
-the file.  Floats round-trip exactly through JSON's shortest-repr encoding.
+reasons one of the names in :data:`~driftvote.adaptive.STOPS`; anything
+else is a :class:`StreamFormatError` naming the file.  A stop reason is
+written as its name and read back as its int8 code, the index of that
+name in ``STOPS``.  Floats round-trip exactly through JSON's shortest-repr
+encoding.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .adaptive import STOPS
 from .aggregate import Reports
 from .driftgen import Stream
 
@@ -66,8 +70,8 @@ def _check_label(label, path, lineno: int) -> int | None:
     return label
 
 
-def _jsonl_rows(path):
-    """Yield checked ``(votes, label or None)`` for each nonblank JSONL line."""
+def _jsonl_objects(path):
+    """Yield ``(lineno, parsed JSON value)`` for each nonblank JSONL line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -76,13 +80,19 @@ def _jsonl_rows(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise _bad(path, lineno, f"bad JSON: {err}") from None
-            if not isinstance(obj, dict) or "votes" not in obj:
-                raise _bad(path, lineno, "expected an object with a 'votes' field")
-            t = obj.get("t")
-            if t is not None and (isinstance(t, bool) or not isinstance(t, int)):
-                raise _bad(path, lineno, f"t must be an int, got {t!r}")
-            votes = _check_votes(obj["votes"], path, lineno)
-            yield votes, _check_label(obj.get("label"), path, lineno)
+            yield lineno, obj
+
+
+def _jsonl_rows(path):
+    """Yield checked ``(votes, label or None)`` for each nonblank JSONL line."""
+    for lineno, obj in _jsonl_objects(path):
+        if not isinstance(obj, dict) or "votes" not in obj:
+            raise _bad(path, lineno, "expected an object with a 'votes' field")
+        t = obj.get("t")
+        if t is not None and (isinstance(t, bool) or not isinstance(t, int)):
+            raise _bad(path, lineno, f"t must be an int, got {t!r}")
+        votes = _check_votes(obj["votes"], path, lineno)
+        yield votes, _check_label(obj.get("label"), path, lineno)
 
 
 def _csv_rows(path):
@@ -189,18 +199,20 @@ _REPORT_COLUMNS = {
     "weights": (np.float64, 2, {int, float}, "numbers", lambda c: True),
     "prediction": (np.int8, 1, {int}, "-1 or 1", lambda c: np.abs(c) == 1),
     "truth": (np.int8, 1, {int}, "-1 or 1", lambda c: np.abs(c) == 1),
-    "stop_reason": (str, 1, {str}, "strings", lambda c: True),
+    "stop_reason": (np.int8, 1, {str}, "one of " + ", ".join(STOPS), lambda c: c >= 0),
 }
 
 
 def write_reports(path, reports: Reports) -> None:
-    """Write :class:`Reports` as JSONL, one line per step with ``t`` = 1..T
-    and the derived ``correct``, omitting absent columns."""
+    """Write :class:`Reports` as JSONL, one line per step with ``t`` = 1..T,
+    the derived ``correct`` and stop reasons by name, omitting absent
+    columns."""
     columns = [("t", range(1, len(reports) + 1))]
     for name in _REPORT_FIELDS[1:]:
         column = getattr(reports, name)
         if column is not None:
-            columns.append((name, column.tolist()))
+            values = column.tolist()
+            columns.append((name, [STOPS[c] for c in values] if name == "stop_reason" else values))
     names = [name for name, _ in columns]
     with open(path, "w", encoding="utf-8") as fh:
         for row in zip(*(column for _, column in columns)):
@@ -215,26 +227,22 @@ def read_reports(path) -> Reports:
     empty file reads as zero rows.
     """
     lines = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise _bad(path, lineno, f"bad JSON: {err}") from None
-            if not isinstance(obj, dict) or "t" not in obj or "prediction" not in obj:
-                raise _bad(path, lineno, "expected an object with 't' and 'prediction'")
-            lines.append(obj)
+    for lineno, obj in _jsonl_objects(path):
+        if not isinstance(obj, dict) or "t" not in obj or "prediction" not in obj:
+            raise _bad(path, lineno, "expected an object with 't' and 'prediction'")
+        lines.append(obj)
     columns = {}
     for name, (dtype, ndim, kinds, rule, check) in _REPORT_COLUMNS.items():
         values = [obj.get(name) for obj in lines]
         if name != "prediction" and (not values or None in values):
             continue
+        raw = values
+        if name == "stop_reason":  # any other value reads as -1 and fails the check
+            raw = [STOPS.index(x) if x in STOPS else -1 for x in values]
         try:
-            # +/-1 columns read as int64 first, so that an out-of-range
+            # int8 columns read as int64 first, so that an out-of-range
             # value fails the value check, not the conversion
-            column = np.array(values, dtype=np.int64 if dtype is np.int8 else dtype)
+            column = np.array(raw, dtype=np.int64 if dtype is np.int8 else dtype)
         except (TypeError, ValueError, OverflowError):
             column = None
         if column is None or column.ndim != ndim:

@@ -108,9 +108,9 @@ def recover_accuracies(
     n = c.shape[0]
     if n < 3:
         raise ValueError(f"recovery needs at least 3 labelers, got {n}")
-    if not np.allclose(c, c.T, rtol=0.0, atol=_SYM_TOL):
+    if not (np.abs(c - c.T).max() <= _SYM_TOL):
         raise ValueError("correlation matrix must be symmetric")
-    if not np.allclose(np.diagonal(c), 1.0, rtol=0.0, atol=_SYM_TOL):
+    if not (np.abs(np.diagonal(c) - 1.0).max() <= _SYM_TOL):
         raise ValueError("correlation matrix must have unit diagonal")
     if not 0.0 < clip_lo < 0.5 < clip_hi < 1.0:
         raise ValueError(f"clip band must satisfy 0 < lo < 0.5 < hi < 1, got [{clip_lo}, {clip_hi}]")

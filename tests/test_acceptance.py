@@ -23,7 +23,6 @@ from driftvote import (
     recover_accuracies,
     resolve_abstentions,
     role_rngs,
-    run_fixed_sweep,
     run_strategy,
     selection_overhead,
     statistical_error,
@@ -119,7 +118,9 @@ def bench_runs():
         truth = np.asarray(stream.truth)
         config = AdaptiveConfig(n=3)  # doubling(20), beta = delta = 0.1
         reports = run_strategy(votes, "adaptive", config, truths=truth)
-        sweep = run_fixed_sweep(votes, config)
+        sweep = {
+            r: run_strategy(votes, f"fixed:{r}", config).prediction for r in config.schedule.sizes
+        }
         runs.append({
             "layout": layout,
             "windows": reports.window,

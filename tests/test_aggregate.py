@@ -1,6 +1,8 @@
-"""Vote aggregation: weights, tie handling, strategy runner, sweep."""
+"""Vote aggregation: weights, tie handling, strategy runner."""
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from driftvote import (
     AdaptiveConfig,
     CorrelationBank,
+    STOPS,
     STOP_HORIZON,
     STOP_SCHEDULE,
     STOP_THRESHOLD,
@@ -19,11 +22,11 @@ from driftvote import (
     majority_vote,
     parse_strategy,
     recover_accuracies,
-    run_fixed_sweep,
     run_strategy,
     select_window,
     weighted_vote,
 )
+from driftvote import aggregate
 
 LN9 = 2.1972245773362196  # ln(0.9/0.1), frozen
 LN_SIX_TENTHS = 0.4054651081081644  # ln(0.6/0.4), frozen
@@ -133,13 +136,14 @@ def test_adaptive_strategy_reports(stream):
     cfg = AdaptiveConfig(n=3, schedule=WindowSchedule.doubling(8))
     reports = run_strategy(votes, "adaptive", config=cfg)
     stops = {STOP_THRESHOLD, STOP_SCHEDULE, STOP_HORIZON}
-    assert set(reports.stop_reason.tolist()) <= stops
+    assert reports.stop_reason.dtype == np.int8
+    assert {STOPS[c] for c in reports.stop_reason.tolist()} <= stops
     for i, window in enumerate(reports.window.tolist()):
         assert window <= min(i + 1, cfg.schedule.max_size)
         assert window in cfg.schedule.sizes
     # by the end of a 400-step stationary stream the full ladder should apply
     assert reports.window[-1] == cfg.schedule.max_size
-    assert reports.stop_reason[-1] == STOP_SCHEDULE
+    assert STOPS[reports.stop_reason[-1]] == STOP_SCHEDULE
 
 
 def test_adaptive_accuracy_on_stationary_stream(stream):
@@ -180,31 +184,6 @@ def test_adaptive_rejects_ladder_not_starting_at_one(stream):
         run_strategy(votes, "adaptive", config=cfg)
     # a fixed window clamps to min(t, R) and needs no rung at 1
     assert len(run_strategy(votes[:20], "fixed:8", config=cfg)) == 20
-
-
-def test_fixed_sweep_matches_per_size_runs(stream):
-    votes = np.asarray(stream.votes)
-    cfg = AdaptiveConfig(n=3)
-    sizes = (1, 4, 32, 128)
-    sweep = run_fixed_sweep(votes, config=cfg, sizes=sizes)
-    assert set(sweep) == set(sizes)
-    for r in sizes:
-        single = run_strategy(votes, f"fixed:{r}", config=cfg)
-        assert sweep[r].dtype == np.int8
-        assert sweep[r].tolist() == single.prediction.tolist()
-
-
-def test_fixed_sweep_default_sizes(stream):
-    votes = np.asarray(stream.votes)
-    cfg = AdaptiveConfig(n=3, schedule=WindowSchedule.doubling(6))
-    sweep = run_fixed_sweep(votes, config=cfg)
-    assert set(sweep) == set(cfg.schedule.sizes)
-
-
-def test_fixed_sweep_rejects_oversized_window(stream):
-    votes = np.asarray(stream.votes)
-    with pytest.raises(ValueError):
-        run_fixed_sweep(votes, config=AdaptiveConfig(n=3), sizes=(4, 2**21))
 
 
 @st.composite
@@ -251,7 +230,8 @@ def reference_reports(votes, config, fixed_r=None):
 
 def report_tuples(reports):
     """The columns of ``reports`` as one tuple per step, in the reference's form."""
-    stops = [None] * len(reports) if reports.stop_reason is None else reports.stop_reason.tolist()
+    codes = reports.stop_reason
+    stops = [None] * len(reports) if codes is None else [STOPS[c] for c in codes.tolist()]
     return list(zip(
         reports.prediction.tolist(),
         reports.window.tolist(),
@@ -262,33 +242,36 @@ def report_tuples(reports):
 
 
 def assert_matches_reference(reports, reference):
-    """Field for field, dtypes included: ``np.array`` of the reference's
-    stop reasons is as wide as the longest reason present."""
+    """Field for field, dtypes included; stop reasons are int8 codes."""
     assert report_tuples(reports) == reference
     assert reports.prediction.dtype == np.int8
     assert reports.window.dtype == np.int64
     assert reports.p_hat.dtype == reports.weights.dtype == np.float64
-    stops = [row[-1] for row in reference]
-    if stops[0] is None:
+    if reference[0][-1] is None:
         assert reports.stop_reason is None
     else:
-        assert reports.stop_reason.dtype == np.array(stops).dtype
+        assert reports.stop_reason.dtype == np.int8
+
+
+def chunked(rows):
+    """Run the engine on chunks of exactly ``rows`` steps; None keeps the
+    sized default."""
+    if rows is None:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(aggregate, _CHUNK_BUDGET=0, _CHUNK_MIN_ROWS=rows)
 
 
 @settings(max_examples=40, deadline=None)
 @given(drifting_runs())
 def test_runs_match_checked_per_step_reference(run):
     votes, config, fixed_r, chunk = run
-    adaptive = run_strategy(votes, "adaptive", config, _chunk=chunk)
+    with chunked(chunk):
+        adaptive = run_strategy(votes, "adaptive", config)
+        fixed = run_strategy(votes, f"fixed:{fixed_r}", config)
     assert_matches_reference(adaptive, reference_reports(votes, config))
-    fixed = {r: run_strategy(votes, f"fixed:{r}", config, _chunk=chunk) for r in config.schedule.sizes}
-    assert_matches_reference(fixed[fixed_r], reference_reports(votes, config, fixed_r))
+    assert_matches_reference(fixed, reference_reports(votes, config, fixed_r))
     # the default chunk length gives the same bits
     assert report_tuples(run_strategy(votes, "adaptive", config)) == report_tuples(adaptive)
-    sweep = run_fixed_sweep(votes, config, _chunk=chunk)
-    for r, reports in fixed.items():
-        assert sweep[r].dtype == np.int8
-        assert sweep[r].tolist() == reports.prediction.tolist()
 
 
 def test_near_tie_votes_follow_the_per_row_dot_product():
@@ -310,11 +293,10 @@ def test_near_tie_votes_follow_the_per_row_dot_product():
     assert_matches_reference(fixed_one, reference_reports(votes, config, 1))
     for strategy in ("fixed:1", "fixed:64", "adaptive"):
         for chunk in (None, 1, 7):
-            reports = run_strategy(votes, strategy, config, _chunk=chunk)
+            with chunked(chunk):
+                reports = run_strategy(votes, strategy, config)
             per_row = [weighted_vote(v, w) for v, w in zip(votes, reports.weights)]
             assert reports.prediction.tolist() == per_row
-    sweep = run_fixed_sweep(votes, config, sizes=(1, 64))
-    assert sweep[1].tolist() == fixed_one.prediction.tolist()
 
 
 def test_cli_reports_match_reference_with_constant_labeler_and_zero_witness(tmp_path):

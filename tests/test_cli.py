@@ -176,6 +176,7 @@ def test_run_rejects_adaptive_ladder_not_starting_at_one(tmp_path, capsys):
         (["--beta", "0"], "beta"),
         (["--delta", "1.5"], "delta"),
         (["--sizes", "4,8,16"], "starts at 1"),
+        (["--abstain-seed", "-1"], "abstain-seed"),
     ],
 )
 def test_run_rejects_bad_config_before_reading_input(tmp_path, capsys, flags, message):

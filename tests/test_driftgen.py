@@ -1,10 +1,15 @@
 """Synthetic stream generation, drift transforms, and drift accounting."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftvote
 from driftvote import (
     BlockSpec,
     Stream,
@@ -141,6 +146,26 @@ def test_resolve_abstentions_accepts_vector_and_rejects_junk():
     assert out[0] == 1 and out[2] == -1 and out[1] in (-1, 1)
     with pytest.raises(ValueError):
         resolve_abstentions([1, 2, -1], 0)
+
+
+def test_resolving_without_abstentions_leaves_numpy_random_unimported():
+    # importing numpy.random costs several MB of RSS; a stream with no
+    # zeros has nothing to draw, so it must not pay for it
+    code = (
+        "import sys, numpy as np\n"
+        "from driftvote import resolve_abstentions\n"
+        "out = resolve_abstentions(np.array([[1, -1, 1], [-1, -1, 1]], dtype=np.int8), 0)\n"
+        "assert out.tolist() == [[1, -1, 1], [-1, -1, 1]]\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(driftvote.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_permute_drift_zero_prob_is_identity():

@@ -128,6 +128,19 @@ def test_input_validation():
     bad[1, 1] = 0.9
     with pytest.raises(ValueError):
         recover_accuracies(bad)  # diagonal
+    for value in (np.nan, np.inf):
+        # symmetric, but nan - nan and inf - inf are NaN, which fails the
+        # symmetry test (a NaN or inf diagonal fails it for the same reason);
+        # inf - inf also sets numpy's "invalid value" flag
+        with np.errstate(invalid="ignore"):
+            bad = good.copy()
+            bad[0, 1] = bad[1, 0] = value
+            with pytest.raises(ValueError, match="symmetric"):
+                recover_accuracies(bad)
+            bad = good.copy()
+            bad[2, 2] = value
+            with pytest.raises(ValueError):
+                recover_accuracies(bad)
     with pytest.raises(ValueError):
         recover_accuracies(good, clip_lo=0.6)
     with pytest.raises(ValueError):
