@@ -8,7 +8,8 @@ steps (labeler accuracies spread over 0.6..0.9) and prints:
 * ``online``: the per-step public calls a streaming caller makes
   (``CorrelationBank.push``, ``select_window``, ``recover_accuracies``,
   ``log_odds_weights``, ``weighted_vote``) over the last
-  ``--online-steps`` steps, in microseconds per step.  The bank is
+  ``--online-steps`` steps, each step timed on its own: the median in
+  microseconds per step, which one slow step cannot move.  The bank is
   bulk-loaded with every step before them, so each walk sees the whole
   history, as it would at the end of a long online run;
 * the peak RSS of each, from ``resource.getrusage`` in a child process of
@@ -48,6 +49,7 @@ def stream(n: int, steps: int):
 def measure(case: str, n: int, steps: int, online_steps: int) -> dict:
     """Time one case in this process; returns us/step and peak RSS in MB."""
     import resource
+    import statistics
     import time
 
     from driftvote import (
@@ -65,27 +67,29 @@ def measure(case: str, n: int, steps: int, online_steps: int) -> dict:
     if case == "engine":
         t0 = time.perf_counter()
         run_strategy(votes, "adaptive", config)
-        elapsed, timed = time.perf_counter() - t0, steps
+        us_per_step, timed = (time.perf_counter() - t0) / steps * 1e6, steps
     else:
         timed = min(online_steps, steps)
         bank = CorrelationBank.from_history(n, votes[:steps - timed], config.schedule.sizes)
         lo, hi = config.clip_lo, config.clip_hi
-        t0 = time.perf_counter()
+        clock, lat = time.perf_counter_ns, []
         for row in votes[steps - timed:]:
+            t0 = clock()
             bank.push(row)
             window = select_window(bank, config).window
             est = recover_accuracies(bank.correlation(window), lo, hi, window=window)
             weighted_vote(row, log_odds_weights(est.accuracies))
-        elapsed = time.perf_counter() - t0
+            lat.append(clock() - t0)
+        us_per_step = statistics.median(lat) / 1e3
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return {"us_per_step": elapsed / timed * 1e6, "peak_rss_mb": rss_mb, "timed_steps": timed}
+    return {"us_per_step": us_per_step, "peak_rss_mb": rss_mb, "timed_steps": timed}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=2000, help="stream length T (default 2000)")
-    parser.add_argument("--online-steps", type=int, default=200,
-                        help="steps timed on the online path, at the end of the stream (default 200)")
+    parser.add_argument("--online-steps", type=int, default=2000,
+                        help="steps timed on the online path, at the end of the stream (default 2000)")
     parser.add_argument("--n", default="3,8,32", help="labeler counts, comma-separated")
     parser.add_argument("--case", choices=("engine", "online"), help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -97,7 +101,7 @@ def main() -> int:
         print(json.dumps(measure(args.case, counts[0], args.steps, args.online_steps)))
         return 0
 
-    print(f"T = {args.steps} steps, default ladder (20 rungs); online timed over the last "
+    print(f"T = {args.steps} steps, default ladder (20 rungs); online: median step of the last "
           f"{min(args.online_steps, args.steps)} steps")
     print(f"{'n':>4}  {'engine us/step':>14}  {'online us/step':>14}  {'speed-up':>8}  "
           f"{'engine RSS MB':>13}  {'online RSS MB':>13}")

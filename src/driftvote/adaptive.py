@@ -18,6 +18,7 @@ the window.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,6 +58,17 @@ def _threshold_ladder(sizes: tuple[int, ...], beta: float, bound_const: float) -
     )
 
 
+@lru_cache(maxsize=64)
+def _bank_rungs(tracked: tuple[int, ...], sizes: tuple[int, ...]) -> np.ndarray:
+    """Index of each of ``sizes`` among the sizes ``tracked`` by a bank."""
+    missing = set(sizes) - set(tracked)
+    if missing:
+        raise ValueError(f"bank does not track schedule window {min(missing)}")
+    rungs = np.searchsorted(tracked, sizes)
+    rungs.setflags(write=False)
+    return rungs
+
+
 @dataclass(frozen=True)
 class GapProbe:
     """One executed comparison between ladder steps ``index`` and ``index + 1``
@@ -90,34 +102,26 @@ def select_window(bank: CorrelationBank, config: AdaptiveConfig) -> WindowDecisi
     """Walk the ladder over ``bank``'s current state and pick a window.
 
     The bank must track every size in ``config.schedule`` and must have
-    seen at least ``schedule.sizes[0]`` votes.
+    seen at least ``schedule.sizes[0]`` votes.  Every rung within the
+    horizon ``r <= t`` gets its correlation from one division and its gap
+    to the next rung from one array operation; the walk then reads that
+    gap table and builds a :class:`GapProbe` for each comparison up to and
+    including the first that fails.
     """
     sizes = config.schedule.sizes
     t = bank.t
     if t < sizes[0]:
         raise ValueError(f"need at least {sizes[0]} votes before selecting, have {t}")
-    for r in sizes:
-        if not bank.tracks(r):
-            raise ValueError(f"bank does not track schedule window {r}")
+    rungs = _bank_rungs(bank.sizes, sizes)
     thresholds = _threshold_ladder(sizes, config.beta, config.bound_const)
 
-    k = 0  # 0-based index of the currently accepted window
-    cur = bank.correlation(sizes[0])
+    reach = bisect_right(sizes, t)  # rungs within the horizon, at least one
+    corr = bank.all_correlations()[rungs[:reach]]
+    gaps = np.abs(corr[1:] - corr[:-1]).max(axis=(1, 2)).tolist()
     probes: list[GapProbe] = []
-    while True:
-        if k + 1 >= len(sizes):
-            stop = STOP_SCHEDULE
-            break
-        if sizes[k + 1] > t:
-            stop = STOP_HORIZON
-            break
-        nxt = bank.correlation(sizes[k + 1])
-        gap = float(np.abs(nxt - cur).max())
+    for k, gap in enumerate(gaps):
         probes.append(GapProbe(k + 1, sizes[k], sizes[k + 1], gap, thresholds[k]))
-        if gap <= thresholds[k]:
-            k += 1
-            cur = nxt
-        else:
-            stop = STOP_THRESHOLD
-            break
-    return WindowDecision(k + 1, sizes[k], stop, tuple(probes))
+        if not gap <= thresholds[k]:  # NaN fails
+            return WindowDecision(k + 1, sizes[k], STOP_THRESHOLD, tuple(probes))
+    stop = STOP_SCHEDULE if reach == len(sizes) else STOP_HORIZON
+    return WindowDecision(reach, sizes[reach - 1], stop, tuple(probes))

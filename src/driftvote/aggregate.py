@@ -71,7 +71,7 @@ class Reports:
 def log_odds_weights(p) -> np.ndarray:
     """Per-labeler weights ``ln(p / (1 - p))``; requires 0 < p < 1."""
     acc = np.asarray(p, dtype=float)
-    if np.any(acc <= 0.0) or np.any(acc >= 1.0):
+    if (acc <= 0.0).any() or (acc >= 1.0).any():
         raise ValueError("accuracies must lie strictly inside (0, 1); clip estimates first")
     return np.log(acc / (1.0 - acc))
 

@@ -6,13 +6,17 @@ pairwise correlation of the last ``min(t, r)`` vote vectors,
     corr[r]_{ij} = mean over the window of  v_i * v_j ,
 
 where votes are +/-1, so each pairwise product is +/-1 and the window sum
-is an exact integer.  One push costs O(K + n^2) for K windows: a new outer
-product is added to every window's accumulator and, for windows already at
-capacity, the outer product of the vector falling out of that window is
-subtracted.  Only the newest ``max(sizes)`` vote vectors are retained.
+is an exact integer.  One push costs O(K n^2) for K windows: the outer
+product of the vector falling out of each window already at capacity is
+subtracted from its accumulator, and the new outer product is added to
+every accumulator.  Sizes are increasing, so the windows at capacity are
+always a prefix of the ladder, and both updates are one in-place array
+operation each.  Only the newest ``max(sizes)`` vote vectors are retained.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -44,7 +48,8 @@ class CorrelationBank:
             raise ValueError(f"need at least 2 labelers, got n={n}")
         self.n = int(n)
         self._sizes = _check_sizes(sizes)
-        self._index = {int(r): k for k, r in enumerate(self._sizes)}
+        self._size_tuple = tuple(self._sizes.tolist())
+        self._index = {r: k for k, r in enumerate(self._size_tuple)}
         self._cap = int(self._sizes[-1])
         self._ring = np.zeros((self._cap, self.n), dtype=np.int8)
         self._sums = np.zeros((len(self._sizes), self.n, self.n), dtype=np.int64)
@@ -76,7 +81,7 @@ class CorrelationBank:
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(int(r) for r in self._sizes)
+        return self._size_tuple
 
     @property
     def max_size(self) -> int:
@@ -100,19 +105,17 @@ class CorrelationBank:
         v = np.asarray(votes)
         if v.shape != (self.n,):
             raise ValueError(f"expected a vote vector of shape ({self.n},), got {v.shape}")
-        if not np.all(np.abs(v) == 1):
+        if not (np.abs(v) == 1).all():
             raise ValueError("votes must be +/-1; resolve abstentions before pushing")
         v8 = v.astype(np.int8)
-        outer = v8[:, None] * v8[None, :]
         t = self._t
-        full = self._sizes <= t
-        if full.any():
+        full = bisect_right(self._size_tuple, t)  # windows r <= t evict a vector
+        if full:
             # read the evicted vectors before the ring slot for step t is
             # overwritten: for r == max_size they are the same slot.
-            ev = self._ring[(t - self._sizes[full]) % self._cap]
-            self._sums[full] += outer - ev[:, None, :] * ev[:, :, None]
-        if not full.all():
-            self._sums[~full] += outer
+            ev = self._ring[(t - self._sizes[:full]) % self._cap]
+            self._sums[:full] -= ev[:, None, :] * ev[:, :, None]
+        self._sums += v8[:, None] * v8[None, :]
         self._ring[t % self._cap] = v8
         self._t = t + 1
 

@@ -67,21 +67,17 @@ def correlation_from_accuracies(p) -> np.ndarray:
 
 def _recover_raw(mats: np.ndarray) -> np.ndarray:
     batch, n = mats.shape[0], mats.shape[1]
-    masks = _witness_masks(n)
-    absm = np.abs(mats)
-    rows = np.arange(batch)
-    raw = np.empty((batch, n))
-    for h in range(n):
-        flat = np.where(masks[h], absm, -1.0).reshape(batch, -1)
-        pick = np.argmax(flat, axis=1)  # first max in row-major order
-        i, j = pick // n, pick % n
-        c_ij = mats[rows, i, j]
-        c_ih = mats[rows, i, h]
-        c_hj = mats[rows, h, j]
-        degenerate = np.abs(c_ij) <= ZERO_TOL
-        ratio = np.abs(c_ih * c_hj / np.where(degenerate, 1.0, c_ij))
-        raw[:, h] = np.where(degenerate, 0.5, 0.5 * (1.0 + np.sqrt(ratio)))
-    return raw
+    # every h's candidates at once; argmax takes the first max in row-major order
+    flat = np.where(_witness_masks(n), np.abs(mats)[:, None], -1.0).reshape(batch, n, n * n)
+    pick = flat.argmax(axis=2)
+    i, j = pick // n, pick % n
+    rows, h = np.arange(batch)[:, None], np.arange(n)
+    c_ij = mats[rows, i, j]
+    c_ih = mats[rows, i, h]
+    c_hj = mats[rows, h, j]
+    degenerate = np.abs(c_ij) <= ZERO_TOL
+    ratio = np.abs(c_ih * c_hj / np.where(degenerate, 1.0, c_ij))
+    return np.where(degenerate, 0.5, 0.5 * (1.0 + np.sqrt(ratio)))
 
 
 def recover_accuracies(
@@ -108,7 +104,9 @@ def recover_accuracies(
     n = c.shape[0]
     if n < 3:
         raise ValueError(f"recovery needs at least 3 labelers, got {n}")
-    if not (np.abs(c - c.T).max() <= _SYM_TOL):
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+        asym = np.abs(c - c.T).max()
+    if not asym <= _SYM_TOL:
         raise ValueError("correlation matrix must be symmetric")
     if not (np.abs(np.diagonal(c) - 1.0).max() <= _SYM_TOL):
         raise ValueError("correlation matrix must have unit diagonal")

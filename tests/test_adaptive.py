@@ -1,10 +1,13 @@
 """Window selection: thresholds, walk semantics, and the selection bound."""
 
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftvote import (
     AdaptiveConfig,
@@ -12,6 +15,8 @@ from driftvote import (
     STOP_HORIZON,
     STOP_SCHEDULE,
     STOP_THRESHOLD,
+    WindowDecision,
+    GapProbe,
     WindowSchedule,
     correlation_from_accuracies,
     drift_threshold,
@@ -19,6 +24,8 @@ from driftvote import (
     statistical_error,
     union_bound_constant,
 )
+
+from driftvote.adaptive import _threshold_ladder
 
 mp.mp.dps = 40
 
@@ -154,6 +161,104 @@ def test_select_window_rejects_mismatched_bank():
         bank.push(row)
     with pytest.raises(ValueError):
         select_window(bank, cfg)
+
+
+def reference_walk(bank, config):
+    """The per-rung walk that ``select_window`` replaced, kept as its
+    oracle: one ``bank.correlation`` and one gap per comparison."""
+    sizes = config.schedule.sizes
+    t = bank.t
+    if t < sizes[0]:
+        raise ValueError(f"need at least {sizes[0]} votes before selecting, have {t}")
+    for r in sizes:
+        if not bank.tracks(r):
+            raise ValueError(f"bank does not track schedule window {r}")
+    thresholds = _threshold_ladder(sizes, config.beta, config.bound_const)
+
+    k = 0  # 0-based index of the currently accepted window
+    cur = bank.correlation(sizes[0])
+    probes: list[GapProbe] = []
+    while True:
+        if k + 1 >= len(sizes):
+            stop = STOP_SCHEDULE
+            break
+        if sizes[k + 1] > t:
+            stop = STOP_HORIZON
+            break
+        nxt = bank.correlation(sizes[k + 1])
+        gap = float(np.abs(nxt - cur).max())
+        probes.append(GapProbe(k + 1, sizes[k], sizes[k + 1], gap, thresholds[k]))
+        if gap <= thresholds[k]:
+            k += 1
+            cur = nxt
+        else:
+            stop = STOP_THRESHOLD
+            break
+    return WindowDecision(k + 1, sizes[k], stop, tuple(probes))
+
+
+def outcome(walk, bank, config):
+    """The decision, or the type and message of the error raised."""
+    try:
+        return walk(bank, config)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@st.composite
+def walk_cases(draw):
+    """A bank after a two-block stream of n in [3, 5] labelers (one block
+    may flip a labeler outright, so walks stop on a threshold), a ladder
+    that need not start at 1, a bank that tracks extra sizes or misses
+    some, and t below, at and past the ladder's largest size."""
+    n = draw(st.integers(3, 5))
+    sizes = tuple(sorted(draw(st.lists(st.integers(1, 300), min_size=2, max_size=7, unique=True))))
+    extra = draw(st.lists(st.integers(1, 400), max_size=4))
+    tracked = set(sizes) | set(extra)
+    if draw(st.integers(0, 9)) == 9:
+        tracked -= set(draw(st.lists(st.sampled_from(sizes), min_size=1, max_size=2)))
+    steps = draw(st.one_of(
+        st.integers(sizes[0], 2 * sizes[-1]),
+        st.sampled_from((sizes[-1] - 1, sizes[-1], sizes[-1] + 1, sizes[0], sizes[0] - 1)),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edge = int(rng.integers(0, steps + 1))
+    before = rng.uniform(0.8, 1.0, size=n)
+    after = before.copy()
+    flip = draw(st.integers(0, n - 1))
+    after[flip] = 1.0 - before[flip]
+    acc = np.where(np.arange(steps)[:, None] < edge, before, after)
+    truth = rng.choice(np.array([-1, 1], dtype=np.int8), size=steps)
+    votes = np.where(rng.random((steps, n)) < acc, truth[:, None], -truth[:, None])
+    beta = draw(st.sampled_from((0.01, 0.1, 0.4)))
+    config = AdaptiveConfig(n=n, schedule=WindowSchedule(sizes), beta=beta)
+    bank = CorrelationBank(n, sorted(tracked) or [401])
+    for row in votes:
+        bank.push(row)
+    return bank, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases())
+def test_select_window_matches_per_rung_walk(case):
+    bank, config = case
+    assert outcome(select_window, bank, config) == outcome(reference_walk, bank, config)
+
+
+def test_nan_gap_fails_the_walk():
+    cfg = AdaptiveConfig(n=3, schedule=WindowSchedule.doubling(6))
+    bank = CorrelationBank(3, cfg.schedule.sizes)
+    for row in agreeing_votes(40):
+        bank.push(row)
+    corr = bank.all_correlations()
+    corr[3, 0, 1] = corr[3, 1, 0] = np.nan  # the window of 8
+    with mock.patch.object(bank, "all_correlations", return_value=corr), \
+            mock.patch.object(bank, "correlation", side_effect=lambda r: corr[bank.sizes.index(r)]):
+        decision = select_window(bank, cfg)
+        want = reference_walk(bank, cfg)
+    assert (decision.window, decision.stop_reason) == (4, STOP_THRESHOLD)
+    assert math.isnan(decision.probes[-1].gap)
+    assert repr(decision) == repr(want)  # NaN != NaN, but its repr matches
 
 
 def test_selection_error_bound_monte_carlo():

@@ -6,10 +6,13 @@ vector to float precision.  That exactness is the main oracle; the rest
 covers the degenerate branch, tie-breaking, equivariance, and stability.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from driftvote import correlation_from_accuracies, recover_accuracies
+from driftvote.triplet import ZERO_TOL, _recover_raw, _witness_masks
 
 
 def test_correlation_from_accuracies_frozen_example():
@@ -131,8 +134,9 @@ def test_input_validation():
     for value in (np.nan, np.inf):
         # symmetric, but nan - nan and inf - inf are NaN, which fails the
         # symmetry test (a NaN or inf diagonal fails it for the same reason);
-        # inf - inf also sets numpy's "invalid value" flag
-        with np.errstate(invalid="ignore"):
+        # the rejection comes without numpy's "invalid value" warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             bad = good.copy()
             bad[0, 1] = bad[1, 0] = value
             with pytest.raises(ValueError, match="symmetric"):
@@ -145,3 +149,46 @@ def test_input_validation():
         recover_accuracies(good, clip_lo=0.6)
     with pytest.raises(ValueError):
         recover_accuracies(good, clip_hi=0.4)
+
+
+def per_labeler_recover_raw(mats):
+    """The per-h loop that the batched ``_recover_raw`` replaced, kept as its
+    oracle: one masked argmax over the witness pairs of each labeler."""
+    batch, n = mats.shape[0], mats.shape[1]
+    masks = _witness_masks(n)
+    absm = np.abs(mats)
+    rows = np.arange(batch)
+    raw = np.empty((batch, n))
+    for h in range(n):
+        flat = np.where(masks[h], absm, -1.0).reshape(batch, -1)
+        pick = np.argmax(flat, axis=1)  # first max in row-major order
+        i, j = pick // n, pick % n
+        c_ij = mats[rows, i, j]
+        c_ih = mats[rows, i, h]
+        c_hj = mats[rows, h, j]
+        degenerate = np.abs(c_ij) <= ZERO_TOL
+        ratio = np.abs(c_ih * c_hj / np.where(degenerate, 1.0, c_ij))
+        raw[:, h] = np.where(degenerate, 0.5, 0.5 * (1.0 + np.sqrt(ratio)))
+    return raw
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 32])
+def test_batched_recovery_matches_per_labeler_loop(n):
+    # entries on a 0.1 grid, so many |corr| tie exactly and the first-max
+    # rule decides the witness; a few matrices carry zeros, a zero witness
+    # (the identity) and a NaN
+    rng = np.random.default_rng(n)
+    upper = np.round(rng.uniform(-1.0, 1.0, size=(40, n, n)), 1)
+    upper[:5] *= rng.random((5, n, n)) < 0.5
+    mats = np.triu(upper, k=1)
+    mats = mats + mats.transpose(0, 2, 1)
+    mats[:, np.arange(n), np.arange(n)] = 1.0
+    mats[5] = np.eye(n)
+    mats[6, 0, 1] = mats[6, 1, 0] = np.nan
+    mats[7, 1, 2] = mats[7, 2, 1] = -0.0
+    mats[8:12] = [correlation_from_accuracies(rng.uniform(0.55, 0.95, n)) for _ in range(4)]
+    want = per_labeler_recover_raw(mats)
+    got = _recover_raw(mats)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got[6]).any() and np.all(got[5] == 0.5)
