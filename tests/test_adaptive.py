@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from driftvote import (
     AdaptiveConfig,
     CorrelationBank,
+    GapProbe,
     STOP_HORIZON,
     STOP_SCHEDULE,
     STOP_THRESHOLD,
     WindowDecision,
-    GapProbe,
     WindowSchedule,
     correlation_from_accuracies,
     drift_threshold,
@@ -24,7 +24,6 @@ from driftvote import (
     statistical_error,
     union_bound_constant,
 )
-
 from driftvote.adaptive import _threshold_ladder
 
 mp.mp.dps = 40
@@ -207,8 +206,9 @@ def outcome(walk, bank, config):
 
 @st.composite
 def walk_cases(draw):
-    """A bank after a two-block stream of n in [3, 5] labelers (one block
-    may flip a labeler outright, so walks stop on a threshold), a ladder
+    """A bank after a two-block stream of n in [3, 5] labelers (the second
+    block mirrors one labeler's accuracy, so walks can stop on a
+    threshold), a ladder
     that need not start at 1, a bank that tracks extra sizes or misses
     some, and t below, at and past the ladder's largest size."""
     n = draw(st.integers(3, 5))
