@@ -9,7 +9,8 @@ steps (labeler accuracies spread over 0.6..0.9) and prints:
   (``CorrelationBank.push``, ``select_window``, ``recover_accuracies``,
   ``log_odds_weights``, ``weighted_vote``) over the last
   ``--online-steps`` steps, each step timed on its own: the median in
-  microseconds per step, which one slow step cannot move.  The bank is
+  microseconds per step, which one slow step cannot move, and the 99th
+  percentile, which shows the slow steps.  The bank is
   bulk-loaded with every step before them, so each walk sees the whole
   history, as it would at the end of a long online run;
 * the peak RSS of each, from ``resource.getrusage`` in a child process of
@@ -47,7 +48,8 @@ def stream(n: int, steps: int):
 
 
 def measure(case: str, n: int, steps: int, online_steps: int) -> dict:
-    """Time one case in this process; returns us/step and peak RSS in MB."""
+    """Time one case in this process; returns us/step (and, online, the
+    99th-percentile step in us) and peak RSS in MB."""
     import resource
     import statistics
     import time
@@ -68,6 +70,7 @@ def measure(case: str, n: int, steps: int, online_steps: int) -> dict:
         t0 = time.perf_counter()
         run_strategy(votes, "adaptive", config)
         us_per_step, timed = (time.perf_counter() - t0) / steps * 1e6, steps
+        p99_us = None
     else:
         timed = min(online_steps, steps)
         bank = CorrelationBank.from_history(n, votes[:steps - timed], config.schedule.sizes)
@@ -81,8 +84,9 @@ def measure(case: str, n: int, steps: int, online_steps: int) -> dict:
             weighted_vote(row, log_odds_weights(est.accuracies))
             lat.append(clock() - t0)
         us_per_step = statistics.median(lat) / 1e3
+        p99_us = statistics.quantiles(lat, n=100)[98] / 1e3 if timed > 1 else lat[0] / 1e3
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return {"us_per_step": us_per_step, "peak_rss_mb": rss_mb, "timed_steps": timed}
+    return {"us_per_step": us_per_step, "p99_us": p99_us, "peak_rss_mb": rss_mb, "timed_steps": timed}
 
 
 def main() -> int:
@@ -101,10 +105,10 @@ def main() -> int:
         print(json.dumps(measure(args.case, counts[0], args.steps, args.online_steps)))
         return 0
 
-    print(f"T = {args.steps} steps, default ladder (20 rungs); online: median step of the last "
-          f"{min(args.online_steps, args.steps)} steps")
-    print(f"{'n':>4}  {'engine us/step':>14}  {'online us/step':>14}  {'speed-up':>8}  "
-          f"{'engine RSS MB':>13}  {'online RSS MB':>13}")
+    print(f"T = {args.steps} steps, default ladder (20 rungs); online: median and 99th-percentile "
+          f"step of the last {min(args.online_steps, args.steps)} steps")
+    print(f"{'n':>4}  {'engine us/step':>14}  {'online us/step':>14}  {'online p99 us':>13}  "
+          f"{'speed-up':>8}  {'engine RSS MB':>13}  {'online RSS MB':>13}")
     for n in counts:
         result = {}
         for case in ("engine", "online"):
@@ -116,7 +120,7 @@ def main() -> int:
             result[case] = json.loads(out.stdout)
         engine, online = result["engine"], result["online"]
         print(f"{n:>4}  {engine['us_per_step']:>14.1f}  {online['us_per_step']:>14.1f}  "
-              f"{online['us_per_step'] / engine['us_per_step']:>7.1f}x  "
+              f"{online['p99_us']:>13.1f}  {online['us_per_step'] / engine['us_per_step']:>7.1f}x  "
               f"{engine['peak_rss_mb']:>13.1f}  {online['peak_rss_mb']:>13.1f}")
     return 0
 

@@ -21,6 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,20 +60,24 @@ def _threshold_ladder(sizes: tuple[int, ...], beta: float, bound_const: float) -
 
 
 @lru_cache(maxsize=64)
-def _bank_rungs(tracked: tuple[int, ...], sizes: tuple[int, ...]) -> np.ndarray:
-    """Index of each of ``sizes`` among the sizes ``tracked`` by a bank."""
+def _bank_rungs(tracked: tuple[int, ...], sizes: tuple[int, ...]) -> int | np.ndarray:
+    """Where ``sizes`` sit among the sizes ``tracked`` by a bank: the index
+    of the first when they are consecutive there, else each one's index."""
     missing = set(sizes) - set(tracked)
     if missing:
         raise ValueError(f"bank does not track schedule window {min(missing)}")
     rungs = np.searchsorted(tracked, sizes)
+    if rungs[-1] - rungs[0] == len(sizes) - 1:
+        return int(rungs[0])
     rungs.setflags(write=False)
     return rungs
 
 
-@dataclass(frozen=True)
-class GapProbe:
+class GapProbe(NamedTuple):
     """One executed comparison between ladder steps ``index`` and ``index + 1``
-    (1-based): the observed sup-norm gap and the threshold it faced."""
+    (1-based): the observed sup-norm gap and the threshold it faced.
+    Immutable, like :class:`WindowDecision`; a tuple because a walk builds
+    several per step."""
 
     index: int
     window: int
@@ -116,7 +121,8 @@ def select_window(bank: CorrelationBank, config: AdaptiveConfig) -> WindowDecisi
     thresholds = _threshold_ladder(sizes, config.beta, config.bound_const)
 
     reach = bisect_right(sizes, t)  # rungs within the horizon, at least one
-    corr = bank.all_correlations()[rungs[:reach]]
+    corr = bank.all_correlations()
+    corr = corr[rungs:rungs + reach] if isinstance(rungs, int) else corr[rungs[:reach]]
     gaps = np.abs(corr[1:] - corr[:-1]).max(axis=(1, 2)).tolist()
     probes: list[GapProbe] = []
     for k, gap in enumerate(gaps):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .adaptive import _threshold_ladder
 from .core import AdaptiveConfig
-from .corrwin import as_vote_matrix
+from .corrwin import _all_plus_minus_one, as_vote_matrix
 from .triplet import _recover_raw
 
 STRATEGY_ADAPTIVE = "adaptive"
@@ -71,18 +71,22 @@ class Reports:
 def log_odds_weights(p) -> np.ndarray:
     """Per-labeler weights ``ln(p / (1 - p))``; requires 0 < p < 1."""
     acc = np.asarray(p, dtype=float)
-    if (acc <= 0.0).any() or (acc >= 1.0).any():
+    if not ((acc > 0.0) & (acc < 1.0)).all():  # NaN fails
         raise ValueError("accuracies must lie strictly inside (0, 1); clip estimates first")
     return np.log(acc / (1.0 - acc))
 
 
 def weighted_vote(votes, weights) -> int:
-    """Sign of the weighted vote sum; an exact tie predicts +1."""
+    """Sign of the weighted vote sum; an exact tie predicts +1, and a NaN
+    sum (a NaN weight, or opposite infinite terms) raises."""
     v = np.asarray(votes, dtype=float)
     w = np.asarray(weights, dtype=float)
     if v.shape != w.shape:
         raise ValueError(f"votes {v.shape} and weights {w.shape} must align")
-    return 1 if float(v @ w) >= 0.0 else -1
+    score = float(v @ w)
+    if score != score:
+        raise ValueError("weighted vote sum is NaN; weights must be numbers")
+    return 1 if score >= 0.0 else -1
 
 
 def majority_vote(votes) -> int:
@@ -116,7 +120,7 @@ def _check_truths(truths, steps: int) -> np.ndarray | None:
     arr = np.asarray(truths)
     if arr.shape != (steps,):
         raise ValueError(f"expected {steps} truth labels, got shape {arr.shape}")
-    if not np.all(np.abs(arr) == 1):
+    if not _all_plus_minus_one(arr):
         raise ValueError("truth labels must be +/-1")
     return arr.astype(np.int8)
 

@@ -20,6 +20,9 @@ from bisect import bisect_right
 
 import numpy as np
 
+#: ``1.0`` and ``True`` compare (and hash) equal to 1, ``1j`` and NaN do not
+_PLUS_MINUS_ONE = frozenset((1, -1))
+
 
 def _check_sizes(sizes) -> np.ndarray:
     arr = np.asarray(list(sizes), dtype=np.int64)
@@ -105,7 +108,7 @@ class CorrelationBank:
         v = np.asarray(votes)
         if v.shape != (self.n,):
             raise ValueError(f"expected a vote vector of shape ({self.n},), got {v.shape}")
-        if not (np.abs(v) == 1).all():
+        if v.dtype.kind == "c" or not set(v.tolist()) <= _PLUS_MINUS_ONE:
             raise ValueError("votes must be +/-1; resolve abstentions before pushing")
         v8 = v.astype(np.int8)
         t = self._t
@@ -113,7 +116,7 @@ class CorrelationBank:
         if full:
             # read the evicted vectors before the ring slot for step t is
             # overwritten: for r == max_size they are the same slot.
-            ev = self._ring[(t - self._sizes[:full]) % self._cap]
+            ev = self._ring.take(t - self._sizes[:full], axis=0, mode="wrap")
             self._sums[:full] -= ev[:, None, :] * ev[:, :, None]
         self._sums += v8[:, None] * v8[None, :]
         self._ring[t % self._cap] = v8
@@ -149,6 +152,12 @@ def as_vote_matrix(votes, n: int) -> np.ndarray:
     v = np.asarray(votes)
     if v.ndim != 2 or v.shape[1] != n:
         raise ValueError(f"expected a (T, {n}) vote matrix, got shape {v.shape}")
-    if not np.all(np.abs(v) == 1):
+    if not _all_plus_minus_one(v):
         raise ValueError("votes must be +/-1; resolve abstentions first")
     return v.astype(np.int8)
+
+
+def _all_plus_minus_one(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is +1 or -1.  A complex array fails,
+    even where ``|1j| == 1``: its int8 cast would drop the imaginary part."""
+    return a.dtype.kind != "c" and bool(np.all(np.abs(a) == 1))

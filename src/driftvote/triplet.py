@@ -70,14 +70,16 @@ def _recover_raw(mats: np.ndarray) -> np.ndarray:
     # every h's candidates at once; argmax takes the first max in row-major order
     flat = np.where(_witness_masks(n), np.abs(mats)[:, None], -1.0).reshape(batch, n, n * n)
     pick = flat.argmax(axis=2)
-    i, j = pick // n, pick % n
+    i, j = np.divmod(pick, n)
     rows, h = np.arange(batch)[:, None], np.arange(n)
     c_ij = mats[rows, i, j]
     c_ih = mats[rows, i, h]
     c_hj = mats[rows, h, j]
     degenerate = np.abs(c_ij) <= ZERO_TOL
-    ratio = np.abs(c_ih * c_hj / np.where(degenerate, 1.0, c_ij))
-    return np.where(degenerate, 0.5, 0.5 * (1.0 + np.sqrt(ratio)))
+    c_ij[degenerate] = 1.0  # a fresh gather: the input is left as it was
+    raw = 0.5 * (1.0 + np.sqrt(np.abs(c_ih * c_hj / c_ij)))
+    raw[degenerate] = 0.5
+    return raw
 
 
 def recover_accuracies(
@@ -96,7 +98,8 @@ def recover_accuracies(
     clip_lo, clip_hi : float
         Clipping band applied to the raw estimates.
     window : int
-        Sample count behind ``corr``; carried through for reporting.
+        Sample count behind ``corr``, nonnegative; carried through for
+        reporting.
     """
     c = np.asarray(corr, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -108,9 +111,11 @@ def recover_accuracies(
         asym = np.abs(c - c.T).max()
     if not asym <= _SYM_TOL:
         raise ValueError("correlation matrix must be symmetric")
-    if not (np.abs(np.diagonal(c) - 1.0).max() <= _SYM_TOL):
+    if not (np.abs(c.diagonal() - 1.0).max() <= _SYM_TOL):
         raise ValueError("correlation matrix must have unit diagonal")
     if not 0.0 < clip_lo < 0.5 < clip_hi < 1.0:
         raise ValueError(f"clip band must satisfy 0 < lo < 0.5 < hi < 1, got [{clip_lo}, {clip_hi}]")
+    if window < 0:
+        raise ValueError(f"window must be nonnegative, got {window}")
     raw = _recover_raw(c[None])[0]
-    return AccuracyEstimate(raw=raw, accuracies=np.clip(raw, clip_lo, clip_hi), window=int(window))
+    return AccuracyEstimate(raw=raw, accuracies=raw.clip(clip_lo, clip_hi), window=int(window))

@@ -245,6 +245,13 @@ def test_select_window_matches_per_rung_walk(case):
     assert outcome(select_window, bank, config) == outcome(reference_walk, bank, config)
 
 
+def test_gap_probe_is_immutable():
+    probe = GapProbe(1, 1, 2, 0.25, 0.5)
+    with pytest.raises(AttributeError):
+        probe.gap = 0.0
+    assert probe == GapProbe(index=1, window=1, next_window=2, gap=0.25, threshold=0.5)
+
+
 def test_nan_gap_fails_the_walk():
     cfg = AdaptiveConfig(n=3, schedule=WindowSchedule.doubling(6))
     bank = CorrelationBank(3, cfg.schedule.sizes)

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -44,6 +45,18 @@ def test_log_odds_weights_rejects_boundary():
     for bad in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             log_odds_weights(np.array([0.8, bad]))
+
+
+def test_log_odds_weights_rejects_nan():
+    with pytest.raises(ValueError):
+        log_odds_weights([np.nan, 0.5, 0.7])
+
+
+def test_weighted_vote_rejects_nan_sum():
+    with pytest.raises(ValueError, match="NaN"):
+        weighted_vote([1, 1, -1], [np.nan, 1.0, 1.0])
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):  # inf - inf
+        weighted_vote([1, -1, 1], [np.inf, np.inf, 1.0])
 
 
 def test_weighted_vote_follows_heavier_side():
@@ -174,6 +187,25 @@ def test_run_strategy_validation(stream):
         run_strategy(votes, "majority", truths=np.zeros(votes.shape[0], dtype=np.int8))
     with pytest.raises(ValueError):
         run_strategy(votes, "majority", truths=np.ones(7, dtype=np.int8))
+
+
+@pytest.mark.parametrize("bad", [1j, -1j])
+def test_run_strategy_rejects_complex_truth(stream, bad):
+    votes = np.asarray(stream.votes)
+    truths = np.ones(votes.shape[0], dtype=complex)
+    truths[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning from a cast
+        with pytest.raises(ValueError, match="truth labels"):
+            run_strategy(votes, "majority", truths=truths)
+
+
+def test_run_strategy_accepts_float_and_bool_truth(stream):
+    votes = np.asarray(stream.votes)
+    want = run_strategy(votes, "majority", truths=np.ones(votes.shape[0], dtype=np.int8)).truth
+    for truths in (np.ones(votes.shape[0]), np.ones(votes.shape[0], dtype=bool)):
+        got = run_strategy(votes, "majority", truths=truths).truth
+        assert got.dtype == np.int8 and np.array_equal(got, want)
 
 
 def test_adaptive_rejects_ladder_not_starting_at_one(stream):

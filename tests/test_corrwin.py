@@ -5,10 +5,12 @@ history list; because window sums are exact integer arithmetic, every
 comparison is exact equality, not approximate.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from driftvote import CorrelationBank
+from driftvote import CorrelationBank, as_vote_matrix
 
 
 def random_votes(rng, steps, n):
@@ -20,12 +22,20 @@ def naive_pair_sums(history, r):
     return tail.T @ tail
 
 
-def test_push_matches_naive_recomputation_exactly():
+@pytest.mark.parametrize(
+    "sizes, steps",
+    [
+        ((1, 2, 4, 8, 16, 64, 128, 512), 700),
+        ((3, 5, 16, 40), 150),  # a ladder that does not start at 1
+        ((1, 2, 4, 8, 16, 32), 400),  # the ring wraps more than 3 times
+    ],
+    ids=["to-512", "from-3", "wraps"],
+)
+def test_push_matches_naive_recomputation_exactly(sizes, steps):
     rng = np.random.default_rng(11)
-    sizes = (1, 2, 4, 8, 16, 64, 128, 512)
     bank = CorrelationBank(4, sizes)
     history = []
-    for step, row in enumerate(random_votes(rng, 700, 4), start=1):
+    for step, row in enumerate(random_votes(rng, steps, 4), start=1):
         bank.push(row)
         history.append(row)
         if step % 13 == 0 or step <= 5:
@@ -129,6 +139,30 @@ def test_push_and_query_validation():
     with pytest.raises(ValueError):
         bank.pair_sums(5)
     assert not bank.tracks(3) and bank.tracks(4)
+
+
+@pytest.mark.parametrize("bad", [1j, -1j, 1 + 0j, np.nan])
+def test_push_rejects_complex_and_nan_votes(bad):
+    # |1j| == 1, and an int8 cast would drop the imaginary part to leave a
+    # 0; a complex array is rejected even when its imaginary parts are 0
+    bank = CorrelationBank(3, (2, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning from a cast
+        with pytest.raises(ValueError, match=r"\+/-1"):
+            bank.push([1, 1, bad])
+        with pytest.raises(ValueError, match=r"\+/-1"):
+            as_vote_matrix([[1, -1, 1], [1, 1, bad]], 3)
+    assert bank.t == 0
+
+
+def test_push_accepts_float_and_bool_votes():
+    bank = CorrelationBank(3, (2, 4))
+    bank.push(np.array([1.0, -1.0, 1.0]))
+    bank.push(np.array([True, True, True]))
+    want = np.outer([1, -1, 1], [1, -1, 1]) + np.ones((3, 3), dtype=np.int64)
+    assert np.array_equal(bank.pair_sums(2), want)
+    assert np.array_equal(as_vote_matrix([[1.0, -1.0, 1.0], [True, True, True]], 3),
+                          np.array([[1, -1, 1], [1, 1, 1]], dtype=np.int8))
 
 
 def test_all_correlations_matches_individual_queries():

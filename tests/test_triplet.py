@@ -149,6 +149,9 @@ def test_input_validation():
         recover_accuracies(good, clip_lo=0.6)
     with pytest.raises(ValueError):
         recover_accuracies(good, clip_hi=0.4)
+    with pytest.raises(ValueError, match="window"):
+        recover_accuracies(good, window=-5)
+    assert recover_accuracies(good, window=0).window == 0
 
 
 def per_labeler_recover_raw(mats):
