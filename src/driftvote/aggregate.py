@@ -14,10 +14,10 @@ labeler errors are independent given the truth.  Exact ties go to +1.
   where every recovered accuracy clips to the same constant).
 
 ``adaptive`` and ``fixed:R`` run on one offline engine that works on
-chunks of steps at once: exact integer window sums from cumulative sums,
-every step's ladder walk as one table of gaps, one batched recovery, and
-one dot-product vote per step.  Its outputs are bit-identical to pushing
-each step into a :class:`.CorrelationBank` and calling
+chunks of steps at once: each chunk extends one :class:`.CorrelationBank`,
+which gives every window's exact sums; every step's ladder walk is one
+table of gaps, recovery one batch and the vote one dot product per step.
+Its outputs are bit-identical to pushing each step into a bank and calling
 :func:`.adaptive.select_window`, :func:`.triplet.recover_accuracies`,
 :func:`log_odds_weights` and :func:`weighted_vote`; that per-step online
 API stays the engine's oracle.
@@ -31,7 +31,7 @@ import numpy as np
 
 from .adaptive import _threshold_ladder
 from .core import AdaptiveConfig
-from .corrwin import _all_plus_minus_one, as_vote_matrix
+from .corrwin import CorrelationBank, _all_plus_minus_one, as_vote_matrix
 from .triplet import _recover_raw
 
 STRATEGY_ADAPTIVE = "adaptive"
@@ -183,37 +183,6 @@ _CHUNK_BUDGET = 2**12
 _CHUNK_MIN_ROWS = 16
 
 
-def _correlation_chunks(v: np.ndarray, sizes):
-    """Yield ``(start, corr)`` over consecutive row chunks of ``v``: ``corr``
-    (c, K, P) float64 holds, after each row ``start .. start + c - 1``, the
-    upper-triangle correlations of every window in ``sizes``.
-
-    The same numbers as :meth:`.CorrelationBank.correlation` after each
-    push: a window's integer pair sums are the previous chunk's sums plus
-    the cumulative sum of the chunk's new rows minus that of the rows each
-    new row evicts, divided by ``min(t, r)``.  The diagonal is left out;
-    it is exactly 1.
-    """
-    steps, n = v.shape
-    iu, ju = np.triu_indices(n, 1)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    chunk = max(_CHUNK_MIN_ROWS, _CHUNK_BUDGET // (len(sizes) * len(iu)))
-    carry = np.zeros((len(sizes), len(iu)), dtype=np.int64)
-    for start in range(0, steps, chunk):
-        stop = min(start + chunk, steps)
-        rows = v[start:stop]
-        sums = carry + np.cumsum(rows[:, iu] * rows[:, ju], axis=0, dtype=np.int64)[:, None, :]
-        live = int(np.searchsorted(sizes, stop))  # rungs r < stop evict in this chunk
-        if live:
-            gone = np.arange(start, stop)[:, None] - sizes[:live]
-            old = v[np.maximum(gone, 0)]
-            pairs = old[..., iu] * old[..., ju] * (gone >= 0)[..., None]
-            sums[:, :live] -= np.cumsum(pairs, axis=0, dtype=np.int64)
-        carry = sums[-1].copy()
-        t = np.arange(start + 1, stop + 1)
-        yield start, sums / np.minimum(t[:, None], sizes)[..., None]
-
-
 def _walk(
     corr: np.ndarray, t: np.ndarray, sizes: np.ndarray, thresholds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -276,6 +245,8 @@ def run_strategy(
 
     adaptive = kind == STRATEGY_ADAPTIVE
     sizes = np.array(config.schedule.sizes if adaptive else (fixed_r,))
+    bank = CorrelationBank(n, sizes)
+    chunk = max(_CHUNK_MIN_ROWS, _CHUNK_BUDGET // (len(sizes) * n * (n - 1) // 2))
     prediction = np.empty(steps, dtype=np.int8)
     window = np.empty(steps, dtype=np.int64)
     p_hat = np.empty((steps, n))
@@ -283,8 +254,9 @@ def run_strategy(
     stop_reason = np.empty(steps, dtype=np.int8) if adaptive else None
     if adaptive:
         thresholds = np.array(_threshold_ladder(config.schedule.sizes, config.beta, config.bound_const))
-    for start, corr in _correlation_chunks(v, sizes):
-        rows = slice(start, start + len(corr))
+    for start in range(0, steps, chunk):
+        rows = slice(start, min(start + chunk, steps))
+        corr = bank._extend(v[rows])
         t = np.arange(rows.start + 1, rows.stop + 1)
         if adaptive:
             k, stop_reason[rows] = _walk(corr, t, sizes, thresholds)

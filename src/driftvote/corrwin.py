@@ -12,11 +12,16 @@ subtracted from its accumulator, and the new outer product is added to
 every accumulator.  Sizes are increasing, so the windows at capacity are
 always a prefix of the ladder, and both updates are one in-place array
 operation each.  Only the newest ``max(sizes)`` vote vectors are retained.
+
+The offline engine extends a bank by a chunk of rows at once: a window's
+sums after each row are its carried sums plus the cumsum of the chunk's
+pair products minus that of the rows it evicts, read from the chunk or,
+when older, from the ring.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -121,6 +126,27 @@ class CorrelationBank:
         self._sums += v8[:, None] * v8[None, :]
         self._ring[t % self._cap] = v8
         self._t = t + 1
+
+    def _extend(self, rows: np.ndarray) -> np.ndarray:
+        """Push a checked (c, n) int8 chunk, c >= 1, as ``c`` pushes would;
+        return (c, K, P) float64 upper-triangle correlations after each row."""
+        c, n, t0, sizes = len(rows), self.n, self._t, self._sizes
+        iu, ju = np.triu_indices(n, 1)
+        step = np.cumsum(rows[:, iu] * rows[:, ju], axis=0, dtype=np.int64)
+        sums = self._sums[:, iu, ju] + step[:, None, :]
+        live = bisect_left(self._size_tuple, t0 + c)  # windows r < t0 + c evict
+        if live:
+            gone = np.arange(t0, t0 + c)[:, None] - sizes[:live]
+            # a window not yet full evicts a zero row: gone < 0 wraps to an unfilled slot
+            old = self._ring.take(gone, axis=0, mode="wrap")
+            fresh = gone >= t0
+            old[fresh] = rows[gone[fresh] - t0]
+            sums[:, :live] -= np.cumsum(old[..., iu] * old[..., ju], axis=0, dtype=np.int64)
+        self._sums[:, iu, ju] = self._sums[:, ju, iu] = sums[-1]
+        self._sums[:, range(n), range(n)] = np.minimum(sizes, t0 + c)[:, None]
+        self._ring[np.arange(t0, t0 + c)[-self._cap:] % self._cap] = rows[-self._cap:]
+        self._t = t0 + c
+        return sums / np.minimum(np.arange(t0 + 1, t0 + c + 1)[:, None], sizes)[..., None]
 
     def _key(self, r: int) -> int:
         try:

@@ -98,8 +98,8 @@ def recover_accuracies(
     clip_lo, clip_hi : float
         Clipping band applied to the raw estimates.
     window : int
-        Sample count behind ``corr``, nonnegative; carried through for
-        reporting.
+        Sample count behind ``corr``: a nonnegative Python or numpy
+        integer, not a bool; carried through for reporting.
     """
     c = np.asarray(corr, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -115,7 +115,7 @@ def recover_accuracies(
         raise ValueError("correlation matrix must have unit diagonal")
     if not 0.0 < clip_lo < 0.5 < clip_hi < 1.0:
         raise ValueError(f"clip band must satisfy 0 < lo < 0.5 < hi < 1, got [{clip_lo}, {clip_hi}]")
-    if window < 0:
-        raise ValueError(f"window must be nonnegative, got {window}")
+    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 0:
+        raise ValueError(f"window must be a nonnegative integer, got {window!r}")
     raw = _recover_raw(c[None])[0]
     return AccuracyEstimate(raw=raw, accuracies=raw.clip(clip_lo, clip_hi), window=int(window))

@@ -366,3 +366,24 @@ def test_cli_reports_match_reference_with_constant_labeler_and_zero_witness(tmp_
             assert np.all(reports.p_hat[fixed_r - 1:32] == 0.5)
             assert np.all(reports.weights[fixed_r - 1:32] == 0.0)
             assert np.all(reports.prediction[fixed_r - 1:32] == 1)
+
+
+def test_below_chance_labeler_mirrors_to_its_complement():
+    """Labeler 4 votes the truth with accuracy 0.3 on a stationary n = 4
+    stream.  Its correlations with the others are negative, and the triplet
+    map sees only the magnitude of ``C_ih * C_hj / C_ij``, so its estimate
+    mirrors to about 1 - 0.3 = 0.7 and its vote gets a positive weight,
+    where the truth would want a negative one.  This pins that behaviour."""
+    from driftvote import BlockSpec, SyntheticStreamConfig
+
+    blocks = (BlockSpec(length=600, accuracies=(0.85, 0.8, 0.75, 0.3)),)
+    stream = generate_synthetic(SyntheticStreamConfig(blocks=blocks, seed=4, n=4))
+    config = AdaptiveConfig(n=4, schedule=WindowSchedule.doubling(10))
+    for strategy, fixed_r in (("adaptive", None), ("fixed:256", 256)):
+        reports = run_strategy(stream.votes, strategy, config)
+        assert_matches_reference(reports, reference_reports(stream.votes, config, fixed_r))
+        late = slice(300, None)  # every window here is at least 128 steps
+        assert reports.window[late].min() >= 128
+        assert abs(np.median(reports.p_hat[late, 3]) - 0.7) < 0.03
+        assert np.all((reports.p_hat[late, 3] > 0.6) & (reports.p_hat[late, 3] < 0.8))
+        assert np.all(reports.weights[late, 3] > 0.0)

@@ -174,3 +174,37 @@ def test_all_correlations_matches_individual_queries():
     stacked = bank.all_correlations()
     for k, r in enumerate(sizes):
         assert np.array_equal(stacked[k], bank.correlation(r))
+
+
+@pytest.mark.parametrize(
+    "sizes", [(1, 2, 4, 8, 16), (3, 5, 16), (6,)], ids=["from-1", "from-3", "one-size"]
+)
+def test_extend_matches_push_loop_exactly(sizes):
+    """The engine's chunk step: each returned row is the upper triangle of
+    ``all_correlations()`` after the same pushes, and the bank it leaves
+    behind is the one a push loop leaves, also past a wrap of the ring."""
+    rng = np.random.default_rng(18)
+    n, steps, cap = 4, 150, sizes[-1]
+    votes = random_votes(rng, steps, n)
+    iu, ju = np.triu_indices(n, 1)
+    extended, pushed = CorrelationBank(n, sizes), CorrelationBank(n, sizes)
+    start = 0
+    # twice round the short lengths, then one chunk past the stream's end
+    for length in 2 * [1, 2, 7, cap - 1, cap, cap + 1] + [steps + 5]:
+        rows = votes[start:start + length]
+        got = extended._extend(rows)
+        assert got.shape == (len(rows), len(sizes), len(iu))
+        for row, corr in zip(rows, got):
+            pushed.push(row)
+            assert corr.tobytes() == pushed.all_correlations()[:, iu, ju].tobytes()
+        start += len(rows)
+        assert extended.t == pushed.t == start
+        assert extended.retained == pushed.retained
+        for r in sizes:
+            assert extended.pair_sums(r).tobytes() == pushed.pair_sums(r).tobytes()
+    assert start == steps and len(rows) > cap  # the last chunk wraps the ring
+    for row in random_votes(rng, 2 * cap + 3, n):
+        extended.push(row)
+        pushed.push(row)
+        for r in sizes:
+            assert extended.pair_sums(r).tobytes() == pushed.pair_sums(r).tobytes()

@@ -151,7 +151,13 @@ def test_input_validation():
         recover_accuracies(good, clip_hi=0.4)
     with pytest.raises(ValueError, match="window"):
         recover_accuracies(good, window=-5)
+    for bad_window in (2.7, 3.0, np.float64(4.0), "5", None, True, np.bool_(False)):
+        with pytest.raises(ValueError, match="window must be a nonnegative integer"):
+            recover_accuracies(good, window=bad_window)
     assert recover_accuracies(good, window=0).window == 0
+    for window in (7, np.int64(7), np.int8(7), np.uint32(7)):
+        est = recover_accuracies(good, window=window)
+        assert est.window == 7 and type(est.window) is int
 
 
 def per_labeler_recover_raw(mats):
