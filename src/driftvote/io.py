@@ -24,14 +24,24 @@ reasons one of the names in :data:`~driftvote.adaptive.STOPS`; anything
 else is a :class:`StreamFormatError` naming the file.  A stop reason is
 written as its name and read back as its int8 code, the index of that
 name in ``STOPS``.  Floats round-trip exactly through JSON's shortest-repr
-encoding.
+encoding.  ``p_hat`` and ``weights`` must be finite to be written: JSON
+has no spelling of NaN or infinity, so :func:`write_reports` raises a
+:class:`ValueError` naming the column instead.
+
+JSONL files are read in blocks of lines: each block is decoded with one
+``json.loads`` and checked by columns.  A block that fails a bulk check
+is parsed again line by line, so every error names the same line, with
+the same message, as a line-by-line reader would give.  JSONL streams
+and reports are written from one ``%``-format template per file, byte for
+byte what ``json.dumps`` of each line gives.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from itertools import chain
+import re
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +57,15 @@ class StreamFormatError(ValueError):
 
 _VOTE_VALUES = (-1, 0, 1)
 _LABEL_VALUES = (-1, 1)
+#: the bulk checks of a block of JSONL stream lines (a boolean is not an int)
+_VOTE_SET = set(_VOTE_VALUES)
+_LABEL_SET = {*_LABEL_VALUES, None}
+_INT_OR_NONE = {int, type(None)}
+
+#: JSONL lines read, decoded and checked together
+_BLOCK = 4096
+#: an object closed and followed by a comma within one line
+_OBJECT_THEN_COMMA = re.compile(r"\}[ \t\r]*,")
 
 
 def _bad(path, lineno: int, msg: str) -> StreamFormatError:
@@ -71,28 +90,99 @@ def _check_label(label, path, lineno: int) -> int | None:
 
 
 def _jsonl_objects(path):
-    """Yield ``(lineno, parsed JSON value)`` for each nonblank JSONL line."""
+    """Yield ``(linenos, objects)`` for each block of up to ``_BLOCK``
+    lines, blank lines left out, one decoded value per nonblank line.
+
+    A block is decoded with one ``json.loads`` of its lines joined into an
+    array.  That array is kept only when it holds one object per line and
+    no line closes an object and then goes on with a comma: every comma
+    between two of its values is then one of the joins, so each line
+    holds exactly one object.  Any other block is decoded line by line; at
+    a line that does not decode, the lines before it are yielded first, so
+    that a caller's check of an earlier line still wins, as it would when
+    every line is read on its own.
+    """
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+        start = 1
+        while raw := list(islice(fh, _BLOCK)):
+            lines = list(filter(str.strip, raw))
+            if len(lines) == len(raw):
+                linenos = range(start, start + len(raw))
+            else:
+                linenos = [start + i for i, line in enumerate(raw) if line.strip()]
+            start += len(raw)
+            if not lines:
                 continue
+            text = "[" + ",".join(lines) + "]"
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise _bad(path, lineno, f"bad JSON: {err}") from None
-            yield lineno, obj
+                objects = json.loads(text)
+            except json.JSONDecodeError:
+                objects = None
+            if (
+                objects is None
+                or len(objects) != len(lines)
+                or set(map(type, objects)) != {dict}
+                or _OBJECT_THEN_COMMA.search(text)
+            ):
+                objects = []
+                for lineno, line in zip(linenos, lines):
+                    try:
+                        objects.append(json.loads(line))
+                    except json.JSONDecodeError as err:
+                        yield linenos[:len(objects)], objects
+                        raise _bad(path, lineno, f"bad JSON: {err}") from None
+            yield linenos, objects
 
 
-def _jsonl_rows(path):
-    """Yield checked ``(votes, label or None)`` for each nonblank JSONL line."""
-    for lineno, obj in _jsonl_objects(path):
-        if not isinstance(obj, dict) or "votes" not in obj:
-            raise _bad(path, lineno, "expected an object with a 'votes' field")
-        t = obj.get("t")
-        if t is not None and (isinstance(t, bool) or not isinstance(t, int)):
-            raise _bad(path, lineno, f"t must be an int, got {t!r}")
-        votes = _check_votes(obj["votes"], path, lineno)
-        yield votes, _check_label(obj.get("label"), path, lineno)
+def _jsonl_row(obj, path, lineno: int):
+    """Checked ``(votes, label or None)`` of one JSONL stream object."""
+    if not isinstance(obj, dict) or "votes" not in obj:
+        raise _bad(path, lineno, "expected an object with a 'votes' field")
+    t = obj.get("t")
+    if t is not None and (isinstance(t, bool) or not isinstance(t, int)):
+        raise _bad(path, lineno, f"t must be an int, got {t!r}")
+    votes = _check_votes(obj["votes"], path, lineno)
+    return votes, _check_label(obj.get("label"), path, lineno)
+
+
+def _rows_block(rows):
+    """``(votes, truth, widths)`` of checked ``(votes, label)`` rows: int8
+    votes (None unless every row has one width), int8 labels (None unless
+    every row has one) and the set of row widths."""
+    votes, labels = zip(*rows) if rows else ((), ())
+    widths = set(map(len, votes))
+    array = np.array(votes, dtype=np.int8) if len(widths) == 1 else None
+    truth = np.array(labels, dtype=np.int8) if rows and None not in labels else None
+    return array, truth, widths
+
+
+def _jsonl_block(path, linenos, objects):
+    """``(votes, truth, widths)`` of one block of JSONL stream objects, as
+    :func:`_rows_block` gives them.
+
+    The block is checked by columns: value types, value sets and one
+    width.  A block that fails any of these is checked again line by line,
+    which raises the first bad line's error with its line number; a block
+    of several widths passes that check.
+    """
+    if set(map(type, objects)) == {dict}:
+        rows = [obj.get("votes") for obj in objects]
+        labels = [obj.get("label") for obj in objects]
+        steps = [obj.get("t") for obj in objects]
+        if set(map(type, rows)) == {list} and len(widths := set(map(len, rows))) == 1:
+            flat = list(chain.from_iterable(rows))
+            if (
+                flat
+                and set(map(type, flat)) == {int}
+                and set(flat) <= _VOTE_SET
+                and set(map(type, labels)) <= _INT_OR_NONE
+                and set(labels) <= _LABEL_SET
+                and set(map(type, steps)) <= _INT_OR_NONE
+            ):
+                votes = np.array(flat, dtype=np.int8).reshape(len(rows), -1)
+                truth = None if None in labels else np.array(labels, dtype=np.int8)
+                return votes, truth, widths
+    return _rows_block([_jsonl_row(obj, path, lineno) for lineno, obj in zip(linenos, objects)])
 
 
 def _csv_rows(path):
@@ -135,24 +225,25 @@ def read_stream(path) -> Stream:
     line) into a :class:`Stream` of int8 votes, 0 kept for an abstention.
 
     ``truth`` is set only when every line carries a label.  An empty or
-    blank file reads as a zero-row stream.  All lines must have the same
-    number of votes; format violations raise :class:`StreamFormatError`
-    naming the file and line.
+    blank file reads as zero rows.  All lines must have the same number
+    of votes; format violations raise :class:`StreamFormatError` naming
+    the file and line, and a line's violation anywhere in the file wins
+    over inconsistent widths.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         head = next((line.lstrip() for line in fh if line.strip()), "")
-    rows: list[list[int]] = []
-    labels: list[int | None] = []
-    if head:
-        for votes, label in (_jsonl_rows if head.startswith("{") else _csv_rows)(path):
-            rows.append(votes)
-            labels.append(label)
-    widths = {len(row) for row in rows}
+    if head.startswith("{"):
+        blocks = [_jsonl_block(path, *block) for block in _jsonl_objects(path)]
+    else:
+        blocks = [_rows_block(list(_csv_rows(path)) if head else [])]
+    widths = set().union(*(block_widths for _, _, block_widths in blocks))
     if len(widths) > 1:
         raise StreamFormatError(f"{path}: inconsistent labeler counts {sorted(widths)}")
-    votes = np.array(rows, dtype=np.int8).reshape(len(rows), widths.pop() if widths else 0)
-    truth = np.array(labels, dtype=np.int8) if rows and None not in labels else None
+    chunks = [votes for votes, _, _ in blocks if votes is not None]
+    truths = [truth for _, truth, _ in blocks]
+    votes = np.concatenate(chunks) if chunks else np.empty((0, 0), dtype=np.int8)
+    truth = np.concatenate(truths) if chunks and all(t is not None for t in truths) else None
     return Stream(votes=votes, truth=truth)
 
 
@@ -161,23 +252,29 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
     set, as JSONL or CSV.
 
     ``fmt`` defaults to the file extension (".csv" means CSV, anything
-    else JSONL).
+    else JSONL).  JSONL lines come from one ``%d`` template, so votes and
+    labels must be integer arrays (a boolean is not an integer); anything
+    else raises :class:`ValueError` naming the column.
     """
     path = Path(path)
     if fmt is None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown stream format {fmt!r}")
+    if fmt == "jsonl":
+        votes = _writable("votes", stream.votes, 2, len(stream.votes))
+        template = '{"votes": [' + ", ".join(["%d"] * votes.shape[1]) + "]"
+        columns = votes.T.tolist()
+        if stream.truth is not None:
+            template += ', "label": %d'
+            columns.append(_writable("truth", stream.truth, 1, len(votes)).tolist())
+        template += "}\n"
+        with open(path, "w", encoding="utf-8") as fh:
+            # a stream of no labelers and no labels has no columns to zip
+            fh.writelines(map(template.__mod__, zip(*columns)) if columns else repeat(template, len(votes)))
+        return
     rows = stream.votes.tolist()
     labels = None if stream.truth is None else stream.truth.tolist()
-    if fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for i, row in enumerate(rows):
-                obj: dict = {"votes": row}
-                if labels is not None:
-                    obj["label"] = labels[i]
-                fh.write(json.dumps(obj) + "\n")
-        return
     header = [f"votes_{i + 1}" for i in range(stream.votes.shape[1])]
     if labels is not None:
         header.append("label")
@@ -188,6 +285,8 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
         writer.writerows(rows)
 
 
+_JSON_BOOLS = ("false", "true")
+_STOP_NAMES = tuple(map(json.dumps, STOPS))
 _REPORT_FIELDS = ("t", "window", "p_hat", "weights", "prediction", "truth", "correct", "stop_reason")
 
 #: per report column kept on read: dtype, dimension, the JSON value types
@@ -203,20 +302,52 @@ _REPORT_COLUMNS = {
 }
 
 
+def _writable(name: str, column, ndim: int, rows: int, floats: bool = False) -> np.ndarray:
+    """``column`` as an array of ``rows`` rows and ``ndim`` dimensions,
+    floats as float64 or integers (a boolean is not an integer), so that
+    a ``%r``/``%d`` template writes it as ``json`` would."""
+    a = np.asarray(column)
+    if a.dtype.kind not in ("f" if floats else "iu") or a.ndim != ndim or len(a) != rows:
+        what = "floats" if floats else "integers"
+        raise ValueError(f"{name!r} must be {ndim}-d {what} with {rows} rows, got {a.dtype} {a.shape}")
+    return a.astype(np.float64, copy=False) if floats else a
+
+
 def write_reports(path, reports: Reports) -> None:
     """Write :class:`Reports` as JSONL, one line per step with ``t`` = 1..T,
     the derived ``correct`` and stop reasons by name, omitting absent
-    columns."""
-    columns = [("t", range(1, len(reports) + 1))]
+    columns.
+
+    Every column must have the dtype kind, dimension and length that
+    :class:`Reports` gives it, and ``p_hat``/``weights`` must be finite;
+    anything else raises :class:`ValueError` naming the column.
+    """
+    rows = len(reports)
+    fields, columns = ['"t": %d'], [range(1, rows + 1)]
     for name in _REPORT_FIELDS[1:]:
         column = getattr(reports, name)
-        if column is not None:
-            values = column.tolist()
-            columns.append((name, [STOPS[c] for c in values] if name == "stop_reason" else values))
-    names = [name for name, _ in columns]
+        if column is None:
+            continue
+        if name == "correct":  # derived from the checked prediction and truth
+            fields.append('"correct": %s')
+            columns.append(list(map(_JSON_BOOLS.__getitem__, column.tolist())))
+            continue
+        dtype, ndim = _REPORT_COLUMNS[name][:2]
+        column = _writable(name, column, ndim, rows, floats=dtype is np.float64)
+        if ndim == 2:
+            if not np.isfinite(column).all():
+                raise ValueError(f"{name!r} values must be finite")
+            fields.append(f'"{name}": [' + ", ".join(["%r"] * column.shape[1]) + "]")
+            columns += column.T.tolist()
+        elif name == "stop_reason":
+            fields.append('"stop_reason": %s')
+            columns.append(list(map(_STOP_NAMES.__getitem__, column.tolist())))
+        else:
+            fields.append(f'"{name}": %d')
+            columns.append(column.tolist())
+    template = "{" + ", ".join(fields) + "}\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for row in zip(*(column for _, column in columns)):
-            fh.write(json.dumps(dict(zip(names, row))) + "\n")
+        fh.writelines(map(template.__mod__, zip(*columns)))
 
 
 def read_reports(path) -> Reports:
@@ -227,14 +358,19 @@ def read_reports(path) -> Reports:
     empty file reads as zero rows.
     """
     lines = []
-    for lineno, obj in _jsonl_objects(path):
-        if not isinstance(obj, dict) or "t" not in obj or "prediction" not in obj:
-            raise _bad(path, lineno, "expected an object with 't' and 'prediction'")
-        lines.append(obj)
+    for linenos, objects in _jsonl_objects(path):
+        for lineno, obj in zip(linenos, objects):
+            if not isinstance(obj, dict) or "t" not in obj or "prediction" not in obj:
+                raise _bad(path, lineno, "expected an object with 't' and 'prediction'")
+        lines += objects
     columns = {}
     for name, (dtype, ndim, kinds, rule, check) in _REPORT_COLUMNS.items():
+        # a column is kept only when every line has it, so a column the
+        # first line lacks is not gathered at all
+        if name != "prediction" and not (lines and name in lines[0]):
+            continue
         values = [obj.get(name) for obj in lines]
-        if name != "prediction" and (not values or None in values):
+        if name != "prediction" and None in values:
             continue
         raw = values
         if name == "stop_reason":  # any other value reads as -1 and fails the check

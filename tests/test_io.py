@@ -1,12 +1,14 @@
 """Stream/report file formats: round-trips, sniffing, error reporting."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import driftvote.io as dio
 from driftvote import (
     STOPS,
     AdaptiveConfig,
@@ -256,14 +258,19 @@ def test_majority_reports_omit_fields(tmp_path, labeled_votes):
     assert_same_reports(read_reports(path), reports)
 
 
+#: any finite float, with negative zero, subnormals and integer values drawn often
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((-0.0, 0.0, 5e-324, -1e-310, 2.0**-1070, 1.0, -3.0, 1e16, 2.0**53)),
+)
+
+
 @st.composite
 def report_columns(draw):
     steps = draw(st.integers(1, 60))
     n = draw(st.integers(3, 8))
     signs = st.lists(st.sampled_from((-1, 1)), min_size=steps, max_size=steps)
-    floats = st.lists(
-        st.floats(allow_nan=False, allow_infinity=False), min_size=steps * n, max_size=steps * n
-    )
+    floats = st.lists(FINITE_FLOATS, min_size=steps * n, max_size=steps * n)
     columns = {"prediction": np.array(draw(signs), dtype=np.int8)}
     if draw(st.booleans()):
         windows = draw(st.lists(st.integers(1, 2**40), min_size=steps, max_size=steps))
@@ -403,3 +410,273 @@ def test_series_csv(tmp_path):
         "4,0.25",
         "5,1.0",
     ]
+
+
+# -- the writers' byte oracle: one json.dumps of a dict per row ---------------
+
+
+def dumps_stream(stream):
+    rows = stream.votes.tolist()
+    labels = None if stream.truth is None else stream.truth.tolist()
+    lines = []
+    for i, row in enumerate(rows):
+        obj = {"votes": row}
+        if labels is not None:
+            obj["label"] = labels[i]
+        lines.append(json.dumps(obj) + "\n")
+    return "".join(lines)
+
+
+def dumps_reports(reports):
+    columns = [("t", range(1, len(reports) + 1))]
+    for name in ("window", "p_hat", "weights", "prediction", "truth", "correct", "stop_reason"):
+        column = getattr(reports, name)
+        if column is not None:
+            values = column.tolist()
+            columns.append((name, [STOPS[c] for c in values] if name == "stop_reason" else values))
+    names = [name for name, _ in columns]
+    return "".join(json.dumps(dict(zip(names, row))) + "\n" for row in zip(*(c for _, c in columns)))
+
+
+#: the columns each strategy produces, before labels
+STRATEGY_COLUMNS = {
+    "adaptive": ("window", "p_hat", "weights", "stop_reason"),
+    "fixed": ("window", "p_hat", "weights"),
+    "majority": (),
+}
+
+
+@st.composite
+def strategy_reports(draw):
+    steps = draw(st.integers(0, 40))
+    n = draw(st.integers(1, 8))
+    signs = st.lists(st.sampled_from((-1, 1)), min_size=steps, max_size=steps)
+    int_dtype = draw(st.sampled_from((np.int8, np.int64)))
+    columns = {"prediction": np.array(draw(signs), dtype=int_dtype)}
+    for name in STRATEGY_COLUMNS[draw(st.sampled_from(sorted(STRATEGY_COLUMNS)))]:
+        if name == "window":
+            values = draw(st.lists(st.integers(1, 2**62), min_size=steps, max_size=steps))
+            columns[name] = np.array(values, dtype=np.int64)
+        elif name == "stop_reason":
+            codes = st.lists(st.integers(0, len(STOPS) - 1), min_size=steps, max_size=steps)
+            columns[name] = np.array(draw(codes), dtype=np.int8)
+        else:
+            values = draw(st.lists(FINITE_FLOATS, min_size=steps * n, max_size=steps * n))
+            columns[name] = np.array(values, dtype=np.float64).reshape(steps, n)
+    if draw(st.booleans()):
+        columns["truth"] = np.array(draw(signs), dtype=int_dtype)
+    return Reports(**columns)
+
+
+@settings(max_examples=80, deadline=None)
+@given(reports=strategy_reports())
+def test_write_reports_bytes_match_json_dumps(tmp_path_factory, reports):
+    path = tmp_path_factory.mktemp("bytes") / "reports.jsonl"
+    write_reports(path, reports)
+    assert path.read_text() == dumps_reports(reports)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=streams())
+def test_write_stream_jsonl_bytes_match_json_dumps(tmp_path_factory, stream):
+    path = tmp_path_factory.mktemp("bytes") / "stream.jsonl"
+    write_stream(path, stream)
+    assert path.read_text() == dumps_stream(stream)
+
+
+def test_write_stream_of_no_labelers_writes_empty_vote_lists(tmp_path):
+    path = tmp_path / "stream.jsonl"
+    for truth in (None, np.array([1, -1], dtype=np.int8)):
+        stream = Stream(votes=np.empty((2, 0), dtype=np.int8), truth=truth)
+        write_stream(path, stream)
+        assert path.read_text() == dumps_stream(stream)
+
+
+def test_float32_estimates_are_written_as_json_writes_them(tmp_path):
+    p_hat = np.array([[0.1, 0.7], [1.0, -0.0]], dtype=np.float32)
+    reports = Reports(prediction=np.array([1, -1], dtype=np.int8), window=np.array([1, 2]), p_hat=p_hat)
+    path = tmp_path / "reports.jsonl"
+    write_reports(path, reports)
+    assert path.read_text() == dumps_reports(reports)
+
+
+_BAD_COLUMNS = [
+    ("window", np.array([1.0, 2.0])),
+    ("window", np.array([1, 2, 3])),
+    ("window", np.array([[1], [2]])),
+    ("prediction", np.array([True, False])),
+    ("prediction", np.array([1.0, -1.0])),
+    ("truth", np.array([True, True])),
+    ("p_hat", np.array([[1, 0], [0, 1]])),
+    ("p_hat", np.array([0.5, 0.5])),
+    ("weights", np.array([[True, False], [False, True]])),
+    ("stop_reason", np.array([0.0, 1.0])),
+]
+
+
+@pytest.mark.parametrize("name, column", _BAD_COLUMNS)
+def test_write_reports_rejects_columns_outside_the_dtype_contract(tmp_path, name, column):
+    columns = {"prediction": np.array([1, -1], dtype=np.int8), name: column}
+    with pytest.raises(ValueError, match=f"'{name}' must be"):
+        write_reports(tmp_path / "r.jsonl", Reports(**columns))
+
+
+@pytest.mark.parametrize("name, column", [
+    ("votes", np.array([[True, False]])),
+    ("votes", np.array([[1.0, -1.0]])),
+    ("votes", np.array([1, -1], dtype=np.int8)),
+    ("truth", np.array([1.0])),
+    ("truth", np.array([1, 1], dtype=np.int8)),
+])
+def test_write_stream_rejects_non_integer_columns(tmp_path, name, column):
+    columns = {"votes": np.array([[1, -1]], dtype=np.int8), name: column}
+    with pytest.raises(ValueError, match=f"'{name}' must be"):
+        write_stream(tmp_path / "s.jsonl", Stream(**columns))
+
+
+@pytest.mark.parametrize("name", ["p_hat", "weights"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_reports_rejects_non_finite_estimates(tmp_path, name, value):
+    column = np.full((2, 3), 0.5)
+    column[1, 2] = value
+    reports = Reports(prediction=np.array([1, -1], dtype=np.int8), **{name: column})
+    with pytest.raises(ValueError, match=f"'{name}' values must be finite"):
+        write_reports(tmp_path / "r.jsonl", reports)
+
+
+# -- files longer than one block: the same result and errors as line by line ---
+
+
+def read_stream_per_line(path):
+    """One ``json.loads`` and one check per line, then the width check: the
+    reader before files were read in blocks, the oracle of the block reader."""
+    rows, labels = [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise StreamFormatError(f"{path}:{lineno}: bad JSON: {err}") from None
+            votes, label = dio._jsonl_row(obj, path, lineno)
+            rows.append(votes)
+            labels.append(label)
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise StreamFormatError(f"{path}: inconsistent labeler counts {sorted(widths)}")
+    votes = np.array(rows, dtype=np.int8).reshape(len(rows), widths.pop() if widths else 0)
+    truth = np.array(labels, dtype=np.int8) if rows and None not in labels else None
+    return Stream(votes=votes, truth=truth)
+
+
+def outcome(read, path):
+    """What ``read(path)`` gives: the error text, or the stream's arrays."""
+    try:
+        stream = read(path)
+    except StreamFormatError as err:
+        return str(err)
+    return stream.votes.dtype, stream.votes.tolist(), None if stream.truth is None else stream.truth.tolist()
+
+
+GOOD = '{"votes": [1, -1, 0], "label": 1, "t": 4}'
+
+#: (name, {line number: text}, line the error names or None for the width
+#: error) planted into 14 good lines, which are read in blocks of 3
+_FAULTS = [
+    ("bad JSON", {11: "not json"}, 11),
+    ("two objects on one line", {11: '{"votes": [1, 1, 1]}, {"votes": [1, 1, 1]}'}, 11),
+    ("missing votes", {11: '{"label": 1}'}, 11),
+    ("a true vote", {11: '{"votes": [1, true, 0]}'}, 11),
+    ("label 2", {11: '{"votes": [1, 1, 0], "label": 2}'}, 11),
+    ("t soon", {11: '{"votes": [1, 1, 0], "t": "soon"}'}, 11),
+    ("ragged across blocks", {2: '{"votes": [1, 1]}', 11: '{"votes": [1, 1, 1, 1]}'}, None),
+    ("ragged in one block", {10: '{"votes": [1, 1]}', 11: '{"votes": [1, 1, 1, 1]}'}, None),
+    ("ragged then a bad line", {2: '{"votes": [1, 1]}', 13: '{"votes": [1, 5, 0]}'}, 13),
+    ("a check before bad JSON in one block", {10: '{"votes": [1, true, 0]}', 11: "{"}, 10),
+    # one object split over two lines, and two objects on a third: the block
+    # decodes to one object per line, yet only the third line is one value
+    ("split object", {10: '{"votes": [1, 1, 1], "x": [{"a": 1}', 11: '{"b": 2}]}',
+                      12: '{"votes": [1, 1, 1]}, {"votes": [1, 1, 1]}'}, 10),
+    ("not an object", {11: "[1, -1, 0]"}, 11),
+    ("votes not a list", {11: '{"votes": 1}'}, 11),
+    ("an empty vote list", {11: '{"votes": []}'}, 11),
+    ("a vote out of int8", {11: '{"votes": [1, 300, 0]}'}, 11),
+    ("a float vote", {11: '{"votes": [1, 1.0, 0]}'}, 11),
+    ("a boolean label", {11: '{"votes": [1, 1, 0], "label": true}'}, 11),
+    ("a float t", {11: '{"votes": [1, 1, 0], "t": 1.5}'}, 11),
+]
+
+
+def planted(path, faults, lines=14):
+    """``lines`` good lines and a blank one after the fifth, with
+    ``faults`` put in place of lines (numbered in the written file)."""
+    text = [GOOD] * lines
+    text.insert(5, "  ")
+    for lineno, line in faults.items():
+        text[lineno - 1] = line
+    path.write_text("\n".join(text) + "\n")
+
+
+@pytest.mark.parametrize("faults, lineno", [f[1:] for f in _FAULTS], ids=[f[0] for f in _FAULTS])
+def test_block_errors_match_the_per_line_reader(tmp_path, monkeypatch, faults, lineno):
+    path = tmp_path / "s.jsonl"
+    planted(path, faults)
+    want = outcome(read_stream_per_line, path)
+    if lineno is None:
+        assert want == f"{path}: inconsistent labeler counts [2, 3, 4]"
+    else:
+        assert want.startswith(f"{path}:{lineno}: ")
+    for block in (3, 4, 4096):
+        monkeypatch.setattr(dio, "_BLOCK", block)
+        assert outcome(read_stream, path) == want
+
+
+#: lines a drawn file is made of, and the faults planted into it
+_GOOD_LINES = (
+    GOOD,
+    '{"votes": [0, 0, 1]}',
+    '{"t": 9, "votes": [-1, -1, 1], "label": -1}',
+    '  {"votes":[1,1,1],"label":1}  ',
+    '{"votes": [1, 1, 1], "x": "}, {"}',
+    '{"votes": [1, 1, 1], "x": [{"y": 1}, {"z": 2}]}',
+    "",
+    " \t",
+)
+_BAD_LINES = [faults[11] for _, faults, _ in _FAULTS if 11 in faults] + ['{"votes": [1, 1]}']
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=st.lists(st.sampled_from(_GOOD_LINES), max_size=30),
+    bad=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(_BAD_LINES)), max_size=2),
+    block=st.integers(1, 7),
+)
+def test_block_reader_matches_the_per_line_reader(tmp_path_factory, lines, bad, block):
+    lines = [GOOD, *lines]  # a first object line, so that the file sniffs as JSONL
+    for at, line in bad:
+        lines.insert(at + 1, line)
+    path = tmp_path_factory.mktemp("blocks") / "s.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    want = outcome(read_stream_per_line, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dio, "_BLOCK", block)
+        assert outcome(read_stream, path) == want
+
+
+def test_reports_longer_than_a_block(tmp_path, monkeypatch, labeled_votes):
+    votes, truth = labeled_votes
+    reports = run_strategy(votes, "adaptive", config=AdaptiveConfig(n=3), truths=truth)
+    path = tmp_path / "reports.jsonl"
+    write_reports(path, reports)
+    monkeypatch.setattr(dio, "_BLOCK", 7)
+    assert_same_reports(read_reports(path), reports)
+    lines = path.read_text().splitlines()
+    lines[40] = '{"t": 41, "window": 3}'
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(StreamFormatError, match=rf"{path.name}:41: expected an object"):
+        read_reports(path)
+    lines[40] = '{"t": 41, "prediction": 1}, {"t": 42, "prediction": 1}'
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(StreamFormatError, match=rf"{path.name}:41: bad JSON: Extra data"):
+        read_reports(path)
