@@ -91,7 +91,7 @@ def weighted_vote(votes, weights) -> int:
 
 def majority_vote(votes) -> int:
     """Unweighted majority; an exact tie predicts +1."""
-    return 1 if int(np.sum(votes)) >= 0 else -1
+    return 1 if int(np.add.reduce(votes, axis=None)) >= 0 else -1
 
 
 def parse_strategy(strategy: str) -> tuple[str, int | None]:

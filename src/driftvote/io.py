@@ -23,17 +23,25 @@ Windows must be positive JSON integers, predictions and labels -1 or 1
 reasons one of the names in :data:`~driftvote.adaptive.STOPS`; anything
 else is a :class:`StreamFormatError` naming the file.  A stop reason is
 written as its name and read back as its int8 code, the index of that
-name in ``STOPS``.  Floats round-trip exactly through JSON's shortest-repr
-encoding.  ``p_hat`` and ``weights`` must be finite to be written: JSON
-has no spelling of NaN or infinity, so :func:`write_reports` raises a
+name in ``STOPS``; writing any other code raises a :class:`ValueError`.
+Floats round-trip exactly through JSON's shortest-repr encoding.
+``p_hat`` and ``weights`` must be finite to be written: JSON has no
+spelling of NaN or infinity, so :func:`write_reports` raises a
 :class:`ValueError` naming the column instead.
 
-JSONL files are read in blocks of lines: each block is decoded with one
-``json.loads`` and checked by columns.  A block that fails a bulk check
-is parsed again line by line, so every error names the same line, with
-the same message, as a line-by-line reader would give.  JSONL streams
-and reports are written from one ``%``-format template per file, byte for
-byte what ``json.dumps`` of each line gives.
+JSONL files are read in blocks of lines.  A stream block whose lines are
+all canonical, with the width and labeling of its first line, is checked
+and decoded by comparing its bytes with that line's skeleton.  The
+canonical spelling is the one :func:`write_stream` and ``json.dumps``
+give: ``{"votes": [1, -1, 0], "label": 1}``, one space after each comma
+and colon, no ``t``.  Any other block, and every report block, is
+decoded with one ``json.loads``; a stream block so read is checked line
+by line, and a block that does not decode as one is parsed again line by
+line, so every error names the same line, with the same message, as a
+line-by-line reader would give.  JSONL streams are written from the
+same skeleton, so their votes must be -1, 0 or 1 and their labels -1 or
+1; reports are written from one ``%``-format template per file.  Both
+are byte for byte what ``json.dumps`` of each line gives.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -57,15 +65,12 @@ class StreamFormatError(ValueError):
 
 _VOTE_VALUES = (-1, 0, 1)
 _LABEL_VALUES = (-1, 1)
-#: the bulk checks of a block of JSONL stream lines (a boolean is not an int)
-_VOTE_SET = set(_VOTE_VALUES)
-_LABEL_SET = {*_LABEL_VALUES, None}
-_INT_OR_NONE = {int, type(None)}
 
-#: JSONL lines read, decoded and checked together
+#: JSONL lines read, decoded and checked together, and stream rows written together
 _BLOCK = 4096
 #: an object closed and followed by a comma within one line
 _OBJECT_THEN_COMMA = re.compile(r"\}[ \t\r]*,")
+_MINUS, _ZERO = ord("-"), ord("0")
 
 
 def _bad(path, lineno: int, msg: str) -> StreamFormatError:
@@ -89,19 +94,66 @@ def _check_label(label, path, lineno: int) -> int | None:
     return label
 
 
-def _jsonl_objects(path):
-    """Yield ``(linenos, objects)`` for each block of up to ``_BLOCK``
-    lines, blank lines left out, one decoded value per nonblank line.
+def _skeleton(n: int, labeled: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical JSONL stream line of ``n`` votes, and a label when
+    ``labeled``, as ``json.dumps`` spells it, with every value 0: its
+    uint8 bytes and the offsets of its value digits, the label's last.
 
-    A block is decoded with one ``json.loads`` of its lines joined into an
-    array.  That array is kept only when it holds one object per line and
-    no line closes an object and then goes on with a comma: every comma
-    between two of its values is then one of the joins, so each line
-    holds exactly one object.  Any other block is decoded line by line; at
-    a line that does not decode, the lines before it are yielded first, so
-    that a caller's check of an earlier line still wins, as it would when
-    every line is read on its own.
+    A canonical line is this skeleton with each digit 0 or 1, the label's
+    1, and a ``-`` put just before any digit.
     """
+    line = '{"votes": [' + ", ".join(["0"] * n) + "]" + (', "label": 0' if labeled else "") + "}\n"
+    skeleton = np.frombuffer(line.encode(), dtype=np.uint8)
+    return skeleton, np.flatnonzero(skeleton == _ZERO)
+
+
+def _canonical_block(lines):
+    """``(votes, truth, widths)`` of a block of JSONL stream lines, as
+    :func:`_rows_block` gives them, when every line is canonical with the
+    width and labels of the first; else None.
+
+    The block's bytes, with their minus signs taken out, must equal the
+    skeleton repeated once per line, but for 0 or 1 in each digit slot;
+    each minus sign must stand just before a digit slot of its own.
+    """
+    # the width of a canonical first line; a line with no comma gives the
+    # labeled skeleton of no votes, which has a comma, so no block of empty
+    # vote lists is read here
+    first = lines[0]
+    labeled = '"label"' in first
+    n = first.count(",") + (not labeled)
+    skeleton, slots = _skeleton(n, labeled)
+    width = skeleton.size
+    data = np.frombuffer("".join(lines).encode(), dtype=np.uint8)
+    is_minus = data == _MINUS
+    minus = np.flatnonzero(is_minus)
+    if data.size - minus.size != len(lines) * width:
+        return None
+    grid = data[~is_minus].reshape(len(lines), width)
+    # the low bit of a digit slot is its value; every other byte is fixed
+    mask = np.full(width, 0xFF, dtype=np.uint8)
+    mask[slots] = 0xFE
+    if not ((grid & mask) == skeleton).all():
+        return None
+    # each minus as (row, slot) of the byte after it in the grid; a minus
+    # after the last byte lands on a row's opening brace, which is no slot
+    after = minus - np.arange(minus.size)
+    slot_of = np.full(width, -1)
+    slot_of[slots] = np.arange(slots.size)
+    rows, cols = np.divmod(after, width)
+    cols = slot_of[cols]
+    if np.any(cols < 0) or np.any(np.diff(minus) == 1):
+        return None
+    cells = (grid[:, slots] - _ZERO).view(np.int8)
+    if labeled and not cells[:, n].all():
+        return None
+    cells[rows, cols] = -cells[rows, cols]
+    return np.ascontiguousarray(cells[:, :n]), cells[:, n] if labeled else None, {n}
+
+
+def _jsonl_lines(path):
+    """Yield ``(linenos, lines)`` for each block of up to ``_BLOCK`` lines
+    of a text file that holds a nonblank line, blank lines left out."""
     with open(path, encoding="utf-8") as fh:
         start = 1
         while raw := list(islice(fh, _BLOCK)):
@@ -111,27 +163,42 @@ def _jsonl_objects(path):
             else:
                 linenos = [start + i for i, line in enumerate(raw) if line.strip()]
             start += len(raw)
-            if not lines:
-                continue
-            text = "[" + ",".join(lines) + "]"
-            try:
-                objects = json.loads(text)
-            except json.JSONDecodeError:
-                objects = None
-            if (
-                objects is None
-                or len(objects) != len(lines)
-                or set(map(type, objects)) != {dict}
-                or _OBJECT_THEN_COMMA.search(text)
-            ):
-                objects = []
-                for lineno, line in zip(linenos, lines):
-                    try:
-                        objects.append(json.loads(line))
-                    except json.JSONDecodeError as err:
-                        yield linenos[:len(objects)], objects
-                        raise _bad(path, lineno, f"bad JSON: {err}") from None
-            yield linenos, objects
+            if lines:
+                yield linenos, lines
+
+
+def _jsonl_decode(path, linenos, lines):
+    """``(objects, error)`` of a block of JSONL lines: the decoded value of
+    each line up to the first that does not decode, and that line's
+    :class:`StreamFormatError`, or None when every line decodes.
+
+    The block is decoded with one ``json.loads`` of its lines joined into
+    an array.  That array is kept only when it holds one object per line
+    and no line closes an object and then goes on with a comma: every
+    comma between two of its values is then one of the joins, so each
+    line holds exactly one object.  Any other block is decoded line by
+    line, so that a caller can check the lines before a bad one first, as
+    it would when every line is read on its own.
+    """
+    text = "[" + ",".join(lines) + "]"
+    try:
+        objects = json.loads(text)
+    except json.JSONDecodeError:
+        objects = None
+    if (
+        objects is not None
+        and len(objects) == len(lines)
+        and set(map(type, objects)) == {dict}
+        and not _OBJECT_THEN_COMMA.search(text)
+    ):
+        return objects, None
+    objects = []
+    for lineno, line in zip(linenos, lines):
+        try:
+            objects.append(json.loads(line))
+        except json.JSONDecodeError as err:
+            return objects, _bad(path, lineno, f"bad JSON: {err}")
+    return objects, None
 
 
 def _jsonl_row(obj, path, lineno: int):
@@ -156,33 +223,19 @@ def _rows_block(rows):
     return array, truth, widths
 
 
-def _jsonl_block(path, linenos, objects):
-    """``(votes, truth, widths)`` of one block of JSONL stream objects, as
-    :func:`_rows_block` gives them.
-
-    The block is checked by columns: value types, value sets and one
-    width.  A block that fails any of these is checked again line by line,
-    which raises the first bad line's error with its line number; a block
-    of several widths passes that check.
-    """
-    if set(map(type, objects)) == {dict}:
-        rows = [obj.get("votes") for obj in objects]
-        labels = [obj.get("label") for obj in objects]
-        steps = [obj.get("t") for obj in objects]
-        if set(map(type, rows)) == {list} and len(widths := set(map(len, rows))) == 1:
-            flat = list(chain.from_iterable(rows))
-            if (
-                flat
-                and set(map(type, flat)) == {int}
-                and set(flat) <= _VOTE_SET
-                and set(map(type, labels)) <= _INT_OR_NONE
-                and set(labels) <= _LABEL_SET
-                and set(map(type, steps)) <= _INT_OR_NONE
-            ):
-                votes = np.array(flat, dtype=np.int8).reshape(len(rows), -1)
-                truth = None if None in labels else np.array(labels, dtype=np.int8)
-                return votes, truth, widths
-    return _rows_block([_jsonl_row(obj, path, lineno) for lineno, obj in zip(linenos, objects)])
+def _jsonl_block(path, linenos, lines):
+    """``(votes, truth, widths)`` of one block of JSONL stream lines, as
+    :func:`_rows_block` gives them: by byte comparison when the block is
+    canonical, else by JSON and the per-line checks, which raise the first
+    bad line's error with its line number."""
+    block = _canonical_block(lines)
+    if block is not None:
+        return block
+    objects, error = _jsonl_decode(path, linenos, lines)
+    rows = [_jsonl_row(obj, path, lineno) for lineno, obj in zip(linenos, objects)]
+    if error is not None:
+        raise error
+    return _rows_block(rows)
 
 
 def _csv_rows(path):
@@ -234,7 +287,7 @@ def read_stream(path) -> Stream:
     with open(path, encoding="utf-8") as fh:
         head = next((line.lstrip() for line in fh if line.strip()), "")
     if head.startswith("{"):
-        blocks = [_jsonl_block(path, *block) for block in _jsonl_objects(path)]
+        blocks = [_jsonl_block(path, *block) for block in _jsonl_lines(path)]
     else:
         blocks = [_rows_block(list(_csv_rows(path)) if head else [])]
     widths = set().union(*(block_widths for _, _, block_widths in blocks))
@@ -252,9 +305,10 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
     set, as JSONL or CSV.
 
     ``fmt`` defaults to the file extension (".csv" means CSV, anything
-    else JSONL).  JSONL lines come from one ``%d`` template, so votes and
-    labels must be integer arrays (a boolean is not an integer); anything
-    else raises :class:`ValueError` naming the column.
+    else JSONL).  JSONL lines are the canonical skeleton filled in, so
+    votes must be integers in {-1, 0, 1} and labels in {-1, 1} (a boolean
+    is not an integer); anything else raises :class:`ValueError` naming
+    the column.
     """
     path = Path(path)
     if fmt is None:
@@ -262,16 +316,21 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown stream format {fmt!r}")
     if fmt == "jsonl":
-        votes = _writable("votes", stream.votes, 2, len(stream.votes))
-        template = '{"votes": [' + ", ".join(["%d"] * votes.shape[1]) + "]"
-        columns = votes.T.tolist()
-        if stream.truth is not None:
-            template += ', "label": %d'
-            columns.append(_writable("truth", stream.truth, 1, len(votes)).tolist())
-        template += "}\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            # a stream of no labelers and no labels has no columns to zip
-            fh.writelines(map(template.__mod__, zip(*columns)) if columns else repeat(template, len(votes)))
+        cells = _writable("votes", stream.votes, 2, len(stream.votes))
+        _check_values("votes", cells, _VOTE_VALUES)
+        labeled = stream.truth is not None
+        if labeled:
+            truth = _writable("truth", stream.truth, 1, len(cells))
+            _check_values("truth", truth, _LABEL_VALUES)
+            cells = np.column_stack((cells, truth))
+        skeleton, slots = _skeleton(stream.votes.shape[1], labeled)
+        with open(path, "wb") as fh:
+            for start in range(0, len(cells), _BLOCK):
+                block = cells[start:start + _BLOCK]
+                grid = np.tile(skeleton, (len(block), 1))
+                grid[:, slots] += np.abs(block).astype(np.uint8)
+                rows, cols = np.nonzero(block < 0)
+                fh.write(np.insert(grid.ravel(), rows * skeleton.size + slots[cols], _MINUS).tobytes())
         return
     rows = stream.votes.tolist()
     labels = None if stream.truth is None else stream.truth.tolist()
@@ -313,14 +372,22 @@ def _writable(name: str, column, ndim: int, rows: int, floats: bool = False) -> 
     return a.astype(np.float64, copy=False) if floats else a
 
 
+def _check_values(name: str, column: np.ndarray, allowed: tuple[int, ...]) -> None:
+    """Raise :class:`ValueError` naming the column unless every value is in ``allowed``."""
+    bad = column[~np.isin(column, allowed)]
+    if bad.size:
+        raise ValueError(f"{name!r} must be one of {', '.join(map(str, allowed))}, got {bad[0]}")
+
+
 def write_reports(path, reports: Reports) -> None:
     """Write :class:`Reports` as JSONL, one line per step with ``t`` = 1..T,
     the derived ``correct`` and stop reasons by name, omitting absent
     columns.
 
     Every column must have the dtype kind, dimension and length that
-    :class:`Reports` gives it, and ``p_hat``/``weights`` must be finite;
-    anything else raises :class:`ValueError` naming the column.
+    :class:`Reports` gives it, ``p_hat``/``weights`` must be finite and stop
+    reasons codes of ``STOPS``; anything else raises :class:`ValueError`
+    naming the column.
     """
     rows = len(reports)
     fields, columns = ['"t": %d'], [range(1, rows + 1)]
@@ -340,6 +407,7 @@ def write_reports(path, reports: Reports) -> None:
             fields.append(f'"{name}": [' + ", ".join(["%r"] * column.shape[1]) + "]")
             columns += column.T.tolist()
         elif name == "stop_reason":
+            _check_values(name, column, tuple(range(len(STOPS))))
             fields.append('"stop_reason": %s')
             columns.append(list(map(_STOP_NAMES.__getitem__, column.tolist())))
         else:
@@ -358,10 +426,13 @@ def read_reports(path) -> Reports:
     empty file reads as zero rows.
     """
     lines = []
-    for linenos, objects in _jsonl_objects(path):
+    for linenos, block in _jsonl_lines(path):
+        objects, error = _jsonl_decode(path, linenos, block)
         for lineno, obj in zip(linenos, objects):
             if not isinstance(obj, dict) or "t" not in obj or "prediction" not in obj:
                 raise _bad(path, lineno, "expected an object with 't' and 'prediction'")
+        if error is not None:
+            raise error
         lines += objects
     columns = {}
     for name, (dtype, ndim, kinds, rule, check) in _REPORT_COLUMNS.items():

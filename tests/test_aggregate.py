@@ -82,6 +82,10 @@ def test_majority_vote():
     assert majority_vote(np.array([1, 1, -1])) == 1
     assert majority_vote(np.array([-1, -1, 1])) == -1
     assert majority_vote(np.array([1, -1])) == 1  # tie -> positive
+    assert majority_vote([-1, 0, -1, 1]) == -1
+    # 200 int8 ones sum past the int8 range without wrapping
+    assert majority_vote(np.ones(200, dtype=np.int8)) == 1
+    assert majority_vote(-np.ones(200, dtype=np.int8)) == -1
 
 
 def test_parse_strategy():

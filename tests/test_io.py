@@ -511,6 +511,8 @@ _BAD_COLUMNS = [
     ("p_hat", np.array([0.5, 0.5])),
     ("weights", np.array([[True, False], [False, True]])),
     ("stop_reason", np.array([0.0, 1.0])),
+    ("stop_reason", np.array([-1, 0], dtype=np.int8)),
+    ("stop_reason", np.array([3, 0], dtype=np.int8)),
 ]
 
 
@@ -527,6 +529,11 @@ def test_write_reports_rejects_columns_outside_the_dtype_contract(tmp_path, name
     ("votes", np.array([1, -1], dtype=np.int8)),
     ("truth", np.array([1.0])),
     ("truth", np.array([1, 1], dtype=np.int8)),
+    ("votes", np.array([[1, 2]], dtype=np.int8)),
+    ("votes", np.array([[-2, 0]])),
+    ("votes", np.array([[1, 255]], dtype=np.uint8)),
+    ("truth", np.array([0], dtype=np.int8)),
+    ("truth", np.array([2])),
 ])
 def test_write_stream_rejects_non_integer_columns(tmp_path, name, column):
     columns = {"votes": np.array([[1, -1]], dtype=np.int8), name: column}
@@ -608,14 +615,15 @@ _FAULTS = [
 ]
 
 
-def planted(path, faults, lines=14):
-    """``lines`` good lines and a blank one after the fifth, with
-    ``faults`` put in place of lines (numbered in the written file)."""
-    text = [GOOD] * lines
+def planted(path, faults, lines=14, good=GOOD, end="\n"):
+    """``lines`` ``good`` lines and a blank one after the fifth, with
+    ``faults`` put in place of lines (numbered in the written file), and
+    ``end`` after the last line."""
+    text = [good] * lines
     text.insert(5, "  ")
     for lineno, line in faults.items():
         text[lineno - 1] = line
-    path.write_text("\n".join(text) + "\n")
+    path.write_text("\n".join(text) + end)
 
 
 @pytest.mark.parametrize("faults, lineno", [f[1:] for f in _FAULTS], ids=[f[0] for f in _FAULTS])
@@ -632,9 +640,92 @@ def test_block_errors_match_the_per_line_reader(tmp_path, monkeypatch, faults, l
         assert outcome(read_stream, path) == want
 
 
+#: a line as ``write_stream`` and ``json.dumps`` spell it, read by bytes
+CANONICAL = '{"votes": [1, -1, 0], "label": 1}'
+
+#: (name, {line number: text}, what reading gives: the line its error
+#: names, None for the width error, or "read" for no error) planted into 14
+#: canonical lines
+_CANONICAL_FAULTS = [
+    ("a double minus", {11: '{"votes": [1, --1, 0], "label": 1}'}, 11),
+    ("a minus before a quote", {11: '{"votes": [1, -1, 0], -"label": 1}'}, 11),
+    ("a minus before a bracket", {11: '{"votes": [1, -1, 0-], "label": 1}'}, 11),
+    ("a minus after the object", {11: CANONICAL + "-"}, 11),
+    ("a lone minus", {11: "-"}, 11),
+    ("label 0", {11: '{"votes": [1, -1, 0], "label": 0}'}, 11),
+    ("label -0", {11: '{"votes": [1, -1, 0], "label": -0}'}, 11),
+    ("vote -0", {11: '{"votes": [1, -0, 0], "label": 1}'}, "read"),
+    ("vote 10", {11: '{"votes": [1, 10, 0], "label": 1}'}, 11),
+    ("vote 01", {11: '{"votes": [1, 01, 0], "label": 1}'}, 11),
+    ("a vote of 2", {11: '{"votes": [1, 2, 0], "label": 1}'}, 11),
+    ("a missing space", {11: '{"votes": [1,-1, 0], "label": 1}'}, "read"),
+    ("an extra space", {11: '{"votes": [1, -1, 0],  "label": 1}'}, "read"),
+    ("an empty vote list", {11: '{"votes": []}'}, 11),
+    ("an empty labeled vote list", {11: '{"votes": [], "label": 1}'}, 11),
+    ("a width change", {11: '{"votes": [1, -1], "label": 1}'}, None),
+    ("a width change on every line", {11: '{"votes": [1, -1, 0, 1], "label": 1}',
+                                      12: '{"votes": [1, -1, 0, 1], "label": 1}'}, None),
+    ("an unlabeled line", {11: '{"votes": [1, -1, 0]}'}, "read"),
+    ("a t field", {11: '{"votes": [1, -1, 0], "label": 1, "t": 11}'}, "read"),
+]
+
+
+@pytest.mark.parametrize("faults, expect", [f[1:] for f in _CANONICAL_FAULTS],
+                         ids=[f[0] for f in _CANONICAL_FAULTS])
+@pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "no-newline"])
+def test_canonical_block_faults_match_the_per_line_reader(tmp_path, monkeypatch, faults, expect, end):
+    path = tmp_path / "s.jsonl"
+    planted(path, faults, good=CANONICAL, end=end)
+    want = outcome(read_stream_per_line, path)
+    if expect == "read":
+        assert want[0] == np.int8 and len(want[1]) == 14
+    elif expect is None:
+        assert want.startswith(f"{path}: inconsistent labeler counts ")
+    else:
+        assert want.startswith(f"{path}:{expect}: ")
+    for block in (3, 4, 4096):
+        monkeypatch.setattr(dio, "_BLOCK", block)
+        assert outcome(read_stream, path) == want
+
+
+def test_empty_vote_lists_are_not_read_as_bytes(tmp_path):
+    path = tmp_path / "s.jsonl"
+    for line in ('{"votes": []}', '{"votes": [], "label": 1}', '{"votes": [], "label": -1}'):
+        path.write_text((line + "\n") * 3)
+        assert outcome(read_stream, path) == f"{path}:1: votes must be a nonempty list"
+
+
+def _no_fallback(obj, path, lineno):
+    raise AssertionError(f"line {lineno} was not read by bytes")
+
+
+@pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_written_streams_are_read_by_bytes(tmp_path, monkeypatch, n, labeled):
+    rng = np.random.default_rng([n, labeled])
+    votes = rng.integers(-1, 2, size=(11, n)).astype(np.int8)
+    truth = rng.choice(np.array([-1, 1], dtype=np.int8), size=11) if labeled else None
+    stream = Stream(votes=votes, truth=truth)
+    written = tmp_path / "written.jsonl"
+    dumped = tmp_path / "dumped.jsonl"
+    monkeypatch.setattr(dio, "_BLOCK", 4)  # a write and read block edge inside the stream
+    write_stream(written, stream)
+    dumped.write_text(dumps_stream(stream))  # json.dumps per line, as bench/pipeline.py writes
+    assert written.read_bytes() == dumped.read_bytes()
+    monkeypatch.setattr(dio, "_jsonl_row", _no_fallback)
+    for path in (written, dumped):
+        for block in (3, 4, 4096):
+            monkeypatch.setattr(dio, "_BLOCK", block)
+            assert_same_stream(read_stream(path), stream)
+
+
 #: lines a drawn file is made of, and the faults planted into it
 _GOOD_LINES = (
     GOOD,
+    CANONICAL,
+    CANONICAL,
+    '{"votes": [-1, -1, -1], "label": -1}',
+    '{"votes": [0, 1, -0]}',
     '{"votes": [0, 0, 1]}',
     '{"t": 9, "votes": [-1, -1, 1], "label": -1}',
     '  {"votes":[1,1,1],"label":1}  ',
@@ -643,7 +734,9 @@ _GOOD_LINES = (
     "",
     " \t",
 )
-_BAD_LINES = [faults[11] for _, faults, _ in _FAULTS if 11 in faults] + ['{"votes": [1, 1]}']
+_BAD_LINES = [
+    faults[11] for _, faults, _ in _FAULTS + _CANONICAL_FAULTS if 11 in faults
+] + ['{"votes": [1, 1]}']
 
 
 @settings(max_examples=150, deadline=None)
