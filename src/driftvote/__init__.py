@@ -5,127 +5,68 @@ over time.  At each step the engine picks how much history to trust by
 comparing correlation estimates across a ladder of window sizes, recovers
 per-labeler accuracies from pairwise correlations alone (no ground truth),
 and predicts with log-odds weighted majority voting.
+
+``import driftvote`` loads none of the submodules, and so no numpy: each
+public name is imported from its submodule on first use (PEP 562), then
+bound on the package, so later lookups are plain attribute reads.
 """
 
-from .adaptive import (
-    GapProbe,
-    STOPS,
-    STOP_HORIZON,
-    STOP_SCHEDULE,
-    STOP_THRESHOLD,
-    WindowDecision,
-    drift_threshold,
-    select_window,
-)
-from .aggregate import (
-    Reports,
-    STRATEGY_ADAPTIVE,
-    STRATEGY_FIXED,
-    STRATEGY_MAJORITY,
-    log_odds_weights,
-    majority_vote,
-    parse_strategy,
-    run_strategy,
-    weighted_vote,
-)
-from .core import (
-    AdaptiveConfig,
-    ErrorBudget,
-    WindowSchedule,
-    error_budget,
-    selection_overhead,
-    statistical_error,
-    union_bound_constant,
-)
-from .corrwin import CorrelationBank, as_vote_matrix
-from .driftgen import (
-    BlockSpec,
-    Stream,
-    SyntheticStreamConfig,
-    apply_permute_drift,
-    block_drift_preset,
-    generate_synthetic,
-    resolve_abstentions,
-    role_rngs,
-    true_drift_error,
-)
-from .io import (
-    StreamFormatError,
-    read_reports,
-    read_stream,
-    write_reports,
-    write_series_csv,
-    write_stream,
-)
-from .metrics import (
-    ROLLING_LOOKAHEAD,
-    RunSummary,
-    comparison_rows,
-    f1_score,
-    prediction_accuracy,
-    rolling_accuracy,
-    summarize,
-    window_histogram,
-)
-from .triplet import (
-    AccuracyEstimate,
-    correlation_from_accuracies,
-    recover_accuracies,
-)
+import sys
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyEstimate",
-    "AdaptiveConfig",
-    "BlockSpec",
-    "CorrelationBank",
-    "ErrorBudget",
-    "GapProbe",
-    "ROLLING_LOOKAHEAD",
-    "Reports",
-    "RunSummary",
-    "STOPS",
-    "STOP_HORIZON",
-    "STOP_SCHEDULE",
-    "STOP_THRESHOLD",
-    "STRATEGY_ADAPTIVE",
-    "STRATEGY_FIXED",
-    "STRATEGY_MAJORITY",
-    "Stream",
-    "StreamFormatError",
-    "SyntheticStreamConfig",
-    "WindowDecision",
-    "WindowSchedule",
-    "apply_permute_drift",
-    "as_vote_matrix",
-    "block_drift_preset",
-    "comparison_rows",
-    "correlation_from_accuracies",
-    "drift_threshold",
-    "error_budget",
-    "f1_score",
-    "generate_synthetic",
-    "log_odds_weights",
-    "majority_vote",
-    "parse_strategy",
-    "prediction_accuracy",
-    "read_reports",
-    "read_stream",
-    "recover_accuracies",
-    "resolve_abstentions",
-    "role_rngs",
-    "rolling_accuracy",
-    "run_strategy",
-    "select_window",
-    "selection_overhead",
-    "statistical_error",
-    "summarize",
-    "true_drift_error",
-    "union_bound_constant",
-    "weighted_vote",
-    "window_histogram",
-    "write_reports",
-    "write_series_csv",
-    "write_stream",
-]
+#: the submodule that defines each public name
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "adaptive": "GapProbe WindowDecision drift_threshold select_window",
+        "aggregate": "STRATEGY_ADAPTIVE STRATEGY_FIXED STRATEGY_MAJORITY log_odds_weights"
+        " majority_vote parse_strategy run_strategy weighted_vote",
+        "core": "AdaptiveConfig ErrorBudget ROLLING_LOOKAHEAD Reports STOPS STOP_HORIZON"
+        " STOP_SCHEDULE STOP_THRESHOLD Stream WindowSchedule error_budget selection_overhead"
+        " statistical_error union_bound_constant",
+        "corrwin": "CorrelationBank as_vote_matrix",
+        "driftgen": "BlockSpec SyntheticStreamConfig apply_permute_drift block_drift_preset"
+        " generate_synthetic resolve_abstentions role_rngs true_drift_error",
+        "io": "StreamFormatError read_reports read_stream write_reports write_series_csv"
+        " write_stream",
+        "metrics": "RunSummary comparison_rows f1_score prediction_accuracy rolling_accuracy"
+        " summarize window_histogram",
+        "triplet": "AccuracyEstimate correlation_from_accuracies recover_accuracies",
+    }.items()
+    for name in names.split()
+}
+#: the library's submodules, which resolve as attributes too; the CLI is not one
+_SUBMODULES = frozenset(_EXPORTS.values())
+
+__all__ = sorted(_EXPORTS)
+
+
+def _bind_loaded() -> None:
+    """Bind on the package every public name whose submodule is loaded.
+
+    Binding all of them, not only the name asked for, keeps the package
+    holding the objects its submodules defined, as eager imports did: a
+    tool that swaps a function at every module attribute bound to it (a
+    tracer, say) then swaps and restores the package's binding too, where
+    a name first asked for during the swap would stay bound to the swap.
+    """
+    names = globals()
+    for name, owner in _EXPORTS.items():
+        module = sys.modules.get(f"{__name__}.{owner}")
+        if name not in names and hasattr(module, name):
+            names[name] = getattr(module, name)
+
+
+def __getattr__(name: str):
+    owner = _EXPORTS.get(name, name if name in _SUBMODULES else None)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import_module(f"{__name__}.{owner}")
+    _bind_loaded()
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS) | _SUBMODULES)

@@ -25,15 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import AdaptiveConfig
+from .core import STOP_HORIZON, STOP_SCHEDULE, STOP_THRESHOLD, STOPS, AdaptiveConfig  # noqa: F401
 from .corrwin import CorrelationBank
-
-STOP_THRESHOLD = "threshold_exceeded"
-STOP_SCHEDULE = "schedule_exhausted"
-STOP_HORIZON = "horizon_reached"
-
-#: every stop reason, indexed by the code ``Reports.stop_reason`` stores
-STOPS = (STOP_THRESHOLD, STOP_HORIZON, STOP_SCHEDULE)
 
 
 def drift_threshold(r_small: int, r_large: int, beta: float, bound_const: float) -> float:

@@ -25,47 +25,16 @@ API stays the engine's oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .adaptive import _threshold_ladder
-from .core import AdaptiveConfig
+from .core import AdaptiveConfig, Reports
 from .corrwin import CorrelationBank, _all_plus_minus_one, as_vote_matrix
 from .triplet import _recover_raw
 
 STRATEGY_ADAPTIVE = "adaptive"
 STRATEGY_MAJORITY = "majority"
 STRATEGY_FIXED = "fixed"
-
-
-@dataclass(eq=False)
-class Reports:
-    """Everything the engine decided over a stream, one row per step.
-
-    Row ``i`` is step ``t = i + 1``.  ``prediction`` is (T,) int8;
-    ``window`` (T,) int64 is the sample count actually used (None for
-    majority); ``p_hat`` and ``weights`` are (T, n) float64 clipped
-    accuracy estimates and their log odds (None for majority); ``truth``
-    (T,) int8 is set when the stream is labeled; ``stop_reason`` (T,) int8,
-    only for adaptive runs, is each step's walk stop as an index into
-    :data:`.adaptive.STOPS`.
-    """
-
-    prediction: np.ndarray
-    window: np.ndarray | None = None
-    p_hat: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    truth: np.ndarray | None = None
-    stop_reason: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.prediction)
-
-    @property
-    def correct(self) -> np.ndarray | None:
-        """(T,) bool ``prediction == truth``; None when unlabeled."""
-        return None if self.truth is None else self.prediction == self.truth
 
 
 def log_odds_weights(p) -> np.ndarray:
@@ -83,7 +52,11 @@ def weighted_vote(votes, weights) -> int:
     w = np.asarray(weights, dtype=float)
     if v.shape != w.shape:
         raise ValueError(f"votes {v.shape} and weights {w.shape} must align")
-    score = float(v @ w)
+    if np.isfinite(w).all():
+        score = float(v @ w)
+    else:  # inf - inf and 0 * inf are NaN, which numpy warns of; the NaN raises below
+        with np.errstate(invalid="ignore"):
+            score = float(v @ w)
     if score != score:
         raise ValueError("weighted vote sum is NaN; weights must be numbers")
     return 1 if score >= 0.0 else -1

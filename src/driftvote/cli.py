@@ -8,8 +8,11 @@ Four subcommands cover the full loop:
 * ``bound``    — print the theory numbers for a configuration.
 
 Every command is deterministic given its flags: identical invocations
-produce byte-identical outputs.  Errors exit nonzero with a single
-``error: ...`` line on stderr.
+produce byte-identical outputs.  Errors, a failed allocation among them,
+exit 2 with a single ``error: ...`` line on stderr.
+
+Each command imports the modules it uses when it runs, so that ``bound``
+without a stream layout loads no numpy and ``eval`` no engine.
 """
 
 from __future__ import annotations
@@ -17,29 +20,28 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import io as dio
-from .aggregate import _checked_strategy, run_strategy
-from .core import DRIFT_TO_CORR, AdaptiveConfig, WindowSchedule, error_budget, selection_overhead
-from .driftgen import (
-    BlockSpec,
-    SyntheticStreamConfig,
-    apply_permute_drift,
-    block_drift_preset,
-    generate_synthetic,
-    resolve_abstentions,
-    role_rngs,
-    true_drift_error,
+from .core import (
+    DRIFT_TO_CORR,
+    ROLLING_LOOKAHEAD,
+    AdaptiveConfig,
+    WindowSchedule,
+    error_budget,
+    selection_overhead,
 )
-from .metrics import ROLLING_LOOKAHEAD, comparison_rows, summarize
+
+if TYPE_CHECKING:
+    from .driftgen import BlockSpec, SyntheticStreamConfig
 
 PRESETS = ("block-drift",)
 
 
 def _parse_blocks(text: str) -> tuple[BlockSpec, ...]:
     """Parse "LEN:p1,p2,...;LEN:p1,p2,..." into block specs."""
+    from .driftgen import BlockSpec
+
     blocks = []
     for part in text.split(";"):
         part = part.strip()
@@ -96,6 +98,8 @@ def _config(args, n: int) -> AdaptiveConfig:
 def _synthetic_config(args, seed: int) -> SyntheticStreamConfig:
     if (args.preset is None) == (args.blocks is None):
         raise ValueError("give exactly one of --preset or --blocks")
+    from .driftgen import SyntheticStreamConfig, block_drift_preset
+
     if args.preset is not None:
         return block_drift_preset(seed, block_len=args.block_len)
     blocks = _parse_blocks(args.blocks)
@@ -119,6 +123,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from . import io as dio
+    from .driftgen import apply_permute_drift, generate_synthetic, role_rngs
+
     cfg = _synthetic_config(args, args.seed)
     stream = generate_synthetic(cfg)
     if args.permute_prob > 0.0:
@@ -129,6 +136,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from dataclasses import replace
+
+    from . import io as dio
+    from .aggregate import _checked_strategy, run_strategy
+    from .driftgen import resolve_abstentions
+
     # check the whole run configuration before any file work; n=3 stands in
     # until the stream's width is known, and replace() checks the real n
     config = _config(args, n=3)
@@ -147,6 +160,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import io as dio
+    from .metrics import comparison_rows, summarize
+
     summaries = {}
     for path_text in args.reports:
         stem = Path(path_text).stem
@@ -186,6 +202,8 @@ def cmd_bound(args) -> int:
         doc["margin"] = budget.margin
         doc["recovery_prefactor"] = budget.recovery_prefactor
     if args.preset is not None or args.blocks is not None:
+        from .driftgen import true_drift_error
+
         synth = _synthetic_config(args, seed=0)
         if synth.n != config.n:
             raise ValueError(f"stream layout has {synth.n} labelers, --n says {config.n}")
@@ -279,7 +297,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

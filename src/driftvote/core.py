@@ -13,6 +13,11 @@ run configuration (:class:`AdaptiveConfig`), the union-bound constant that
 calibrates per-window deviations, the multiplicative overhead the adaptive
 search pays over the best fixed window in hindsight, and a small report
 bundle (:class:`ErrorBudget`) for surfacing these numbers to users.
+
+It also holds the records that the layers pass between them, a vote
+:class:`Stream` and the per-step :class:`Reports` with their stop-reason
+names, so that reading, writing and evaluating files needs no engine.
+Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -20,11 +25,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: multiplier converting a one-step accuracy jump into its worst-case
 #: effect on a correlation entry (two factors, each moving two entries).
 DRIFT_TO_CORR = 12.0
+
+#: default lookahead of the rolling accuracy series
+ROLLING_LOOKAHEAD = 128
+
+STOP_THRESHOLD = "threshold_exceeded"
+STOP_SCHEDULE = "schedule_exhausted"
+STOP_HORIZON = "horizon_reached"
+
+#: every stop reason, indexed by the code ``Reports.stop_reason`` stores
+STOPS = (STOP_THRESHOLD, STOP_HORIZON, STOP_SCHEDULE)
 
 
 def union_bound_constant(n: int, m: int, delta: float) -> float:
@@ -215,3 +233,44 @@ def error_budget(config: AdaptiveConfig, margin: float | None = None) -> ErrorBu
         margin=margin,
         statistical=stat,
     )
+
+
+@dataclass
+class Stream:
+    """Column-oriented stream: (T, n) votes plus optional truth/block arrays."""
+
+    votes: np.ndarray
+    truth: np.ndarray | None = None
+    block: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.votes.shape[0]
+
+
+@dataclass(eq=False)
+class Reports:
+    """Everything the engine decided over a stream, one row per step.
+
+    Row ``i`` is step ``t = i + 1``.  ``prediction`` is (T,) int8;
+    ``window`` (T,) int64 is the sample count actually used (None for
+    majority); ``p_hat`` and ``weights`` are (T, n) float64 clipped
+    accuracy estimates and their log odds (None for majority); ``truth``
+    (T,) int8 is set when the stream is labeled; ``stop_reason`` (T,) int8,
+    only for adaptive runs, is each step's walk stop as an index into
+    :data:`STOPS`.
+    """
+
+    prediction: np.ndarray
+    window: np.ndarray | None = None
+    p_hat: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    truth: np.ndarray | None = None
+    stop_reason: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.prediction)
+
+    @property
+    def correct(self) -> np.ndarray | None:
+        """(T,) bool ``prediction == truth``; None when unlabeled."""
+        return None if self.truth is None else self.prediction == self.truth

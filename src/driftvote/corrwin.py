@@ -30,7 +30,11 @@ _PLUS_MINUS_ONE = frozenset((1, -1))
 
 
 def _check_sizes(sizes) -> np.ndarray:
-    arr = np.asarray(list(sizes), dtype=np.int64)
+    sizes = list(sizes)
+    try:
+        arr = np.asarray(sizes, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("window sizes must fit in int64") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("need at least one window size")
     if arr[0] < 1:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import Stream
+
 _ROLES = ("truth", "votes", "abstain", "permute")
 
 
@@ -77,18 +79,6 @@ class SyntheticStreamConfig:
         rows = np.array([b.accuracies for b in self.blocks], dtype=float)
         lengths = [b.length for b in self.blocks]
         return np.repeat(rows, lengths, axis=0)
-
-
-@dataclass
-class Stream:
-    """Column-oriented stream: (T, n) votes plus optional truth/block arrays."""
-
-    votes: np.ndarray
-    truth: np.ndarray | None = None
-    block: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return self.votes.shape[0]
 
 
 def generate_synthetic(config: SyntheticStreamConfig) -> Stream:

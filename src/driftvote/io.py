@@ -1,6 +1,6 @@
 """Reading and writing vote streams and per-step reports.
 
-A stream file holds a :class:`~driftvote.driftgen.Stream`: one line per
+A stream file holds a :class:`~driftvote.core.Stream`: one line per
 step, in one of two formats.
 
 * JSONL (canonical): one object per line, ``{"votes": [...], "label": ...,
@@ -13,14 +13,14 @@ carries labels (``truth``) only when every line has one.  ``t`` is
 accepted and checked on read but not kept; written streams carry no
 ``t`` and no block annotations.
 
-Reports (:class:`~driftvote.aggregate.Reports`) are always JSONL with
+Reports (:class:`~driftvote.core.Reports`) are always JSONL with
 fields ``t``, ``window``, ``p_hat``, ``weights``, ``prediction``,
 ``truth``, ``correct``, ``stop_reason`` (absent fields were not produced
 by the strategy).  On read, a column is kept only when every line has
 it; ``t`` is checked but not kept, and ``correct`` is recomputed.
 Windows must be positive JSON integers, predictions and labels -1 or 1
 (a boolean is not an integer), ``p_hat``/``weights`` numbers and stop
-reasons one of the names in :data:`~driftvote.adaptive.STOPS`; anything
+reasons one of the names in :data:`~driftvote.core.STOPS`; anything
 else is a :class:`StreamFormatError` naming the file.  A stop reason is
 written as its name and read back as its int8 code, the index of that
 name in ``STOPS``; writing any other code raises a :class:`ValueError`.
@@ -46,7 +46,6 @@ are byte for byte what ``json.dumps`` of each line gives.
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from itertools import chain, islice
@@ -54,9 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import STOPS
-from .aggregate import Reports
-from .driftgen import Stream
+from .core import STOPS, Reports, Stream
 
 
 class StreamFormatError(ValueError):
@@ -240,6 +237,8 @@ def _jsonl_block(path, linenos, lines):
 
 def _csv_rows(path):
     """Yield checked ``(votes, label or None)`` for each nonblank CSV row."""
+    import csv
+
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -338,6 +337,8 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
     if labels is not None:
         header.append("label")
         rows = [row + [label] for row, label in zip(rows, labels)]
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -463,6 +464,8 @@ def read_reports(path) -> Reports:
 
 def write_series_csv(path, values, start: int = 1) -> None:
     """Write a per-step series as two-column CSV (step, value)."""
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "value"])

@@ -6,10 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import Reports
-
-#: default lookahead of the rolling accuracy series
-ROLLING_LOOKAHEAD = 128
+from .core import ROLLING_LOOKAHEAD, Reports
 
 
 def _truth_pairs(reports: Reports) -> tuple[np.ndarray, np.ndarray]:

@@ -107,9 +107,8 @@ def recover_accuracies(
     n = c.shape[0]
     if n < 3:
         raise ValueError(f"recovery needs at least 3 labelers, got {n}")
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
-        asym = np.abs(c - c.T).max()
-    if not asym <= _SYM_TOL:
+    # a NaN or infinite entry would fail the symmetry test too, but inf - inf warns
+    if not np.isfinite(c).all() or not np.abs(c - c.T).max() <= _SYM_TOL:
         raise ValueError("correlation matrix must be symmetric")
     if not (np.abs(c.diagonal() - 1.0).max() <= _SYM_TOL):
         raise ValueError("correlation matrix must have unit diagonal")

@@ -55,8 +55,14 @@ def test_log_odds_weights_rejects_nan():
 def test_weighted_vote_rejects_nan_sum():
     with pytest.raises(ValueError, match="NaN"):
         weighted_vote([1, 1, -1], [np.nan, 1.0, 1.0])
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):  # inf - inf
+    # inf - inf and 0 * inf: only the ValueError, no RuntimeWarning first
+    with pytest.raises(ValueError, match="NaN"):
         weighted_vote([1, -1, 1], [np.inf, np.inf, 1.0])
+    with pytest.raises(ValueError, match="NaN"):
+        weighted_vote([0, 1, 1], [np.inf, 1.0, 1.0])
+    # same-sign infinite terms sum to a signed infinity
+    assert weighted_vote([1, 1, -1], [np.inf, np.inf, 1.0]) == 1
+    assert weighted_vote([-1, 1, -1], [np.inf, -np.inf, 1.0]) == -1
 
 
 def test_weighted_vote_follows_heavier_side():

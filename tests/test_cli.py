@@ -192,6 +192,30 @@ def test_run_rejects_bad_config_before_reading_input(tmp_path, capsys, flags, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        # a 2**49-row ring, past any 64-bit user address space: allocation fails
+        ("50", "Unable to allocate"),
+        # the largest window, 2**63, does not fit int64
+        ("64", "window sizes must fit in int64"),
+    ],
+)
+def test_run_reports_huge_ladders_as_errors(tmp_path, capsys, m, message):
+    stream = tmp_path / "s.jsonl"
+    run_cli("simulate", "--blocks", "30:0.9,0.8,0.7", "--seed", "0",
+            "--out", str(stream))
+    capsys.readouterr()
+    out = tmp_path / "r.jsonl"
+    code = run_cli("run", "--input", str(stream), "--m", m, "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+    assert message in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["", "\n \n"])
 def test_run_rejects_empty_stream_file(tmp_path, capsys, text):
     stream = tmp_path / "empty.jsonl"

@@ -131,10 +131,9 @@ def test_input_validation():
     bad[1, 1] = 0.9
     with pytest.raises(ValueError):
         recover_accuracies(bad)  # diagonal
-    for value in (np.nan, np.inf):
-        # symmetric, but nan - nan and inf - inf are NaN, which fails the
-        # symmetry test (a NaN or inf diagonal fails it for the same reason);
-        # the rejection comes without numpy's "invalid value" warning
+    for value in (np.nan, np.inf, -np.inf):
+        # a non-finite entry, even a symmetric one or one on the diagonal,
+        # fails the symmetry test, without numpy's "invalid value" warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bad = good.copy()
@@ -143,7 +142,7 @@ def test_input_validation():
                 recover_accuracies(bad)
             bad = good.copy()
             bad[2, 2] = value
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="symmetric"):
                 recover_accuracies(bad)
     with pytest.raises(ValueError):
         recover_accuracies(good, clip_lo=0.6)
