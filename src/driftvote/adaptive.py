@@ -36,8 +36,8 @@ def drift_threshold(r_small: int, r_large: int, beta: float, bound_const: float)
         raise ValueError(f"window size must be positive, got {r_small}")
     if r_large <= r_small:
         raise ValueError(f"windows must increase: got {r_small} -> {r_large}")
-    if beta < 0.0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
+    if not 0.0 <= beta < math.inf:  # NaN fails
+        raise ValueError(f"beta must be nonnegative and finite, got {beta}")
     if bound_const <= 0.0:
         raise ValueError(f"bound_const must be positive, got {bound_const}")
     return bound_const * (

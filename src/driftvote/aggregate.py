@@ -47,18 +47,18 @@ def log_odds_weights(p) -> np.ndarray:
 
 def weighted_vote(votes, weights) -> int:
     """Sign of the weighted vote sum; an exact tie predicts +1, and a NaN
-    sum (a NaN weight, or opposite infinite terms) raises."""
+    sum (a NaN vote or weight, or opposite infinite terms) raises."""
     v = np.asarray(votes, dtype=float)
     w = np.asarray(weights, dtype=float)
     if v.shape != w.shape:
         raise ValueError(f"votes {v.shape} and weights {w.shape} must align")
-    if np.isfinite(w).all():
+    if np.isfinite((v, w)).all():  # votes and weights in one call
         score = float(v @ w)
     else:  # inf - inf and 0 * inf are NaN, which numpy warns of; the NaN raises below
         with np.errstate(invalid="ignore"):
             score = float(v @ w)
     if score != score:
-        raise ValueError("weighted vote sum is NaN; weights must be numbers")
+        raise ValueError("weighted vote sum is NaN; votes and weights must be numbers")
     return 1 if score >= 0.0 else -1
 
 
@@ -140,12 +140,7 @@ def _estimate(pairs: np.ndarray, n: int, config: AdaptiveConfig) -> tuple[np.nda
     symmetric with a unit diagonal, and ``AdaptiveConfig`` has already
     checked the clip band.
     """
-    iu, ju = np.triu_indices(n, 1)
-    mats = np.empty((len(pairs), n, n))
-    mats[:, iu, ju] = pairs
-    mats[:, ju, iu] = pairs
-    mats[:, np.arange(n), np.arange(n)] = 1.0
-    p = np.clip(_recover_raw(mats), config.clip_lo, config.clip_hi)
+    p = np.clip(_recover_raw(pairs, n), config.clip_lo, config.clip_hi)
     return p, np.log(p / (1.0 - p))
 
 

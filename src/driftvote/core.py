@@ -142,8 +142,8 @@ def selection_overhead(schedule: WindowSchedule, beta: float) -> float:
     power schedule the two arguments balance at ``beta = g``; optimizing
     the schedule ratio jointly with beta lands both at ``sqrt(2) - 1``.
     """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:  # NaN fails
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     g, big_g = schedule.min_ratio, schedule.max_ratio
     scale = 2.0 * beta + 2.0
     return 1.0 + max(scale / (g * (1.0 - big_g)), scale / (beta * (1.0 - big_g)))
@@ -179,8 +179,8 @@ class AdaptiveConfig:
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError(f"need at least 3 labelers, got n={self.n}")
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0.0 < self.beta < math.inf:  # NaN fails
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if not 0.0 < self.clip_lo < 0.5:

@@ -304,45 +304,39 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
     set, as JSONL or CSV.
 
     ``fmt`` defaults to the file extension (".csv" means CSV, anything
-    else JSONL).  JSONL lines are the canonical skeleton filled in, so
+    else JSONL).  Both formats take what :func:`read_stream` reads back:
     votes must be integers in {-1, 0, 1} and labels in {-1, 1} (a boolean
     is not an integer); anything else raises :class:`ValueError` naming
-    the column.
+    the column.  JSONL lines are the canonical skeleton filled in.
     """
     path = Path(path)
     if fmt is None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown stream format {fmt!r}")
-    if fmt == "jsonl":
-        cells = _writable("votes", stream.votes, 2, len(stream.votes))
-        _check_values("votes", cells, _VOTE_VALUES)
-        labeled = stream.truth is not None
-        if labeled:
-            truth = _writable("truth", stream.truth, 1, len(cells))
-            _check_values("truth", truth, _LABEL_VALUES)
-            cells = np.column_stack((cells, truth))
-        skeleton, slots = _skeleton(stream.votes.shape[1], labeled)
-        with open(path, "wb") as fh:
-            for start in range(0, len(cells), _BLOCK):
-                block = cells[start:start + _BLOCK]
-                grid = np.tile(skeleton, (len(block), 1))
-                grid[:, slots] += np.abs(block).astype(np.uint8)
-                rows, cols = np.nonzero(block < 0)
-                fh.write(np.insert(grid.ravel(), rows * skeleton.size + slots[cols], _MINUS).tobytes())
-        return
-    rows = stream.votes.tolist()
-    labels = None if stream.truth is None else stream.truth.tolist()
-    header = [f"votes_{i + 1}" for i in range(stream.votes.shape[1])]
-    if labels is not None:
-        header.append("label")
-        rows = [row + [label] for row, label in zip(rows, labels)]
-    import csv
+    cells = _writable("votes", stream.votes, 2, len(stream.votes))
+    _check_values("votes", cells, _VOTE_VALUES)
+    n, labeled = cells.shape[1], stream.truth is not None
+    if labeled:
+        truth = _writable("truth", stream.truth, 1, len(cells))
+        _check_values("truth", truth, _LABEL_VALUES)
+        cells = np.column_stack((cells, truth))
+    if fmt == "csv":
+        import csv
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"votes_{i + 1}" for i in range(n)] + ["label"] * labeled)
+            writer.writerows(cells.tolist())
+        return
+    skeleton, slots = _skeleton(n, labeled)
+    with open(path, "wb") as fh:
+        for start in range(0, len(cells), _BLOCK):
+            block = cells[start:start + _BLOCK]
+            grid = np.tile(skeleton, (len(block), 1))
+            grid[:, slots] += np.abs(block).astype(np.uint8)
+            rows, cols = np.nonzero(block < 0)
+            fh.write(np.insert(grid.ravel(), rows * skeleton.size + slots[cols], _MINUS).tobytes())
 
 
 _JSON_BOOLS = ("false", "true")

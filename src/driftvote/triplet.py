@@ -42,14 +42,22 @@ class AccuracyEstimate:
 
 
 @lru_cache(maxsize=32)
-def _witness_masks(n: int) -> np.ndarray:
-    """(n, n, n) bool; entry [h, i, j] marks i < j with both distinct from h."""
-    masks = np.broadcast_to(np.triu(np.ones((n, n), dtype=bool), k=1), (n, n, n)).copy()
-    idx = np.arange(n)
-    masks[idx, idx, :] = False
-    masks[idx, :, idx] = False
-    masks.setflags(write=False)
-    return masks
+def _witness_table(n: int) -> tuple[np.ndarray, ...]:
+    """``(iu, ju, cap, witness, offset)`` of n labelers, P = n(n-1)/2:
+    the pairs in triu order; (n, P), -inf where pair q touches labeler h,
+    else +inf; (3, n P), whose column ``offset[h] + q`` for q = (i, j)
+    holds the pair indices of (i, j), (i, h) and (h, j)."""
+    iu, ju = np.triu_indices(n, 1)
+    size = len(iu)
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[iu, ju] = pair[ju, iu] = np.arange(size)
+    h = np.arange(n)[:, None]
+    cap = np.where((iu == h) | (ju == h), -np.inf, np.inf)
+    witness = np.stack([np.broadcast_to(np.arange(size), (n, size)), pair[iu, h], pair[h, ju]])
+    table = (iu, ju, cap, witness.reshape(3, n * size), np.arange(n) * size)
+    for a in table:
+        a.setflags(write=False)
+    return table
 
 
 def correlation_from_accuracies(p) -> np.ndarray:
@@ -65,16 +73,17 @@ def correlation_from_accuracies(p) -> np.ndarray:
     return corr
 
 
-def _recover_raw(mats: np.ndarray) -> np.ndarray:
-    batch, n = mats.shape[0], mats.shape[1]
-    # every h's candidates at once; argmax takes the first max in row-major order
-    flat = np.where(_witness_masks(n), np.abs(mats)[:, None], -1.0).reshape(batch, n, n * n)
-    pick = flat.argmax(axis=2)
-    i, j = np.divmod(pick, n)
-    rows, h = np.arange(batch)[:, None], np.arange(n)
-    c_ij = mats[rows, i, j]
-    c_ih = mats[rows, i, h]
-    c_hj = mats[rows, h, j]
+def _recover_raw(pairs: np.ndarray, n: int) -> np.ndarray:
+    """(B, n) raw accuracies from (B, P) upper-triangle correlations."""
+    _, _, cap, witness, offset = _witness_table(n)
+    batch, size = pairs.shape
+    # all h at once: fmin puts the pairs touching h at -inf, a NaN too, and
+    # a candidate's NaN at +inf, where argmax on |C| would pick it; C order
+    # so that argmax runs along memory and takes the first max in triu order
+    pick = np.fmin(np.abs(pairs)[:, None], cap, order="C").argmax(axis=2) + offset
+    # the flat indices in ``pairs`` of each pick's (i, j), (i, h) and (h, j)
+    at = witness.take(pick, axis=1) + np.arange(0, batch * size, size)[:, None]
+    c_ij, c_ih, c_hj = pairs.take(at)
     degenerate = np.abs(c_ij) <= ZERO_TOL
     c_ij[degenerate] = 1.0  # a fresh gather: the input is left as it was
     raw = 0.5 * (1.0 + np.sqrt(np.abs(c_ih * c_hj / c_ij)))
@@ -116,5 +125,6 @@ def recover_accuracies(
         raise ValueError(f"clip band must satisfy 0 < lo < 0.5 < hi < 1, got [{clip_lo}, {clip_hi}]")
     if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 0:
         raise ValueError(f"window must be a nonnegative integer, got {window!r}")
-    raw = _recover_raw(c[None])[0]
+    iu, ju = _witness_table(n)[:2]
+    raw = _recover_raw(c[iu, ju][None], n)[0]
     return AccuracyEstimate(raw=raw, accuracies=raw.clip(clip_lo, clip_hi), window=int(window))

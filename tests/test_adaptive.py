@@ -61,6 +61,9 @@ def test_drift_threshold_validation():
         drift_threshold(4, 2, 0.1, 1.0)
     with pytest.raises(ValueError):
         drift_threshold(1, 2, -0.1, 1.0)
+    for beta in (math.nan, math.inf):  # NaN passes a `beta < 0` test
+        with pytest.raises(ValueError, match="beta must be nonnegative and finite"):
+            drift_threshold(1, 2, beta, 1.0)
     with pytest.raises(ValueError):
         drift_threshold(1, 2, 0.1, 0.0)
 

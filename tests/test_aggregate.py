@@ -60,6 +60,9 @@ def test_weighted_vote_rejects_nan_sum():
         weighted_vote([1, -1, 1], [np.inf, np.inf, 1.0])
     with pytest.raises(ValueError, match="NaN"):
         weighted_vote([0, 1, 1], [np.inf, 1.0, 1.0])
+    # opposite infinite votes are checked as the weights are
+    with pytest.raises(ValueError, match="NaN"):
+        weighted_vote([np.inf, -np.inf, 1], [1.0, 1.0, 1.0])
     # same-sign infinite terms sum to a signed infinity
     assert weighted_vote([1, 1, -1], [np.inf, np.inf, 1.0]) == 1
     assert weighted_vote([-1, 1, -1], [np.inf, -np.inf, 1.0]) == -1
@@ -397,3 +400,29 @@ def test_below_chance_labeler_mirrors_to_its_complement():
         assert abs(np.median(reports.p_hat[late, 3]) - 0.7) < 0.03
         assert np.all((reports.p_hat[late, 3] > 0.6) & (reports.p_hat[late, 3] < 0.8))
         assert np.all(reports.weights[late, 3] > 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_heavy_abstentions_shrink_accuracy_toward_half(seed):
+    """Labeler 1 (accuracy 0.9) votes on 10% of the steps of a stationary
+    n = 4 stream, and ``resolve_abstentions`` fills the rest with fair coin
+    flips.  A labeler with coverage c and accuracy p then votes the truth
+    with probability 1/2 + c (p - 1/2), here 0.54, and that is what the
+    engine recovers: the estimator knows nothing of abstentions.
+
+    The tolerance, 0.025, is about five standard deviations of a tail mean
+    here (0.005 over seeds 0-9, whose largest error was 0.013): a miss is a
+    bias, not noise, and it is far below the 0.36 that separates 0.54 from
+    the labeler's true 0.9."""
+    from driftvote import BlockSpec, SyntheticStreamConfig, resolve_abstentions
+    from driftvote.driftgen import role_rngs
+
+    accuracies = (0.9, 0.8, 0.75, 0.7)
+    blocks = (BlockSpec(length=40_000, accuracies=accuracies),)
+    votes = generate_synthetic(SyntheticStreamConfig(blocks=blocks, seed=seed, n=4)).votes
+    rng = role_rngs(seed)["abstain"]
+    votes[rng.random(len(votes)) >= 0.1, 0] = 0
+    reports = run_strategy(resolve_abstentions(votes, rng), "adaptive")
+    tail = reports.p_hat[-5000:].mean(axis=0)
+    expected = np.array([0.5 + 0.1 * (0.9 - 0.5), 0.8, 0.75, 0.7])
+    assert np.abs(tail - expected).max() < 0.025

@@ -177,6 +177,8 @@ def test_run_rejects_adaptive_ladder_not_starting_at_one(tmp_path, capsys):
         (["--delta", "1.5"], "delta"),
         (["--sizes", "4,8,16"], "starts at 1"),
         (["--abstain-seed", "-1"], "abstain-seed"),
+        (["--beta", "nan"], "beta must be positive and finite"),
+        (["--beta", "inf"], "beta must be positive and finite"),
     ],
 )
 def test_run_rejects_bad_config_before_reading_input(tmp_path, capsys, flags, message):
@@ -190,6 +192,20 @@ def test_run_rejects_bad_config_before_reading_input(tmp_path, capsys, flags, me
     assert message in err[0]
     assert "No such file" not in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--beta", "nan"], ["--beta", "inf"], ["--beta-sweep", "0.1,nan"], ["--beta-sweep", "inf"]],
+)
+def test_bound_rejects_non_finite_beta(capsys, flags):
+    # NaN and Infinity are not JSON, and a NaN beta is no tolerance at all
+    assert run_cli("bound", "--n", "3", "--m", "4", *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "beta must be positive and finite" in err[0]
 
 
 @pytest.mark.parametrize(

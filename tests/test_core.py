@@ -132,6 +132,10 @@ def test_selection_overhead_validation():
         selection_overhead(s, 0.0)
     with pytest.raises(ValueError):
         selection_overhead(s, -0.5)
+    # NaN passes a `beta <= 0` test, and an infinite beta gives an infinite overhead
+    for beta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            selection_overhead(s, beta)
 
 
 def test_adaptive_config_defaults():
@@ -148,6 +152,9 @@ def test_adaptive_config_validation():
         AdaptiveConfig(n=2)
     with pytest.raises(ValueError):
         AdaptiveConfig(n=3, beta=0.0)
+    for beta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            AdaptiveConfig(n=3, beta=beta)
     with pytest.raises(ValueError):
         AdaptiveConfig(n=3, delta=1.5)
     with pytest.raises(ValueError):

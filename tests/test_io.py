@@ -536,9 +536,12 @@ def test_write_reports_rejects_columns_outside_the_dtype_contract(tmp_path, name
     ("truth", np.array([2])),
 ])
 def test_write_stream_rejects_non_integer_columns(tmp_path, name, column):
+    # both formats write only what read_stream reads back
     columns = {"votes": np.array([[1, -1]], dtype=np.int8), name: column}
-    with pytest.raises(ValueError, match=f"'{name}' must be"):
-        write_stream(tmp_path / "s.jsonl", Stream(**columns))
+    for path in (tmp_path / "s.jsonl", tmp_path / "s.csv"):
+        with pytest.raises(ValueError, match=f"'{name}' must be"):
+            write_stream(path, Stream(**columns))
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("name", ["p_hat", "weights"])

@@ -10,9 +10,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftvote import correlation_from_accuracies, recover_accuracies
-from driftvote.triplet import ZERO_TOL, _recover_raw, _witness_masks
+from driftvote.triplet import ZERO_TOL, _recover_raw
 
 
 def test_correlation_from_accuracies_frozen_example():
@@ -159,11 +161,21 @@ def test_input_validation():
         assert est.window == 7 and type(est.window) is int
 
 
+def witness_masks(n):
+    """(n, n, n) bool; entry [h, i, j] marks i < j with both distinct from h."""
+    masks = np.broadcast_to(np.triu(np.ones((n, n), dtype=bool), k=1), (n, n, n)).copy()
+    idx = np.arange(n)
+    masks[idx, idx, :] = False
+    masks[idx, :, idx] = False
+    return masks
+
+
 def per_labeler_recover_raw(mats):
-    """The per-h loop that the batched ``_recover_raw`` replaced, kept as its
-    oracle: one masked argmax over the witness pairs of each labeler."""
+    """The per-h loop over full (B, n, n) matrices that the batched
+    ``_recover_raw`` replaced, kept as its oracle: one masked argmax over
+    the witness pairs of each labeler, the first max in row-major order."""
     batch, n = mats.shape[0], mats.shape[1]
-    masks = _witness_masks(n)
+    masks = witness_masks(n)
     absm = np.abs(mats)
     rows = np.arange(batch)
     raw = np.empty((batch, n))
@@ -178,6 +190,20 @@ def per_labeler_recover_raw(mats):
         ratio = np.abs(c_ih * c_hj / np.where(degenerate, 1.0, c_ij))
         raw[:, h] = np.where(degenerate, 0.5, 0.5 * (1.0 + np.sqrt(ratio)))
     return raw
+
+
+def full_matrices(pairs, n):
+    """(B, n, n) symmetric matrices with a unit diagonal from (B, P) pairs."""
+    iu, ju = np.triu_indices(n, 1)
+    mats = np.empty((len(pairs), n, n))
+    mats[:, iu, ju] = mats[:, ju, iu] = pairs
+    mats[:, np.arange(n), np.arange(n)] = 1.0
+    return mats
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 4, 8, 32])
@@ -195,8 +221,60 @@ def test_batched_recovery_matches_per_labeler_loop(n):
     mats[6, 0, 1] = mats[6, 1, 0] = np.nan
     mats[7, 1, 2] = mats[7, 2, 1] = -0.0
     mats[8:12] = [correlation_from_accuracies(rng.uniform(0.55, 0.95, n)) for _ in range(4)]
+    iu, ju = np.triu_indices(n, 1)
     want = per_labeler_recover_raw(mats)
-    got = _recover_raw(mats)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
+    got = _recover_raw(mats[:, iu, ju], n)
+    assert_same_bits(got, want)
     assert np.isnan(got[6]).any() and np.all(got[5] == 0.5)
+
+
+@st.composite
+def tied_pairs(draw):
+    """(n, (B, P) pairs): entries on a 1/4 grid in [-2, 2], so that |C| ties
+    are frequent (and |C| > 1 still ranks), with some labelers zeroed, so
+    that whole rows of candidates are zero witnesses, and at most one NaN."""
+    n = draw(st.integers(3, 8))
+    batch = draw(st.integers(1, 4))
+    size = n * (n - 1) // 2
+    grid = draw(st.lists(st.integers(-8, 8), min_size=batch * size, max_size=batch * size))
+    pairs = np.array(grid, dtype=float).reshape(batch, size) / 4.0
+    zero = np.array(draw(st.lists(st.booleans(), min_size=batch * n, max_size=batch * n)))
+    zero = zero.reshape(batch, n)
+    iu, ju = np.triu_indices(n, 1)
+    pairs[zero[:, iu] | zero[:, ju]] = 0.0
+    nan_at = draw(st.none() | st.integers(0, batch * size - 1))
+    if nan_at is not None:
+        pairs.flat[nan_at] = np.nan
+    return n, pairs
+
+
+def _wide_case(n=32, batch=6):
+    rng = np.random.default_rng(32)
+    pairs = np.round(rng.uniform(-1.0, 1.0, size=(batch, n * (n - 1) // 2)), 1)
+    iu, ju = np.triu_indices(n, 1)
+    zero = rng.random((batch, n)) < 0.2
+    pairs[zero[:, iu] | zero[:, ju]] = 0.0
+    return n, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_pairs())
+@example(_wide_case())
+def test_pair_recovery_matches_the_full_matrix_loop(case):
+    n, pairs = case
+    assert_same_bits(_recover_raw(pairs, n), per_labeler_recover_raw(full_matrices(pairs, n)))
+
+
+def test_recover_accuracies_reads_the_upper_triangle():
+    # a matrix symmetric only to within the tolerance is recovered from its
+    # upper triangle, as the engine recovers the bank's pairs
+    rng = np.random.default_rng(5)
+    for n in (3, 4, 8):
+        c = correlation_from_accuracies(rng.uniform(0.55, 0.95, n))
+        skew = np.triu(rng.uniform(-1e-13, 1e-13, (n, n)), k=1)
+        tilted = c + skew - skew.T
+        upper = np.triu(tilted) + np.triu(tilted, k=1).T
+        lower = np.tril(tilted) + np.tril(tilted, k=-1).T
+        got = recover_accuracies(tilted).raw
+        assert got.tobytes() == recover_accuracies(upper).raw.tobytes()
+        assert got.tobytes() != recover_accuracies(lower).raw.tobytes()
