@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import STOP_HORIZON, STOP_SCHEDULE, STOP_THRESHOLD, STOPS, AdaptiveConfig  # noqa: F401
+from .core import STOP_HORIZON, STOP_SCHEDULE, STOP_THRESHOLD, STOPS, AdaptiveConfig
 from .corrwin import CorrelationBank
 
 
@@ -50,20 +50,6 @@ def _threshold_ladder(sizes: tuple[int, ...], beta: float, bound_const: float) -
     return tuple(
         drift_threshold(a, b, beta, bound_const) for a, b in zip(sizes, sizes[1:])
     )
-
-
-@lru_cache(maxsize=64)
-def _bank_rungs(tracked: tuple[int, ...], sizes: tuple[int, ...]) -> int | np.ndarray:
-    """Where ``sizes`` sit among the sizes ``tracked`` by a bank: the index
-    of the first when they are consecutive there, else each one's index."""
-    missing = set(sizes) - set(tracked)
-    if missing:
-        raise ValueError(f"bank does not track schedule window {min(missing)}")
-    rungs = np.searchsorted(tracked, sizes)
-    if rungs[-1] - rungs[0] == len(sizes) - 1:
-        return int(rungs[0])
-    rungs.setflags(write=False)
-    return rungs
 
 
 class GapProbe(NamedTuple):
@@ -99,23 +85,26 @@ class WindowDecision:
 def select_window(bank: CorrelationBank, config: AdaptiveConfig) -> WindowDecision:
     """Walk the ladder over ``bank``'s current state and pick a window.
 
-    The bank must track every size in ``config.schedule`` and must have
-    seen at least ``schedule.sizes[0]`` votes.  Every rung within the
-    horizon ``r <= t`` gets its correlation from one division and its gap
-    to the next rung from one array operation; the walk then reads that
-    gap table and builds a :class:`GapProbe` for each comparison up to and
-    including the first that fails.
+    The bank must track exactly ``config.schedule``'s sizes and must have
+    seen at least ``schedule.sizes[0]`` votes.  The ``reach`` rungs within
+    the horizon ``r <= t`` get their correlations from one division and
+    their gaps from one array operation; the walk builds a
+    :class:`GapProbe` per comparison up to the first that fails, which
+    stops it at ``threshold_exceeded``.  Otherwise it stops at
+    ``schedule_exhausted`` when every rung is within reach and at
+    ``horizon_reached`` when not.  :func:`_walk` is the same rule over many
+    steps at once.
     """
     sizes = config.schedule.sizes
+    if bank.sizes != sizes:
+        raise ValueError(f"bank tracks windows {list(bank.sizes)}, the schedule {list(sizes)}")
     t = bank.t
     if t < sizes[0]:
         raise ValueError(f"need at least {sizes[0]} votes before selecting, have {t}")
-    rungs = _bank_rungs(bank.sizes, sizes)
     thresholds = _threshold_ladder(sizes, config.beta, config.bound_const)
 
     reach = bisect_right(sizes, t)  # rungs within the horizon, at least one
-    corr = bank.all_correlations()
-    corr = corr[rungs:rungs + reach] if isinstance(rungs, int) else corr[rungs[:reach]]
+    corr = bank.all_correlations()[:reach]
     gaps = np.abs(corr[1:] - corr[:-1]).max(axis=(1, 2)).tolist()
     probes: list[GapProbe] = []
     for k, gap in enumerate(gaps):
@@ -124,3 +113,27 @@ def select_window(bank: CorrelationBank, config: AdaptiveConfig) -> WindowDecisi
             return WindowDecision(k + 1, sizes[k], STOP_THRESHOLD, tuple(probes))
     stop = STOP_SCHEDULE if reach == len(sizes) else STOP_HORIZON
     return WindowDecision(reach, sizes[reach - 1], stop, tuple(probes))
+
+
+_THRESHOLD, _HORIZON, _SCHEDULE = map(STOPS.index, (STOP_THRESHOLD, STOP_HORIZON, STOP_SCHEDULE))
+
+
+def _walk(
+    corr: np.ndarray, t: np.ndarray, sizes: np.ndarray, thresholds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`select_window` of many steps at once: each row's accepted rung
+    index and stop code, an index into :data:`STOPS`, given the (c, K, P)
+    upper-triangle correlations of the ladder ``sizes`` after steps ``t``,
+    each at least ``sizes[0]``, and the K - 1 thresholds between its rungs."""
+    rungs = corr.shape[1]
+    reach = np.searchsorted(sizes, t, side="right")  # rungs within the horizon
+    gap = np.subtract(corr[:, 1:], corr[:, :-1])
+    gap = np.abs(gap, out=gap).max(axis=2)
+    # the first failing comparison, NaN included; the last column stands
+    # for the ladder's end, so ``first`` is rungs - 1 when none fails
+    fails = np.ones((len(corr), rungs), dtype=bool)
+    fails[:, :-1] = ~(gap <= thresholds)
+    first = fails.argmax(axis=1)
+    stopped = first < reach - 1  # the failing comparison is before the horizon
+    code = np.where(stopped, _THRESHOLD, np.where(reach == rungs, _SCHEDULE, _HORIZON))
+    return np.minimum(first, reach - 1), code

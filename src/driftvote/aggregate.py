@@ -15,8 +15,9 @@ labeler errors are independent given the truth.  Exact ties go to +1.
 
 ``adaptive`` and ``fixed:R`` run on one offline engine that works on
 chunks of steps at once: each chunk extends one :class:`.CorrelationBank`,
-which gives every window's exact sums; every step's ladder walk is one
-table of gaps, recovery one batch and the vote one dot product per step.
+which gives every window's exact sums; the chunk's ladder walks are one
+:func:`.adaptive._walk` over a table of gaps, recovery one batch and the
+vote one dot product per step.
 Its outputs are bit-identical to pushing each step into a bank and calling
 :func:`.adaptive.select_window`, :func:`.triplet.recover_accuracies`,
 :func:`log_odds_weights` and :func:`weighted_vote`; that per-step online
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adaptive import _threshold_ladder
+from .adaptive import _threshold_ladder, _walk
 from .core import AdaptiveConfig, Reports
 from .corrwin import CorrelationBank, _all_plus_minus_one, as_vote_matrix
 from .triplet import _recover_raw
@@ -149,27 +150,6 @@ def _estimate(pairs: np.ndarray, n: int, config: AdaptiveConfig) -> tuple[np.nda
 #: _CHUNK_MIN_ROWS rows, so that its per-chunk numpy calls stay few at large n
 _CHUNK_BUDGET = 2**12
 _CHUNK_MIN_ROWS = 16
-
-
-def _walk(
-    corr: np.ndarray, t: np.ndarray, sizes: np.ndarray, thresholds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's :func:`.adaptive.select_window` at once: the accepted
-    rung index and the stop code (an index into :data:`.adaptive.STOPS`),
-    given the (c, K, P) correlations of the ladder ``sizes`` after steps
-    ``t`` and the K - 1 thresholds between its rungs."""
-    rows, rungs = corr.shape[:2]
-    horizon = np.zeros((rows, rungs), dtype=bool)
-    horizon[:, :-1] = sizes[1:] > t[:, None]
-    gap = np.subtract(corr[:, 1:], corr[:, :-1])
-    gap = np.abs(gap, out=gap).max(axis=2)
-    # the walk stops at the first rung whose next window is past the
-    # horizon or whose gap fails; the last column stands for the ladder's end
-    fails = np.ones((rows, rungs), dtype=bool)
-    fails[:, :-1] = horizon[:, :-1] | ~(gap <= thresholds)
-    k = fails.argmax(axis=1)
-    code = np.where(k == rungs - 1, 2, horizon[np.arange(rows), k].astype(int))
-    return k, code
 
 
 def _votes(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -108,7 +108,7 @@ def resolve_abstentions(votes, seed_or_rng) -> np.ndarray:
     v = np.asarray(votes)
     if not np.all(np.isin(v, (-1, 0, 1))):
         raise ValueError("votes must be -1, 0 (abstain), or +1")
-    out = v.astype(np.int8).copy()
+    out = v.astype(np.int8)  # astype copies: the input is left as it was
     gaps = out == 0
     count = int(gaps.sum())
     if count:  # numpy.random is imported only for a stream that needs it

@@ -102,8 +102,8 @@ def recover_accuracies(
     Parameters
     ----------
     corr : (n, n) array
-        Symmetric with unit diagonal, n >= 3 (each labeler needs a witness
-        pair disjoint from itself).
+        Symmetric with unit diagonal and entries in [-1, 1], n >= 3 (each
+        labeler needs a witness pair disjoint from itself).
     clip_lo, clip_hi : float
         Clipping band applied to the raw estimates.
     window : int
@@ -116,9 +116,9 @@ def recover_accuracies(
     n = c.shape[0]
     if n < 3:
         raise ValueError(f"recovery needs at least 3 labelers, got {n}")
-    # a NaN or infinite entry would fail the symmetry test too, but inf - inf warns
-    if not np.isfinite(c).all() or not np.abs(c - c.T).max() <= _SYM_TOL:
-        raise ValueError("correlation matrix must be symmetric")
+    # the bound fails on NaN and +/-inf too, before inf - inf can warn
+    if not np.abs(c).max() <= 1.0 + _SYM_TOL or not np.abs(c - c.T).max() <= _SYM_TOL:
+        raise ValueError("correlation matrix must be symmetric with entries in [-1, 1]")
     if not (np.abs(c.diagonal() - 1.0).max() <= _SYM_TOL):
         raise ValueError("correlation matrix must have unit diagonal")
     if not 0.0 < clip_lo < 0.5 < clip_hi < 1.0:

@@ -16,6 +16,7 @@ from driftvote import (
     STOP_HORIZON,
     STOP_SCHEDULE,
     STOP_THRESHOLD,
+    STOPS,
     WindowDecision,
     WindowSchedule,
     correlation_from_accuracies,
@@ -24,7 +25,7 @@ from driftvote import (
     statistical_error,
     union_bound_constant,
 )
-from driftvote.adaptive import _threshold_ladder
+from driftvote.adaptive import _threshold_ladder, _walk
 
 mp.mp.dps = 40
 
@@ -157,24 +158,24 @@ def test_select_window_requires_minimum_history():
 
 
 def test_select_window_rejects_mismatched_bank():
-    cfg = AdaptiveConfig(n=3)
-    bank = CorrelationBank(3, (1, 2, 4))  # missing most schedule sizes
-    for row in agreeing_votes(8):
-        bank.push(row)
-    with pytest.raises(ValueError):
-        select_window(bank, cfg)
+    cfg = AdaptiveConfig(n=3, schedule=WindowSchedule((1, 2, 4, 8)))
+    # missing most schedule sizes, tracking one extra size, lacking one
+    for tracked in ((1, 2), (1, 2, 4, 8, 16), (1, 2, 8)):
+        bank = CorrelationBank(3, tracked)
+        for row in agreeing_votes(8):
+            bank.push(row)
+        with pytest.raises(ValueError, match="bank tracks"):
+            select_window(bank, cfg)
 
 
 def reference_walk(bank, config):
     """The per-rung walk that ``select_window`` replaced, kept as its
-    oracle: one ``bank.correlation`` and one gap per comparison."""
+    oracle: one ``bank.correlation`` and one gap per comparison, over a
+    bank that tracks exactly the schedule's sizes."""
     sizes = config.schedule.sizes
     t = bank.t
     if t < sizes[0]:
         raise ValueError(f"need at least {sizes[0]} votes before selecting, have {t}")
-    for r in sizes:
-        if not bank.tracks(r):
-            raise ValueError(f"bank does not track schedule window {r}")
     thresholds = _threshold_ladder(sizes, config.beta, config.bound_const)
 
     k = 0  # 0-based index of the currently accepted window
@@ -211,14 +212,17 @@ def outcome(walk, bank, config):
 def walk_cases(draw):
     """A bank after a two-block stream of n in [3, 5] labelers (the second
     block mirrors one labeler's accuracy, so walks can stop on a
-    threshold), a ladder
-    that need not start at 1, a bank that tracks extra sizes or misses
-    some, and t below, at and past the ladder's largest size."""
+    threshold), an uneven ladder that need not start at 1, t below, at and
+    past the ladder's largest size, and a bank that tracks the ladder's
+    sizes exactly or, in three draws of ten, also extra sizes, one of the
+    three then missing some of the ladder's."""
     n = draw(st.integers(3, 5))
     sizes = tuple(sorted(draw(st.lists(st.integers(1, 300), min_size=2, max_size=7, unique=True))))
-    extra = draw(st.lists(st.integers(1, 400), max_size=4))
-    tracked = set(sizes) | set(extra)
-    if draw(st.integers(0, 9)) == 9:
+    tracked = set(sizes)
+    mismatch = draw(st.integers(0, 9))
+    if mismatch >= 7:
+        tracked |= set(draw(st.lists(st.integers(1, 400), min_size=1, max_size=4)))
+    if mismatch == 9:
         tracked -= set(draw(st.lists(st.sampled_from(sizes), min_size=1, max_size=2)))
     steps = draw(st.one_of(
         st.integers(sizes[0], 2 * sizes[-1]),
@@ -245,7 +249,11 @@ def walk_cases(draw):
 @given(walk_cases())
 def test_select_window_matches_per_rung_walk(case):
     bank, config = case
-    assert outcome(select_window, bank, config) == outcome(reference_walk, bank, config)
+    if bank.sizes != config.schedule.sizes:  # a bank walks its own ladder only
+        with pytest.raises(ValueError, match="bank tracks"):
+            select_window(bank, config)
+    else:
+        assert outcome(select_window, bank, config) == outcome(reference_walk, bank, config)
 
 
 def test_gap_probe_is_immutable():
@@ -269,6 +277,36 @@ def test_nan_gap_fails_the_walk():
     assert (decision.window, decision.stop_reason) == (4, STOP_THRESHOLD)
     assert math.isnan(decision.probes[-1].gap)
     assert repr(decision) == repr(want)  # NaN != NaN, but its repr matches
+
+
+WALK_SIZES = (100, 200, 400, 800)  # long enough for thresholds below 0.35
+
+
+@pytest.mark.parametrize("t, rungs, k, stop", [
+    # a NaN gap between the windows of 200 and 400 fails the walk
+    (800, (0.5, 0.5, math.nan, 0.5), 1, STOP_THRESHOLD),
+    # a gap that fails past the horizon t < 400 is never compared
+    (300, (0.5, 0.5, -0.5, -0.5), 1, STOP_HORIZON),
+    # t at the largest rung with every gap passing accepts the ladder's end
+    (800, (0.5, 0.5, 0.5, 0.5), 3, STOP_SCHEDULE),
+    # a gap that fails before the horizon stops the walk
+    (800, (0.5, 0.5, -0.5, -0.5), 1, STOP_THRESHOLD),
+], ids=["nan-gap", "fail-past-horizon", "t-at-last-rung", "fail-before-horizon"])
+def test_batched_walk_cases(t, rungs, k, stop):
+    cfg = AdaptiveConfig(n=3, schedule=WindowSchedule(WALK_SIZES))
+    thresholds = np.array(_threshold_ladder(WALK_SIZES, cfg.beta, cfg.bound_const))
+    # (K, P) pairs of 3 labelers: every pair of rung k holds rungs[k]
+    pairs = np.repeat(np.array(rungs)[:, None], 3, axis=1)
+    got_k, code = _walk(pairs[None], np.array([t]), np.array(WALK_SIZES), thresholds)
+    assert (int(got_k[0]), STOPS[code[0]]) == (k, stop)
+    # the online walk over a bank in the same state
+    bank = CorrelationBank.from_history(3, agreeing_votes(t), WALK_SIZES)
+    mats = np.ones((len(WALK_SIZES), 3, 3))
+    iu, ju = np.triu_indices(3, 1)
+    mats[:, iu, ju] = mats[:, ju, iu] = pairs
+    with mock.patch.object(bank, "all_correlations", return_value=mats):
+        decision = select_window(bank, cfg)
+    assert (decision.chosen_index - 1, decision.stop_reason) == (k, stop)
 
 
 def test_selection_error_bound_monte_carlo():

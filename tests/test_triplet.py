@@ -133,9 +133,10 @@ def test_input_validation():
     bad[1, 1] = 0.9
     with pytest.raises(ValueError):
         recover_accuracies(bad)  # diagonal
-    for value in (np.nan, np.inf, -np.inf):
-        # a non-finite entry, even a symmetric one or one on the diagonal,
-        # fails the symmetry test, without numpy's "invalid value" warning
+    for value in (np.nan, np.inf, -np.inf, 2.0, 1.0 + 1e-9, -1.0 - 1e-9):
+        # a non-finite entry or one outside [-1, 1], even a symmetric one or
+        # one on the diagonal, fails the bound, without numpy's "invalid
+        # value" warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bad = good.copy()
@@ -146,6 +147,10 @@ def test_input_validation():
             bad[2, 2] = value
             with pytest.raises(ValueError, match="symmetric"):
                 recover_accuracies(bad)
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        recover_accuracies(np.full((3, 3), 2.0) - np.eye(3))  # raw would be 1.2071
+    # entries of exactly +/-1 are inside the bound
+    np.testing.assert_array_equal(recover_accuracies(np.ones((3, 3))).raw, 1.0)
     with pytest.raises(ValueError):
         recover_accuracies(good, clip_lo=0.6)
     with pytest.raises(ValueError):
