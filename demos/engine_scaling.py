@@ -14,6 +14,9 @@ steps (labeler accuracies spread over 0.6..0.9) and prints:
   percentile, which shows the slow steps.  The bank is
   bulk-loaded with every step before them, so each walk sees the whole
   history, as it would at the end of a long online run;
+* ``majority``: ``majority_vote`` alone on the same steps, the whole
+  online cost of the ``majority`` strategy, median and 99th percentile
+  in microseconds per step;
 * the peak RSS of each, from ``resource.getrusage`` in a child process of
   its own, so that one measurement does not inherit another's peak; the
   engine's is read after its first call.
@@ -57,16 +60,25 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def median_p99_us(lat: list) -> tuple:
+    """Median and 99th-percentile step, in us, of per-step times in ns."""
+    import statistics
+
+    p99 = statistics.quantiles(lat, n=100)[98] if len(lat) > 1 else lat[0]
+    return statistics.median(lat) / 1e3, p99 / 1e3
+
+
 def measure(case: str, n: int, steps: int, online_steps: int) -> dict:
     """Time one case in this process; returns us/step (and, online, the
-    99th-percentile step in us) and peak RSS in MB."""
-    import statistics
+    99th-percentile step in us and the majority path's two) and peak RSS
+    in MB."""
     import time
 
     from driftvote import (
         AdaptiveConfig,
         CorrelationBank,
         log_odds_weights,
+        majority_vote,
         recover_accuracies,
         run_strategy,
         select_window,
@@ -84,23 +96,27 @@ def measure(case: str, n: int, steps: int, online_steps: int) -> dict:
             if len(times) == 1:  # later calls add allocator slack, not engine memory
                 rss_mb = peak_rss_mb()
         us_per_step, timed = min(times) / steps * 1e6, steps
-        p99_us = None
-    else:
-        timed = min(online_steps, steps)
-        bank = CorrelationBank.from_history(n, votes[:steps - timed], config.schedule.sizes)
-        lo, hi = config.clip_lo, config.clip_hi
-        clock, lat = time.perf_counter_ns, []
-        for row in votes[steps - timed:]:
-            t0 = clock()
-            bank.push(row)
-            window = select_window(bank, config).window
-            est = recover_accuracies(bank.correlation(window), lo, hi, window=window)
-            weighted_vote(row, log_odds_weights(est.accuracies))
-            lat.append(clock() - t0)
-        us_per_step = statistics.median(lat) / 1e3
-        p99_us = statistics.quantiles(lat, n=100)[98] / 1e3 if timed > 1 else lat[0] / 1e3
-        rss_mb = peak_rss_mb()
-    return {"us_per_step": us_per_step, "p99_us": p99_us, "peak_rss_mb": rss_mb, "timed_steps": timed}
+        return {"us_per_step": us_per_step, "peak_rss_mb": rss_mb, "timed_steps": timed}
+    timed = min(online_steps, steps)
+    bank = CorrelationBank.from_history(n, votes[:steps - timed], config.schedule.sizes)
+    lo, hi = config.clip_lo, config.clip_hi
+    clock, lat, majority = time.perf_counter_ns, [], []
+    rows = votes[steps - timed:]
+    for row in rows:
+        t0 = clock()
+        bank.push(row)
+        window = select_window(bank, config).window
+        est = recover_accuracies(bank.correlation(window), lo, hi, window=window)
+        weighted_vote(row, log_odds_weights(est.accuracies))
+        lat.append(clock() - t0)
+    for row in rows:
+        t0 = clock()
+        majority_vote(row)
+        majority.append(clock() - t0)
+    us_per_step, p99_us = median_p99_us(lat)
+    majority_us, majority_p99_us = median_p99_us(majority)
+    return {"us_per_step": us_per_step, "p99_us": p99_us, "majority_us": majority_us,
+            "majority_p99_us": majority_p99_us, "peak_rss_mb": peak_rss_mb(), "timed_steps": timed}
 
 
 def main() -> int:
@@ -122,7 +138,8 @@ def main() -> int:
     print(f"T = {args.steps} steps, default ladder (20 rungs); online: median and 99th-percentile "
           f"step of the last {min(args.online_steps, args.steps)} steps")
     print(f"{'n':>4}  {'engine us/step':>14}  {'online us/step':>14}  {'online p99 us':>13}  "
-          f"{'speed-up':>8}  {'engine RSS MB':>13}  {'online RSS MB':>13}")
+          f"{'speed-up':>8}  {'majority us/step':>16}  {'majority p99 us':>15}  "
+          f"{'engine RSS MB':>13}  {'online RSS MB':>13}")
     for n in counts:
         result = {}
         for case in ("engine", "online"):
@@ -135,6 +152,7 @@ def main() -> int:
         engine, online = result["engine"], result["online"]
         print(f"{n:>4}  {engine['us_per_step']:>14.1f}  {online['us_per_step']:>14.1f}  "
               f"{online['p99_us']:>13.1f}  {online['us_per_step'] / engine['us_per_step']:>7.1f}x  "
+              f"{online['majority_us']:>16.2f}  {online['majority_p99_us']:>15.2f}  "
               f"{engine['peak_rss_mb']:>13.1f}  {online['peak_rss_mb']:>13.1f}")
     return 0
 

@@ -21,6 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -104,15 +105,19 @@ def select_window(bank: CorrelationBank, config: AdaptiveConfig) -> WindowDecisi
     thresholds = _threshold_ladder(sizes, config.beta, config.bound_const)
 
     reach = bisect_right(sizes, t)  # rungs within the horizon, at least one
-    corr = bank.all_correlations()[:reach]
-    gaps = np.abs(corr[1:] - corr[:-1]).max(axis=(1, 2)).tolist()
-    probes: list[GapProbe] = []
+    # a rung r <= t holds exactly r votes, so its own size is its divisor
+    corr = bank._sums[:reach] / bank._sizes[:reach, None, None]
+    gaps = np.abs(corr[1:] - corr[:-1]).reshape(reach - 1, bank.n**2).max(axis=1).tolist()
     for k, gap in enumerate(gaps):
-        probes.append(GapProbe(k + 1, sizes[k], sizes[k + 1], gap, thresholds[k]))
         if not gap <= thresholds[k]:  # NaN fails
-            return WindowDecision(k + 1, sizes[k], STOP_THRESHOLD, tuple(probes))
-    stop = STOP_SCHEDULE if reach == len(sizes) else STOP_HORIZON
-    return WindowDecision(reach, sizes[reach - 1], stop, tuple(probes))
+            chosen, stop = k + 1, STOP_THRESHOLD
+            break
+    else:
+        chosen, stop = reach, STOP_SCHEDULE if reach == len(sizes) else STOP_HORIZON
+    # tuple.__new__ is what GapProbe(...) calls, without a Python frame per probe
+    fields = zip(range(1, reach), sizes, sizes[1:], gaps[:chosen], thresholds)
+    probes = tuple(map(tuple.__new__, repeat(GapProbe), fields))
+    return WindowDecision(chosen, sizes[chosen - 1], stop, probes)
 
 
 _THRESHOLD, _HORIZON, _SCHEDULE = map(STOPS.index, (STOP_THRESHOLD, STOP_HORIZON, STOP_SCHEDULE))

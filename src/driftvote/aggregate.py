@@ -26,6 +26,8 @@ API stays the engine's oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .adaptive import _threshold_ladder, _walk
@@ -41,7 +43,7 @@ STRATEGY_FIXED = "fixed"
 def log_odds_weights(p) -> np.ndarray:
     """Per-labeler weights ``ln(p / (1 - p))``; requires 0 < p < 1."""
     acc = np.asarray(p, dtype=float)
-    if not ((acc > 0.0) & (acc < 1.0)).all():  # NaN fails
+    if not all(0.0 < x < 1.0 for x in acc.ravel().tolist()):  # NaN fails
         raise ValueError("accuracies must lie strictly inside (0, 1); clip estimates first")
     return np.log(acc / (1.0 - acc))
 
@@ -53,7 +55,9 @@ def weighted_vote(votes, weights) -> int:
     w = np.asarray(weights, dtype=float)
     if v.shape != w.shape:
         raise ValueError(f"votes {v.shape} and weights {w.shape} must align")
-    if np.isfinite((v, w)).all():  # votes and weights in one call
+    # the sums are finite only if every entry is; finite entries whose sum
+    # overflows take the muted branch too, which gives the same score
+    if math.isfinite(sum(v.ravel().tolist()) + sum(w.ravel().tolist())):
         score = float(v @ w)
     else:  # inf - inf and 0 * inf are NaN, which numpy warns of; the NaN raises below
         with np.errstate(invalid="ignore"):
@@ -65,7 +69,7 @@ def weighted_vote(votes, weights) -> int:
 
 def majority_vote(votes) -> int:
     """Unweighted majority; an exact tie predicts +1."""
-    return 1 if int(np.add.reduce(votes, axis=None)) >= 0 else -1
+    return 1 if int(sum(np.asarray(votes).ravel().tolist())) >= 0 else -1
 
 
 def parse_strategy(strategy: str) -> tuple[str, int | None]:

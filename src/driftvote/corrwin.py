@@ -104,9 +104,6 @@ class CorrelationBank:
         """Number of vote vectors currently held in memory (<= max_size)."""
         return min(self._t, self._cap)
 
-    def tracks(self, r: int) -> bool:
-        return int(r) in self._index
-
     def window_length(self, r: int) -> int:
         """Effective sample count behind ``correlation(r)``: min(t, r)."""
         self._key(r)

@@ -43,10 +43,11 @@ class AccuracyEstimate:
 
 @lru_cache(maxsize=32)
 def _witness_table(n: int) -> tuple[np.ndarray, ...]:
-    """``(iu, ju, cap, witness, offset)`` of n labelers, P = n(n-1)/2:
-    the pairs in triu order; (n, P), -inf where pair q touches labeler h,
-    else +inf; (3, n P), whose column ``offset[h] + q`` for q = (i, j)
-    holds the pair indices of (i, j), (i, h) and (h, j)."""
+    """``(flat, cap, witness, offset)`` of n labelers, P = n(n-1)/2: the
+    pairs in triu order, as flat indices into an (n, n) matrix; (n, P),
+    -inf where pair q touches labeler h, else +inf; (3, n P), whose column
+    ``offset[h] + q`` for q = (i, j) holds the pair indices of (i, j),
+    (i, h) and (h, j)."""
     iu, ju = np.triu_indices(n, 1)
     size = len(iu)
     pair = np.zeros((n, n), dtype=np.intp)
@@ -54,7 +55,7 @@ def _witness_table(n: int) -> tuple[np.ndarray, ...]:
     h = np.arange(n)[:, None]
     cap = np.where((iu == h) | (ju == h), -np.inf, np.inf)
     witness = np.stack([np.broadcast_to(np.arange(size), (n, size)), pair[iu, h], pair[h, ju]])
-    table = (iu, ju, cap, witness.reshape(3, n * size), np.arange(n) * size)
+    table = (iu * n + ju, cap, witness.reshape(3, n * size), np.arange(n) * size)
     for a in table:
         a.setflags(write=False)
     return table
@@ -75,18 +76,20 @@ def correlation_from_accuracies(p) -> np.ndarray:
 
 def _recover_raw(pairs: np.ndarray, n: int) -> np.ndarray:
     """(B, n) raw accuracies from (B, P) upper-triangle correlations."""
-    _, _, cap, witness, offset = _witness_table(n)
+    _, cap, witness, offset = _witness_table(n)
     batch, size = pairs.shape
     # all h at once: fmin puts the pairs touching h at -inf, a NaN too, and
     # a candidate's NaN at +inf, where argmax on |C| would pick it; C order
     # so that argmax runs along memory and takes the first max in triu order
-    pick = np.fmin(np.abs(pairs)[:, None], cap, order="C").argmax(axis=2) + offset
+    mag = np.abs(pairs)
+    pick = np.fmin(mag[:, None], cap, order="C").argmax(axis=2) + offset
     # the flat indices in ``pairs`` of each pick's (i, j), (i, h) and (h, j)
     at = witness.take(pick, axis=1) + np.arange(0, batch * size, size)[:, None]
-    c_ij, c_ih, c_hj = pairs.take(at)
-    degenerate = np.abs(c_ij) <= ZERO_TOL
+    # gathered as |C|: |C_ih| |C_hj| / |C_ij| is |C_ih C_hj / C_ij| bit for bit
+    c_ij, c_ih, c_hj = mag.take(at)
+    degenerate = c_ij <= ZERO_TOL
     c_ij[degenerate] = 1.0  # a fresh gather: the input is left as it was
-    raw = 0.5 * (1.0 + np.sqrt(np.abs(c_ih * c_hj / c_ij)))
+    raw = 0.5 * (1.0 + np.sqrt(c_ih * c_hj / c_ij))
     raw[degenerate] = 0.5
     return raw
 
@@ -117,14 +120,14 @@ def recover_accuracies(
     if n < 3:
         raise ValueError(f"recovery needs at least 3 labelers, got {n}")
     # the bound fails on NaN and +/-inf too, before inf - inf can warn
-    if not np.abs(c).max() <= 1.0 + _SYM_TOL or not np.abs(c - c.T).max() <= _SYM_TOL:
+    # c - c.T is antisymmetric to the bit, so its max is its largest |entry|
+    if not np.abs(c).max() <= 1.0 + _SYM_TOL or not (c - c.T).max() <= _SYM_TOL:
         raise ValueError("correlation matrix must be symmetric with entries in [-1, 1]")
-    if not (np.abs(c.diagonal() - 1.0).max() <= _SYM_TOL):
+    if not all(abs(x - 1.0) <= _SYM_TOL for x in c.diagonal().tolist()):
         raise ValueError("correlation matrix must have unit diagonal")
     if not 0.0 < clip_lo < 0.5 < clip_hi < 1.0:
         raise ValueError(f"clip band must satisfy 0 < lo < 0.5 < hi < 1, got [{clip_lo}, {clip_hi}]")
     if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 0:
         raise ValueError(f"window must be a nonnegative integer, got {window!r}")
-    iu, ju = _witness_table(n)[:2]
-    raw = _recover_raw(c[iu, ju][None], n)[0]
+    raw = _recover_raw(c.take(_witness_table(n)[0])[None], n)[0]
     return AccuracyEstimate(raw=raw, accuracies=raw.clip(clip_lo, clip_hi), window=int(window))

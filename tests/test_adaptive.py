@@ -268,10 +268,9 @@ def test_nan_gap_fails_the_walk():
     bank = CorrelationBank(3, cfg.schedule.sizes)
     for row in agreeing_votes(40):
         bank.push(row)
-    corr = bank.all_correlations()
-    corr[3, 0, 1] = corr[3, 1, 0] = np.nan  # the window of 8
-    with mock.patch.object(bank, "all_correlations", return_value=corr), \
-            mock.patch.object(bank, "correlation", side_effect=lambda r: corr[bank.sizes.index(r)]):
+    sums = bank._sums.astype(float)
+    sums[3, 0, 1] = sums[3, 1, 0] = np.nan  # the window of 8
+    with mock.patch.object(bank, "_sums", sums):
         decision = select_window(bank, cfg)
         want = reference_walk(bank, cfg)
     assert (decision.window, decision.stop_reason) == (4, STOP_THRESHOLD)
@@ -304,7 +303,8 @@ def test_batched_walk_cases(t, rungs, k, stop):
     mats = np.ones((len(WALK_SIZES), 3, 3))
     iu, ju = np.triu_indices(3, 1)
     mats[:, iu, ju] = mats[:, ju, iu] = pairs
-    with mock.patch.object(bank, "all_correlations", return_value=mats):
+    # window sums that divide to ``mats`` on every rung within the horizon
+    with mock.patch.object(bank, "_sums", mats * np.array(WALK_SIZES)[:, None, None]):
         decision = select_window(bank, cfg)
     assert (decision.chosen_index - 1, decision.stop_reason) == (k, stop)
 
