@@ -252,7 +252,7 @@ RECOVER_CASES = {
     "identity": (np.eye(4),),
     "zero-witness": (_matrix(3, _set(1, 2, 0.0)),),
     "asymmetric": (_matrix(3, _set(0, 1, 0.3, both=False)),),
-    "asymmetric-in-tolerance": (_matrix(3, lambda c: c.__setitem__((0, 1), c[0, 1] + 5e-13)),),
+    "asymmetric-in-tolerance": (_matrix(3, _set(0, 1, _matrix(3)[1, 0] + 5e-13, both=False)),),
     "off-unit-diagonal": (_matrix(3, _set(1, 1, 1.0 - 1e-9)),),
     "diagonal-in-tolerance": (_matrix(3, _set(1, 1, 1.0 + 5e-13)),),
     "zero-diagonal": (_matrix(3, _set(2, 2, 0.0)),),
