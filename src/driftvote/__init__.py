@@ -20,12 +20,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "adaptive": "GapProbe WindowDecision drift_threshold select_window",
+        "adaptive": "GapProbe WindowDecision select_window",
         "aggregate": "STRATEGY_ADAPTIVE STRATEGY_FIXED STRATEGY_MAJORITY log_odds_weights"
         " majority_vote parse_strategy run_strategy weighted_vote",
         "core": "AdaptiveConfig ErrorBudget ROLLING_LOOKAHEAD Reports STOPS STOP_HORIZON"
-        " STOP_SCHEDULE STOP_THRESHOLD Stream WindowSchedule error_budget selection_overhead"
-        " statistical_error union_bound_constant",
+        " STOP_SCHEDULE STOP_THRESHOLD Stream WindowSchedule drift_threshold error_budget"
+        " selection_overhead statistical_error union_bound_constant",
         "corrwin": "CorrelationBank as_vote_matrix",
         "driftgen": "BlockSpec SyntheticStreamConfig apply_permute_drift block_drift_preset"
         " generate_synthetic resolve_abstentions role_rngs true_drift_error",

@@ -3,54 +3,23 @@
 The rule walks the window ladder from the smallest size upward, comparing
 each window's correlation estimate against the next larger one.  Under a
 stationary stream both estimate the same matrix, so their sup-norm gap is
-small; a gap exceeding
-
-    drift_threshold = bound_const * ( 2 beta / sqrt(r_k)
-                                      + sqrt((1 - r_k/r_{k+1}) / r_k) )
-
-is evidence that the extra history in the larger window is stale, and the
-walk stops.  The second term is the deviation band of the *difference* of
-the two overlapping estimates; the ``2 beta / sqrt(r_k)`` term adds slack
-proportional to the drift the rule is willing to tolerate before shrinking
-the window.
+small; a gap exceeding :func:`.core.drift_threshold` (the ladder's values
+are ``AdaptiveConfig.thresholds``) is evidence that the extra history in
+the larger window is stale, and the walk stops.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import STOP_HORIZON, STOP_SCHEDULE, STOP_THRESHOLD, STOPS, AdaptiveConfig
+from .core import drift_threshold  # noqa: F401  the walk's threshold, re-exported
 from .corrwin import CorrelationBank
-
-
-def drift_threshold(r_small: int, r_large: int, beta: float, bound_const: float) -> float:
-    """Largest sup-norm gap between the ``r_small`` and ``r_large`` window
-    estimates still attributable to sampling noise plus tolerated drift."""
-    if r_small < 1:
-        raise ValueError(f"window size must be positive, got {r_small}")
-    if r_large <= r_small:
-        raise ValueError(f"windows must increase: got {r_small} -> {r_large}")
-    if not 0.0 <= beta < math.inf:  # NaN fails
-        raise ValueError(f"beta must be nonnegative and finite, got {beta}")
-    if bound_const <= 0.0:
-        raise ValueError(f"bound_const must be positive, got {bound_const}")
-    return bound_const * (
-        2.0 * beta / math.sqrt(r_small) + math.sqrt((1.0 - r_small / r_large) / r_small)
-    )
-
-
-@lru_cache(maxsize=64)
-def _threshold_ladder(sizes: tuple[int, ...], beta: float, bound_const: float) -> tuple[float, ...]:
-    return tuple(
-        drift_threshold(a, b, beta, bound_const) for a, b in zip(sizes, sizes[1:])
-    )
 
 
 class GapProbe(NamedTuple):
@@ -102,7 +71,7 @@ def select_window(bank: CorrelationBank, config: AdaptiveConfig) -> WindowDecisi
     t = bank.t
     if t < sizes[0]:
         raise ValueError(f"need at least {sizes[0]} votes before selecting, have {t}")
-    thresholds = _threshold_ladder(sizes, config.beta, config.bound_const)
+    thresholds = config.thresholds
 
     reach = bisect_right(sizes, t)  # rungs within the horizon, at least one
     # a rung r <= t holds exactly r votes, so its own size is its divisor
@@ -124,12 +93,13 @@ _THRESHOLD, _HORIZON, _SCHEDULE = map(STOPS.index, (STOP_THRESHOLD, STOP_HORIZON
 
 
 def _walk(
-    corr: np.ndarray, t: np.ndarray, sizes: np.ndarray, thresholds: np.ndarray
+    corr: np.ndarray, t: np.ndarray, sizes: np.ndarray, thresholds: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`select_window` of many steps at once: each row's accepted rung
-    index and stop code, an index into :data:`STOPS`, given the (c, K, P)
-    upper-triangle correlations of the ladder ``sizes`` after steps ``t``,
-    each at least ``sizes[0]``, and the K - 1 thresholds between its rungs."""
+    index and int8 stop code, an index into :data:`STOPS`, given the
+    (c, K, P) upper-triangle correlations of the ladder ``sizes`` after
+    steps ``t``, each at least ``sizes[0]``, and the K - 1 thresholds
+    between its rungs."""
     rungs = corr.shape[1]
     reach = np.searchsorted(sizes, t, side="right")  # rungs within the horizon
     gap = np.subtract(corr[:, 1:], corr[:, :-1])
@@ -141,4 +111,4 @@ def _walk(
     first = fails.argmax(axis=1)
     stopped = first < reach - 1  # the failing comparison is before the horizon
     code = np.where(stopped, _THRESHOLD, np.where(reach == rungs, _SCHEDULE, _HORIZON))
-    return np.minimum(first, reach - 1), code
+    return np.minimum(first, reach - 1), code.astype(np.int8)

@@ -13,11 +13,12 @@ labeler errors are independent given the truth.  Exact ties go to +1.
 * ``majority``   - unweighted majority vote (equivalent to ``fixed:1``,
   where every recovered accuracy clips to the same constant).
 
-``adaptive`` and ``fixed:R`` run on one offline engine that works on
-chunks of steps at once: each chunk extends one :class:`.CorrelationBank`,
-which gives every window's exact sums; the chunk's ladder walks are one
-:func:`.adaptive._walk` over a table of gaps, recovery one batch and the
-vote one dot product per step.
+``adaptive`` and ``fixed:R`` run on one offline engine, :func:`_feed`,
+which decides a chunk of steps at once: the chunk extends one
+:class:`.CorrelationBank`, which gives every window's exact sums; the
+chunk's ladder walks are one :func:`.adaptive._walk` over a table of gaps,
+recovery one batch and the vote one dot product per step.  The bank is the
+engine's only state, so chunks fed in turn give the columns of one call.
 Its outputs are bit-identical to pushing each step into a bank and calling
 :func:`.adaptive.select_window`, :func:`.triplet.recover_accuracies`,
 :func:`log_odds_weights` and :func:`weighted_vote`; that per-step online
@@ -30,7 +31,7 @@ import math
 
 import numpy as np
 
-from .adaptive import _threshold_ladder, _walk
+from .adaptive import _walk
 from .core import AdaptiveConfig, Reports
 from .corrwin import CorrelationBank, _all_plus_minus_one, as_vote_matrix
 from .triplet import _recover_raw
@@ -59,8 +60,9 @@ def weighted_vote(votes, weights) -> int:
     # overflows take the muted branch too, which gives the same score
     if math.isfinite(sum(v.ravel().tolist()) + sum(w.ravel().tolist())):
         score = float(v @ w)
-    else:  # inf - inf and 0 * inf are NaN, which numpy warns of; the NaN raises below
-        with np.errstate(invalid="ignore"):
+    else:  # inf - inf and 0 * inf are NaN and huge finite terms overflow, which
+        # numpy warns of; an overflow keeps its sign, and a NaN raises below
+        with np.errstate(invalid="ignore", over="ignore"):
             score = float(v @ w)
     if score != score:
         raise ValueError("weighted vote sum is NaN; votes and weights must be numbers")
@@ -165,6 +167,23 @@ def _votes(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     )
 
 
+def _feed(bank: CorrelationBank, rows: np.ndarray, config: AdaptiveConfig, adaptive: bool):
+    """Push a checked (c, n) int8 chunk into ``bank``, which tracks
+    ``config``'s ladder when ``adaptive`` and the one fixed window
+    otherwise, and decide its steps, which follow on from ``bank.t``:
+    their ``window``, ``p_hat``, ``weights``, ``prediction`` and
+    ``stop_reason`` (None unless ``adaptive``) in the dtypes of :class:`.Reports`."""
+    sizes = bank._sizes
+    t = np.arange(bank.t + 1, bank.t + len(rows) + 1)
+    corr = bank._extend(rows)
+    if adaptive:
+        k, stop_reason = _walk(corr, t, sizes, config.thresholds)
+    else:
+        k, stop_reason = np.zeros(len(rows), dtype=np.intp), None
+    p_hat, weights = _estimate(corr[np.arange(len(rows)), k], bank.n, config)
+    return np.minimum(t, sizes[k]), p_hat, weights, _votes(rows, weights), stop_reason
+
+
 def run_strategy(
     votes,
     strategy: str,
@@ -196,25 +215,18 @@ def run_strategy(
         return Reports(prediction=np.where(v.sum(axis=1) >= 0, 1, -1).astype(np.int8), truth=truth)
 
     adaptive = kind == STRATEGY_ADAPTIVE
-    sizes = np.array(config.schedule.sizes if adaptive else (fixed_r,))
-    bank = CorrelationBank(n, sizes)
-    chunk = max(_CHUNK_MIN_ROWS, _CHUNK_BUDGET // (len(sizes) * n * (n - 1) // 2))
+    bank = CorrelationBank(n, config.schedule.sizes if adaptive else (fixed_r,))
+    chunk = max(_CHUNK_MIN_ROWS, _CHUNK_BUDGET // (len(bank.sizes) * n * (n - 1) // 2))
     prediction = np.empty(steps, dtype=np.int8)
     window = np.empty(steps, dtype=np.int64)
     p_hat = np.empty((steps, n))
     weights = np.empty((steps, n))
     stop_reason = np.empty(steps, dtype=np.int8) if adaptive else None
-    if adaptive:
-        thresholds = np.array(_threshold_ladder(config.schedule.sizes, config.beta, config.bound_const))
     for start in range(0, steps, chunk):
-        rows = slice(start, min(start + chunk, steps))
-        corr = bank._extend(v[rows])
-        t = np.arange(rows.start + 1, rows.stop + 1)
+        rows = slice(start, start + chunk)
+        window[rows], p_hat[rows], weights[rows], prediction[rows], stop = _feed(
+            bank, v[rows], config, adaptive
+        )
         if adaptive:
-            k, stop_reason[rows] = _walk(corr, t, sizes, thresholds)
-        else:
-            k = np.zeros(len(corr), dtype=np.intp)
-        window[rows] = np.minimum(t, sizes[k])
-        p_hat[rows], weights[rows] = _estimate(corr[np.arange(len(corr)), k], n, config)
-        prediction[rows] = _votes(v[rows], weights[rows])
+            stop_reason[rows] = stop
     return Reports(prediction, window, p_hat, weights, truth, stop_reason)

@@ -88,11 +88,7 @@ def _schedule(args) -> WindowSchedule:
 
 def _config(args, n: int) -> AdaptiveConfig:
     """The engine config that the schedule flags describe, for n labelers."""
-    clip_lo, clip_hi = _parse_clip(args.clip)
-    return AdaptiveConfig(
-        n=n, schedule=_schedule(args), beta=args.beta, delta=args.delta,
-        clip_lo=clip_lo, clip_hi=clip_hi,
-    )
+    return AdaptiveConfig(n=n, schedule=_schedule(args), beta=args.beta, delta=args.delta)
 
 
 def _synthetic_config(args, seed: int) -> SyntheticStreamConfig:
@@ -144,7 +140,8 @@ def cmd_run(args) -> int:
 
     # check the whole run configuration before any file work; n=3 stands in
     # until the stream's width is known, and replace() checks the real n
-    config = _config(args, n=3)
+    clip_lo, clip_hi = _parse_clip(args.clip)
+    config = replace(_config(args, n=3), clip_lo=clip_lo, clip_hi=clip_hi)
     _checked_strategy(args.strategy, config)
     if args.abstain_seed < 0:
         raise ValueError(f"--abstain-seed must be nonnegative, got {args.abstain_seed}")
@@ -242,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sizes", help="explicit window sizes, comma-separated (overrides --m)")
         p.add_argument("--beta", type=float, default=0.1, help="drift tolerance (default 0.1)")
         p.add_argument("--delta", type=float, default=0.1, help="failure probability (default 0.1)")
-        p.add_argument("--clip", default="0.1:0.9", help="accuracy clip band LO:HI (default 0.1:0.9)")
 
     def add_blocks_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--preset", choices=PRESETS, help="named synthetic stream layout")
@@ -263,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="stream path (JSONL or CSV)")
     p.add_argument("--strategy", default="adaptive", help="adaptive | majority | fixed:R")
     add_schedule_flags(p)
+    p.add_argument("--clip", default="0.1:0.9", help="accuracy clip band LO:HI (default 0.1:0.9)")
     p.add_argument("--abstain-seed", type=int, default=0,
                    help="seed for resolving abstentions (default 0)")
     p.add_argument("--out", required=True, help="output reports path (JSONL)")

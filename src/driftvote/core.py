@@ -10,9 +10,10 @@ labeler correlations from the last ``r`` votes of a stream:
 Everything in this module is deterministic bookkeeping for that tradeoff:
 the window-size ladder searched at each step (:class:`WindowSchedule`), the
 run configuration (:class:`AdaptiveConfig`), the union-bound constant that
-calibrates per-window deviations, the multiplicative overhead the adaptive
-search pays over the best fixed window in hindsight, and a small report
-bundle (:class:`ErrorBudget`) for surfacing these numbers to users.
+calibrates per-window deviations, the walk's drift threshold between two
+rungs, the multiplicative overhead the adaptive search pays over the best
+fixed window in hindsight, and a small report bundle (:class:`ErrorBudget`)
+for surfacing these numbers to users.
 
 It also holds the records that the layers pass between them, a vote
 :class:`Stream` and the per-step :class:`Reports` with their stop-reason
@@ -78,6 +79,26 @@ def statistical_error(r: int, bound_const: float) -> float:
     if r < 1:
         raise ValueError(f"window size must be positive, got {r}")
     return bound_const / math.sqrt(r)
+
+
+def drift_threshold(r_small: int, r_large: int, beta: float, bound_const: float) -> float:
+    """Largest sup-norm gap between the ``r_small`` and ``r_large`` window
+    estimates still attributable to sampling noise plus tolerated drift:
+    ``bound_const * (2 beta / sqrt(r_small) + sqrt((1 - r_small/r_large) / r_small))``.
+    The second term is the deviation band of the *difference* of the two
+    overlapping estimates; the first is slack for the drift the walk
+    tolerates before it shrinks the window."""
+    if r_small < 1:
+        raise ValueError(f"window size must be positive, got {r_small}")
+    if r_large <= r_small:
+        raise ValueError(f"windows must increase: got {r_small} -> {r_large}")
+    if not 0.0 <= beta < math.inf:  # NaN fails
+        raise ValueError(f"beta must be nonnegative and finite, got {beta}")
+    if bound_const <= 0.0:
+        raise ValueError(f"bound_const must be positive, got {bound_const}")
+    return bound_const * (
+        2.0 * beta / math.sqrt(r_small) + math.sqrt((1.0 - r_small / r_large) / r_small)
+    )
 
 
 @dataclass(frozen=True)
@@ -191,6 +212,12 @@ class AdaptiveConfig:
     @cached_property
     def bound_const(self) -> float:
         return union_bound_constant(self.n, self.schedule.m, self.delta)
+
+    @cached_property
+    def thresholds(self) -> tuple[float, ...]:
+        """The walk's m - 1 :func:`drift_threshold` values, one per pair of consecutive sizes."""
+        s = self.schedule.sizes
+        return tuple(drift_threshold(a, b, self.beta, self.bound_const) for a, b in zip(s, s[1:]))
 
     @cached_property
     def overhead(self) -> float:

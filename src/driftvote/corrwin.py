@@ -166,13 +166,6 @@ class CorrelationBank:
             raise ValueError("no votes pushed yet")
         return self._sums[k] / min(self._t, int(r))
 
-    def all_correlations(self) -> np.ndarray:
-        """Stacked (K, n, n) correlation matrices for every tracked window."""
-        if self._t == 0:
-            raise ValueError("no votes pushed yet")
-        lens = np.minimum(self._sizes, self._t)
-        return self._sums / lens[:, None, None]
-
 
 def as_vote_matrix(votes, n: int) -> np.ndarray:
     """Validate and return a (T, n) +/-1 vote matrix as int8."""

@@ -25,7 +25,7 @@ from driftvote import (
     statistical_error,
     union_bound_constant,
 )
-from driftvote.adaptive import _threshold_ladder, _walk
+from driftvote.adaptive import _walk
 
 mp.mp.dps = 40
 
@@ -75,6 +75,19 @@ def test_thresholds_decrease_along_doubling_ladder():
     thr = [drift_threshold(a, b, cfg.beta, cfg.bound_const) for a, b in zip(sizes, sizes[1:])]
     assert all(t > 0 for t in thr)
     assert all(x > y for x, y in zip(thr, thr[1:]))
+
+
+@pytest.mark.parametrize("cfg", [
+    AdaptiveConfig(n=3),
+    AdaptiveConfig(n=8, schedule=WindowSchedule((1, 3, 9, 27, 81)), beta=0.4, delta=0.01),
+    AdaptiveConfig(n=32, schedule=WindowSchedule((2, 5, 6, 100))),
+], ids=["default", "ladder-3", "uneven"])
+def test_config_thresholds_are_the_drift_thresholds_between_rungs(cfg):
+    sizes = cfg.schedule.sizes
+    assert type(cfg.thresholds) is tuple and len(cfg.thresholds) == len(sizes) - 1
+    for k, threshold in enumerate(cfg.thresholds):
+        assert threshold == drift_threshold(sizes[k], sizes[k + 1], cfg.beta, cfg.bound_const)
+    assert cfg.thresholds is cfg.thresholds  # computed once per config
 
 
 def agreeing_votes(steps):
@@ -176,7 +189,7 @@ def reference_walk(bank, config):
     t = bank.t
     if t < sizes[0]:
         raise ValueError(f"need at least {sizes[0]} votes before selecting, have {t}")
-    thresholds = _threshold_ladder(sizes, config.beta, config.bound_const)
+    thresholds = config.thresholds
 
     k = 0  # 0-based index of the currently accepted window
     cur = bank.correlation(sizes[0])
@@ -293,11 +306,11 @@ WALK_SIZES = (100, 200, 400, 800)  # long enough for thresholds below 0.35
 ], ids=["nan-gap", "fail-past-horizon", "t-at-last-rung", "fail-before-horizon"])
 def test_batched_walk_cases(t, rungs, k, stop):
     cfg = AdaptiveConfig(n=3, schedule=WindowSchedule(WALK_SIZES))
-    thresholds = np.array(_threshold_ladder(WALK_SIZES, cfg.beta, cfg.bound_const))
     # (K, P) pairs of 3 labelers: every pair of rung k holds rungs[k]
     pairs = np.repeat(np.array(rungs)[:, None], 3, axis=1)
-    got_k, code = _walk(pairs[None], np.array([t]), np.array(WALK_SIZES), thresholds)
+    got_k, code = _walk(pairs[None], np.array([t]), np.array(WALK_SIZES), cfg.thresholds)
     assert (int(got_k[0]), STOPS[code[0]]) == (k, stop)
+    assert code.dtype == np.int8  # the dtype of Reports.stop_reason
     # the online walk over a bank in the same state
     bank = CorrelationBank.from_history(3, agreeing_votes(t), WALK_SIZES)
     mats = np.ones((len(WALK_SIZES), 3, 3))

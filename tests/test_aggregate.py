@@ -306,6 +306,34 @@ def chunked(rows):
     return mock.patch.multiple(aggregate, _CHUNK_BUDGET=0, _CHUNK_MIN_ROWS=rows)
 
 
+@pytest.mark.parametrize("strategy", ["adaptive", "fixed:5"])  # 5 < a chunk: the ring wraps
+@pytest.mark.parametrize("n", [3, 8, 32])
+def test_feed_resumes_from_its_bank(n, strategy):
+    """One bank fed chunks of 1, 7 and 999 steps and then the rest gives,
+    byte for byte, the columns of one ``run_strategy`` call."""
+    rng = np.random.default_rng(n)
+    acc = np.where(np.arange(1500)[:, None] < 700, np.linspace(0.6, 0.9, n), np.linspace(0.9, 0.6, n))
+    truth = rng.choice(np.array([-1, 1], dtype=np.int8), size=len(acc))
+    votes = np.where(rng.random(acc.shape) < acc, truth[:, None], -truth[:, None]).astype(np.int8)
+    config = AdaptiveConfig(n=n)
+    kind, fixed_r = parse_strategy(strategy)
+    adaptive = kind == "adaptive"
+    bank = CorrelationBank(n, config.schedule.sizes if adaptive else (fixed_r,))
+    parts, start = [], 0
+    for length in (1, 7, 999, len(votes)):
+        parts.append(aggregate._feed(bank, votes[start:start + length], config, adaptive))
+        start += length
+    want = run_strategy(votes, strategy, config)
+    for column, name in zip(zip(*parts), ("window", "p_hat", "weights", "prediction", "stop_reason")):
+        expected = getattr(want, name)
+        if expected is None:
+            assert column == (None,) * len(parts)
+            continue
+        assert all(part.dtype == expected.dtype for part in column)
+        assert np.concatenate(column).tobytes() == expected.tobytes()
+    assert bank.t == len(votes)
+
+
 @settings(max_examples=40, deadline=None)
 @given(drifting_runs())
 def test_runs_match_checked_per_step_reference(run):

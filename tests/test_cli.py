@@ -331,6 +331,17 @@ def test_bound_explicit_sizes(capsys):
     assert doc["m"] == 4
 
 
+def test_bound_has_no_clip_flag(tmp_path, capsys):
+    # no bound output depends on the clip band, so the flag is run's alone
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bound", "--n", "3", "--clip", "0.2:0.8")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --clip" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    assert run_cli("bound", "--n", "3", "--save-config", str(cfg_path)) == 0
+    assert "clip" not in json.loads(cfg_path.read_text())["params"]
+
+
 def test_save_config_round_trip(tmp_path):
     stream = tmp_path / "s.jsonl"
     cfg_path = tmp_path / "cfg.json"

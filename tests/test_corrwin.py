@@ -164,23 +164,12 @@ def test_push_accepts_float_and_bool_votes():
                           np.array([[1, -1, 1], [1, 1, 1]], dtype=np.int8))
 
 
-def test_all_correlations_matches_individual_queries():
-    rng = np.random.default_rng(17)
-    sizes = (1, 2, 4, 8, 64)
-    bank = CorrelationBank(4, sizes)
-    for row in random_votes(rng, 37, 4):
-        bank.push(row)
-    stacked = bank.all_correlations()
-    for k, r in enumerate(sizes):
-        assert np.array_equal(stacked[k], bank.correlation(r))
-
-
 @pytest.mark.parametrize(
     "sizes", [(1, 2, 4, 8, 16), (3, 5, 16), (6,)], ids=["from-1", "from-3", "one-size"]
 )
 def test_extend_matches_push_loop_exactly(sizes):
     """The engine's chunk step: each returned row is the upper triangle of
-    ``all_correlations()`` after the same pushes, and the bank it leaves
+    every window's ``correlation`` after the same pushes, and the bank it leaves
     behind is the one a push loop leaves, also past a wrap of the ring."""
     rng = np.random.default_rng(18)
     n, steps, cap = 4, 150, sizes[-1]
@@ -195,7 +184,8 @@ def test_extend_matches_push_loop_exactly(sizes):
         assert got.shape == (len(rows), len(sizes), len(iu))
         for row, corr in zip(rows, got):
             pushed.push(row)
-            assert corr.tobytes() == pushed.all_correlations()[:, iu, ju].tobytes()
+            stacked = np.stack([pushed.correlation(r) for r in sizes])
+            assert corr.tobytes() == stacked[:, iu, ju].tobytes()
         start += len(rows)
         assert extended.t == pushed.t == start
         assert extended.retained == pushed.retained

@@ -32,7 +32,6 @@ from driftvote import (
     select_window,
     weighted_vote,
 )
-from driftvote.adaptive import _threshold_ladder
 from driftvote.triplet import _SYM_TOL, ZERO_TOL, _witness_table
 
 
@@ -102,9 +101,9 @@ def ref_select_window(bank, config):
     t = bank.t
     if t < sizes[0]:
         raise ValueError(f"need at least {sizes[0]} votes before selecting, have {t}")
-    thresholds = _threshold_ladder(sizes, config.beta, config.bound_const)
+    thresholds = config.thresholds
     reach = sum(r <= t for r in sizes)
-    corr = bank.all_correlations()[:reach]
+    corr = np.stack([bank.correlation(r) for r in sizes[:reach]])
     gaps = np.abs(corr[1:] - corr[:-1]).max(axis=(1, 2)).tolist()
     probes = []
     for k, gap in enumerate(gaps):
@@ -206,6 +205,7 @@ WEIGHTED_CASES = {
     "opposite-inf-votes": ([np.inf, -np.inf, 1], [1.0, 1.0, 1.0]),
     "same-sign-infs": ([1, 1, -1], [np.inf, np.inf, 1.0]),
     "signed-inf": ([-1, 1, -1], [np.inf, -np.inf, 1.0]),
+    "overflowing-sum": ([1e308, 1e308], [1.0, 1.0]),  # the reference warns of the overflow
     "zero-d": (1.0, 2.0),
     "two-d": ([[1, -1], [1, 1]], [[0.5, 0.5], [1.0, 1.0]]),
     "shape-mismatch": ([1, 1, 1], [1.0, 1.0]),

@@ -1,0 +1,180 @@
+"""Print one ``sha256  name`` line for each output that must stay bit- and
+byte-identical across a change that claims to keep behaviour.
+
+Run:  python3 tools/digests.py [ROOT]
+
+ROOT is the checkout whose ``src/`` and ``demos/`` are run (default: the
+checkout holding this script), so one script lists any two checkouts, and
+``diff`` of the two listings is the check.  The 25 outputs:
+
+* ``simulate`` of the block-drift preset (block length 400, JSONL) and of
+  two-block streams at n = 8 (JSONL) and n = 32 (CSV);
+* ``run`` adaptive, ``fixed:64``, majority and ``--sizes 1,3,9,27,81`` on
+  each of the three streams;
+* ``eval`` of each strategy's three report files;
+* the stdout of the four narrative demos (``engine_scaling`` prints
+  timings, so it is left out);
+* every ``run_strategy`` column of the same four strategies at n = 3, 8
+  and 32;
+* every online step's outputs (the ``WindowDecision`` with its probes, the
+  raw and clipped accuracies, the window, the weights and both votes)
+  over two-block streams of 2500, 1500 and 600 steps at n = 3, 8 and 32,
+  under the default ladder and ``doubling(7)``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+DEMOS = ("drift_benchmark", "fixed_window_tradeoff", "permute_pair", "theory_numbers")
+#: ``run`` flags and ``run_strategy`` arguments of each strategy
+STRATEGIES = {
+    "adaptive": ([], "adaptive", None),
+    "fixed64": (["--strategy", "fixed:64"], "fixed:64", None),
+    "majority": (["--strategy", "majority"], "majority", None),
+    "ladder": (["--sizes", "1,3,9,27,81"], "adaptive", (1, 3, 9, 27, 81)),
+}
+#: steps of the two-block stream at each n
+STEPS = {3: 2500, 8: 1500, 32: 600}
+
+
+def accuracies(n: int) -> list[float]:
+    """n accuracies spread over [0.55, 0.95]; the second block reverses them."""
+    return [round(0.55 + 0.4 * i / (n - 1), 4) for i in range(n)]
+
+
+def two_blocks(n: int, steps: int) -> str:
+    acc = accuracies(n)
+    half = ",".join(map(str, acc)), ",".join(map(str, acc[::-1]))
+    return f"{steps // 2}:{half[0]};{steps - steps // 2}:{half[1]}"
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_outputs(work: Path) -> dict[str, str]:
+    from driftvote.cli import main
+
+    def cli(*argv: str) -> None:
+        if main(list(argv)) != 0:
+            raise SystemExit(f"driftvote {' '.join(argv)} failed")
+
+    streams = {
+        "bd.jsonl": ["--preset", "block-drift", "--block-len", "400", "--seed", "0"],
+        "n8.jsonl": ["--blocks", two_blocks(8, STEPS[8]), "--seed", "1"],
+        "n32.csv": ["--blocks", two_blocks(32, STEPS[32]), "--seed", "2"],
+    }
+    out = {}
+    for name, flags in streams.items():
+        cli("simulate", *flags, "--out", str(work / name))
+        out[f"simulate/{name}"] = sha((work / name).read_bytes())
+    for strategy, (flags, _, _) in STRATEGIES.items():
+        reports = []
+        for name in streams:
+            path = work / f"{name.split('.')[0]}-{strategy}.jsonl"
+            cli("run", "--input", str(work / name), *flags, "--out", str(path))
+            out[f"run/{path.name}"] = sha(path.read_bytes())
+            reports.append(str(path))
+        summary = work / f"eval-{strategy}.json"
+        cli("eval", "--reports", *reports, "--out", str(summary))
+        out[f"eval/{strategy}.json"] = sha(summary.read_bytes())
+    return out
+
+
+def demo_outputs(root: Path, work: Path) -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = {}
+    for name in DEMOS:
+        proc = subprocess.run(
+            [sys.executable, str(root / "demos" / f"{name}.py")],
+            capture_output=True, env=env, cwd=work, check=True, timeout=600,
+        )
+        out[f"demo/{name}"] = sha(proc.stdout)
+    return out
+
+
+def two_block_votes(n: int):
+    from driftvote import BlockSpec, SyntheticStreamConfig, generate_synthetic
+
+    acc = tuple(accuracies(n))
+    half = STEPS[n] // 2
+    blocks = (BlockSpec(half, acc), BlockSpec(STEPS[n] - half, acc[::-1]))
+    stream = generate_synthetic(SyntheticStreamConfig(blocks=blocks, seed=n, n=n))
+    return stream.votes, stream.truth
+
+
+def engine_columns() -> str:
+    from driftvote import AdaptiveConfig, WindowSchedule, run_strategy
+
+    h = hashlib.sha256()
+    for n in STEPS:
+        votes, truth = two_block_votes(n)
+        for label, (_, strategy, sizes) in STRATEGIES.items():
+            config = AdaptiveConfig(n, WindowSchedule(sizes)) if sizes else AdaptiveConfig(n)
+            reports = run_strategy(votes, strategy, config, truths=truth)
+            for field in ("prediction", "window", "p_hat", "weights", "truth", "stop_reason"):
+                col = getattr(reports, field)
+                spec = "None" if col is None else f"{col.dtype.str} {col.shape}"
+                h.update(f"{n} {label} {field} {spec}\n".encode())
+                if col is not None:
+                    h.update(col.tobytes())
+    return h.hexdigest()
+
+
+def online_steps() -> str:
+    from driftvote import (
+        AdaptiveConfig,
+        CorrelationBank,
+        WindowSchedule,
+        log_odds_weights,
+        majority_vote,
+        recover_accuracies,
+        select_window,
+        weighted_vote,
+    )
+
+    h = hashlib.sha256()
+    for n in STEPS:
+        votes, _ = two_block_votes(n)
+        for config in (AdaptiveConfig(n), AdaptiveConfig(n, WindowSchedule.doubling(7))):
+            bank = CorrelationBank(n, config.schedule.sizes)
+            for row in votes:
+                bank.push(row)
+                decision = select_window(bank, config)
+                est = recover_accuracies(
+                    bank.correlation(decision.window), config.clip_lo, config.clip_hi,
+                    window=bank.window_length(decision.window),
+                )
+                weights = log_odds_weights(est.accuracies)
+                h.update(repr(decision).encode())
+                for arr in (est.raw, est.accuracies, weights):
+                    h.update(arr.tobytes())
+                h.update(f"{est.window} {weighted_vote(row, weights)} {majority_vote(row)}\n".encode())
+    return h.hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
+    if not (root / "src" / "driftvote" / "__init__.py").is_file():
+        print(f"error: no driftvote source under {root / 'src'}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(root / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        digests = cli_outputs(work)
+        digests.update(demo_outputs(root, work))
+    digests["engine/run_strategy-columns"] = engine_columns()
+    digests["online/step-outputs"] = online_steps()
+    for name, digest in digests.items():
+        print(f"{digest}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
