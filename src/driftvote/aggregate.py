@@ -28,6 +28,7 @@ API stays the engine's oracle.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -56,9 +57,10 @@ def weighted_vote(votes, weights) -> int:
     w = np.asarray(weights, dtype=float)
     if v.shape != w.shape:
         raise ValueError(f"votes {v.shape} and weights {w.shape} must align")
-    # the sums are finite only if every entry is; finite entries whose sum
-    # overflows take the muted branch too, which gives the same score
-    if math.isfinite(sum(v.ravel().tolist()) + sum(w.ravel().tolist())):
+    # a finite sum of |products| bounds every partial sum of the dot product,
+    # in any order; a NaN or infinite entry, or a product or sum that
+    # overflows, takes the muted branch, which gives the same score
+    if math.isfinite(sum(map(abs, map(operator.mul, v.ravel().tolist(), w.ravel().tolist())))):
         score = float(v @ w)
     else:  # inf - inf and 0 * inf are NaN and huge finite terms overflow, which
         # numpy warns of; an overflow keeps its sign, and a NaN raises below

@@ -17,31 +17,43 @@ Reports (:class:`~driftvote.core.Reports`) are always JSONL with
 fields ``t``, ``window``, ``p_hat``, ``weights``, ``prediction``,
 ``truth``, ``correct``, ``stop_reason`` (absent fields were not produced
 by the strategy).  On read, a column is kept only when every line has
-it; ``t`` is checked but not kept, and ``correct`` is recomputed.
-Windows must be positive JSON integers, predictions and labels -1 or 1
-(a boolean is not an integer), ``p_hat``/``weights`` numbers and stop
-reasons one of the names in :data:`~driftvote.core.STOPS`; anything
-else is a :class:`StreamFormatError` naming the file.  A stop reason is
-written as its name and read back as its int8 code, the index of that
-name in ``STOPS``; writing any other code raises a :class:`ValueError`.
-Floats round-trip exactly through JSON's shortest-repr encoding.
-``p_hat`` and ``weights`` must be finite to be written: JSON has no
-spelling of NaN or infinity, so :func:`write_reports` raises a
-:class:`ValueError` naming the column instead.
+it; ``t`` must be present but is not kept, and ``correct`` is
+recomputed.  Windows must be positive JSON integers, predictions and
+labels -1 or 1 (a boolean is not an integer), ``p_hat``/``weights``
+numbers and stop reasons one of the names in
+:data:`~driftvote.core.STOPS`; anything else is a
+:class:`StreamFormatError` naming the file.  A stop reason is written as
+its name and read back as its int8 code, the index of that name in
+``STOPS``.  Floats round-trip exactly through JSON's shortest-repr
+encoding.  :func:`write_reports` writes only what :func:`read_reports`
+reads back: any other window, prediction, label or stop code, and a NaN
+or infinite ``p_hat`` or ``weights`` (JSON has no spelling for them),
+raises a :class:`ValueError` naming the column.
 
 JSONL files are read in blocks of lines.  A stream block whose lines are
 all canonical, with the width and labeling of its first line, is checked
 and decoded by comparing its bytes with that line's skeleton.  The
 canonical spelling is the one :func:`write_stream` and ``json.dumps``
 give: ``{"votes": [1, -1, 0], "label": 1}``, one space after each comma
-and colon, no ``t``.  Any other block, and every report block, is
-decoded with one ``json.loads``; a stream block so read is checked line
-by line, and a block that does not decode as one is parsed again line by
-line, so every error names the same line, with the same message, as a
-line-by-line reader would give.  JSONL streams are written from the
-same skeleton, so their votes must be -1, 0 or 1 and their labels -1 or
-1; reports are written from one ``%``-format template per file.  Both
-are byte for byte what ``json.dumps`` of each line gives.
+and colon, no ``t``.  Any other stream block is decoded with one
+``json.loads``; it is checked line by line, and a block that does not
+decode as one is parsed again line by line, so every error names the
+same line, with the same message, as a line-by-line reader would give.
+JSONL streams are written from the same skeleton, so their votes must be
+-1, 0 or 1 and their labels -1 or 1.
+
+Reports of a run with no column but ``prediction`` and ``truth`` (a
+``majority`` run) hold integers only, ``{"t": 12, "prediction": -1,
+"truth": 1, "correct": false}`` or ``{"t": 12, "prediction": -1}``, and
+are written by one byte encoder, in blocks of lines.  A report file
+whose first line starts that way is read by decoding each block from its
+sign bytes and encoding it again: when every byte of every block
+matches, with ``t`` = 1..T, the file is read; else the whole file is
+read again as JSON, one ``json.loads`` per block as for streams, which
+gives any such file the same columns.  Every other report is written
+from one ``%``-format template per file and read as JSON.  Streams and
+reports are written byte for byte as ``json.dumps`` of each line gives
+them.
 """
 
 from __future__ import annotations
@@ -374,43 +386,160 @@ def _check_values(name: str, column: np.ndarray, allowed: tuple[int, ...]) -> No
         raise ValueError(f"{name!r} must be one of {', '.join(map(str, allowed))}, got {bad[0]}")
 
 
+#: a byte no report line holds: the majority encoder's pad, which it drops
+_PAD = 0
+#: a majority report line with no digits of ``t``, unlabeled and labeled,
+#: each sign slot holding a minus and ``correct`` spelled ``false``
+_MAJORITY_LINES = (
+    '{"t": , "prediction": -1}\n',
+    '{"t": , "prediction": -1, "truth": -1, "correct": false}\n',
+)
+#: where the digits of ``t`` go, and the slots after them as offsets from
+#: there: the prediction's sign, the truth's sign and ``correct``
+_T_AT = len('{"t": ')
+_SIGN_AT, _TRUTH_SIGN_AT = (i - _T_AT for i, c in enumerate(_MAJORITY_LINES[1]) if c == "-")
+_CORRECT_AT = _MAJORITY_LINES[1].index("false") - _T_AT
+#: ``correct`` padded to one width, indexed by its value
+_CORRECT = np.array([list(b"false"), list(b"true") + [_PAD]], dtype=np.uint8)
+
+
+def _majority_lines(start: int, prediction: np.ndarray, truth: np.ndarray | None) -> np.ndarray:
+    """The uint8 bytes of the report lines of steps ``start, start + 1,
+    ...`` of a run whose only columns are ``prediction`` and ``truth``
+    (values -1 or 1), as ``json.dumps`` spells them:
+    ``{"t": 12, "prediction": -1, "truth": 1, "correct": false}``, or
+    ``{"t": 12, "prediction": -1}`` when ``truth`` is None.
+
+    Every line is first one row of a grid with a slot for each digit of
+    the largest ``t``, a sign slot before each value and five letters for
+    ``correct``; the slots a line leaves empty (leading digits, the sign
+    of a 1, the fifth letter of ``true``) hold ``_PAD``, which one mask
+    drops from the grid.
+    """
+    rows = len(prediction)
+    digits = len(str(start + rows - 1))
+    line = _MAJORITY_LINES[truth is not None]
+    skeleton = np.frombuffer((line[:_T_AT] + "0" * digits + line[_T_AT:]).encode(), dtype=np.uint8)
+    grid = np.tile(skeleton, (rows, 1))
+    t = np.arange(start, start + rows)[:, None]
+    powers = 10 ** np.arange(digits - 1, -1, -1)
+    grid[:, _T_AT:_T_AT + digits] = np.where(t >= powers, t // powers % 10 + _ZERO, _PAD)
+    at = _T_AT + digits
+    grid[:, at + _SIGN_AT] = np.where(prediction < 0, _MINUS, _PAD)
+    if truth is not None:
+        grid[:, at + _TRUTH_SIGN_AT] = np.where(truth < 0, _MINUS, _PAD)
+        grid[:, at + _CORRECT_AT:at + _CORRECT_AT + 5] = _CORRECT[(prediction == truth).astype(np.intp)]
+    flat = grid.ravel()
+    return flat[flat != _PAD]
+
+
+def _majority_reports(path) -> Reports | None:
+    """The :class:`Reports` of a file that is, byte for byte, what
+    :func:`_majority_lines` gives for steps 1..T, labeled as its first
+    line is; else None.
+
+    Each block of ``_BLOCK`` lines is decoded from the bytes where such
+    lines hold their signs, which the digits of each line's ``t`` place,
+    and kept only when encoding what was decoded gives the block back.
+    """
+    head = b'{"t": 1, "prediction": '
+    with open(path, "rb") as fh:
+        data = fh.read(len(head))
+        if data != head:
+            return None
+        data += fh.read()
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n")) + 1
+    if not ends.size or ends[-1] != raw.size:
+        return None
+    labeled = b'"truth"' in data[:ends[0]]
+    starts = np.concatenate(([0], ends[:-1]))
+    rows = ends.size
+    digits = np.ones(rows, dtype=np.intp)  # of each line's t, its 1-based index
+    power = 10
+    while power <= rows:
+        digits[power - 1:] += 1
+        power *= 10
+    signs = starts + digits + _T_AT + _SIGN_AT
+    predictions, truths = [], []
+    for lo in range(0, rows, _BLOCK):
+        at = signs[lo:lo + _BLOCK]
+        negative = raw.take(at, mode="clip") == _MINUS
+        prediction = np.where(negative, -1, 1).astype(np.int8)
+        truth = None
+        if labeled:  # the truth's sign follows the prediction's "1" or "-1"
+            at = at + (_TRUTH_SIGN_AT - _SIGN_AT - 1) + negative
+            truth = np.where(raw.take(at, mode="clip") == _MINUS, -1, 1).astype(np.int8)
+        block = raw[starts[lo]:ends[min(lo + _BLOCK, rows) - 1]]
+        if not np.array_equal(_majority_lines(lo + 1, prediction, truth), block):
+            return None
+        predictions.append(prediction)
+        truths.append(truth)
+    truth = np.concatenate(truths) if labeled else None
+    return Reports(prediction=np.concatenate(predictions), truth=truth)
+
+
 def write_reports(path, reports: Reports) -> None:
     """Write :class:`Reports` as JSONL, one line per step with ``t`` = 1..T,
     the derived ``correct`` and stop reasons by name, omitting absent
     columns.
 
     Every column must have the dtype kind, dimension and length that
-    :class:`Reports` gives it, ``p_hat``/``weights`` must be finite and stop
-    reasons codes of ``STOPS``; anything else raises :class:`ValueError`
-    naming the column.
+    :class:`Reports` gives it; windows must be positive, predictions and
+    labels -1 or 1, ``p_hat``/``weights`` finite and stop reasons codes of
+    ``STOPS``, so that :func:`read_reports` reads back what is written;
+    anything else raises :class:`ValueError` naming the column.  Reports
+    with no column but ``prediction`` and ``truth`` are written by
+    :func:`_majority_lines`, all others from one ``%``-format template.
     """
     rows = len(reports)
-    fields, columns = ['"t": %d'], [range(1, rows + 1)]
-    for name in _REPORT_FIELDS[1:]:
+    columns = {}
+    for name, (dtype, ndim, *_) in _REPORT_COLUMNS.items():
         column = getattr(reports, name)
         if column is None:
             continue
-        if name == "correct":  # derived from the checked prediction and truth
-            fields.append('"correct": %s')
-            columns.append(list(map(_JSON_BOOLS.__getitem__, column.tolist())))
-            continue
-        dtype, ndim = _REPORT_COLUMNS[name][:2]
         column = _writable(name, column, ndim, rows, floats=dtype is np.float64)
         if ndim == 2:
             if not np.isfinite(column).all():
                 raise ValueError(f"{name!r} values must be finite")
-            fields.append(f'"{name}": [' + ", ".join(["%r"] * column.shape[1]) + "]")
-            columns += column.T.tolist()
+        elif name == "window":
+            if np.any(column < 1):
+                raise ValueError(f"'window' must be positive, got {column[column < 1][0]}")
         elif name == "stop_reason":
             _check_values(name, column, tuple(range(len(STOPS))))
+        else:
+            _check_values(name, column, _LABEL_VALUES)
+        columns[name] = column
+    prediction, truth = columns["prediction"], columns.get("truth")
+    if columns.keys() <= {"prediction", "truth"}:
+        with open(path, "wb") as fh:
+            for start in range(0, rows, _BLOCK):
+                block = slice(start, start + _BLOCK)
+                labels = None if truth is None else truth[block]
+                fh.write(_majority_lines(start + 1, prediction[block], labels).tobytes())
+        return
+    fields, values = ['"t": %d'], [range(1, rows + 1)]
+    for name in _REPORT_FIELDS[1:]:
+        if name == "correct":
+            if truth is not None:
+                fields.append('"correct": %s')
+                values.append(list(map(_JSON_BOOLS.__getitem__, (prediction == truth).tolist())))
+            continue
+        column = columns.get(name)
+        if column is None:
+            continue
+        if column.ndim == 2:
+            fields.append(f'"{name}": [' + ", ".join(["%r"] * column.shape[1]) + "]")
+            values += column.T.tolist()
+        elif name == "stop_reason":
             fields.append('"stop_reason": %s')
-            columns.append(list(map(_STOP_NAMES.__getitem__, column.tolist())))
+            values.append(list(map(_STOP_NAMES.__getitem__, column.tolist())))
         else:
             fields.append(f'"{name}": %d')
-            columns.append(column.tolist())
+            values.append(column.tolist())
     template = "{" + ", ".join(fields) + "}\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(template.__mod__, zip(*columns)))
+        fh.writelines(map(template.__mod__, zip(*values)))
 
 
 def read_reports(path) -> Reports:
@@ -418,8 +547,18 @@ def read_reports(path) -> Reports:
 
     A column is kept only when every line has it; ``t`` must be present
     but is not kept, and ``correct`` is recomputed from the columns.  An
-    empty file reads as zero rows.
+    empty file reads as zero rows.  A file that is byte for byte what
+    :func:`write_reports` writes for a run with no column but
+    ``prediction`` and ``truth`` is read by :func:`_majority_reports`;
+    any other is decoded as JSON, which gives every such file the same
+    columns.
     """
+    reports = _majority_reports(path)
+    return reports if reports is not None else _json_reports(path)
+
+
+def _json_reports(path) -> Reports:
+    """:func:`read_reports` of any file, each block decoded as JSON."""
     lines = []
     for linenos, block in _jsonl_lines(path):
         objects, error = _jsonl_decode(path, linenos, block)

@@ -513,14 +513,22 @@ _BAD_COLUMNS = [
     ("stop_reason", np.array([0.0, 1.0])),
     ("stop_reason", np.array([-1, 0], dtype=np.int8)),
     ("stop_reason", np.array([3, 0], dtype=np.int8)),
+    # values read_reports would reject
+    ("prediction", np.array([5, -1])),
+    ("prediction", np.array([0, 1], dtype=np.int8)),
+    ("truth", np.array([1, 2])),
+    ("window", np.array([0, 3])),
+    ("window", np.array([4, -2])),
 ]
 
 
 @pytest.mark.parametrize("name, column", _BAD_COLUMNS)
 def test_write_reports_rejects_columns_outside_the_dtype_contract(tmp_path, name, column):
     columns = {"prediction": np.array([1, -1], dtype=np.int8), name: column}
+    path = tmp_path / "r.jsonl"
     with pytest.raises(ValueError, match=f"'{name}' must be"):
-        write_reports(tmp_path / "r.jsonl", Reports(**columns))
+        write_reports(path, Reports(**columns))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("name, column", [
@@ -776,3 +784,266 @@ def test_reports_longer_than_a_block(tmp_path, monkeypatch, labeled_votes):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(StreamFormatError, match=rf"{path.name}:41: bad JSON: Extra data"):
         read_reports(path)
+
+
+# -- majority reports: written and read by bytes, the same result as JSON -----
+
+
+def read_reports_json(path):
+    """The JSON report reader before majority reports were read by bytes,
+    the oracle of :func:`read_reports`."""
+    lines = []
+    for linenos, block in dio._jsonl_lines(path):
+        objects, error = dio._jsonl_decode(path, linenos, block)
+        for lineno, obj in zip(linenos, objects):
+            if not isinstance(obj, dict) or "t" not in obj or "prediction" not in obj:
+                raise StreamFormatError(f"{path}:{lineno}: expected an object with 't' and 'prediction'")
+        if error is not None:
+            raise error
+        lines += objects
+    columns = {}
+    for name, (dtype, ndim, kinds, rule, check) in dio._REPORT_COLUMNS.items():
+        if name != "prediction" and not (lines and name in lines[0]):
+            continue
+        values = [obj.get(name) for obj in lines]
+        if name != "prediction" and None in values:
+            continue
+        raw = values
+        if name == "stop_reason":
+            raw = [STOPS.index(x) if x in STOPS else -1 for x in values]
+        try:
+            column = np.array(raw, dtype=np.int64 if dtype is np.int8 else dtype)
+        except (TypeError, ValueError, OverflowError):
+            column = None
+        if column is None or column.ndim != ndim:
+            raise StreamFormatError(f"{path}: {name!r} values are ragged or of the wrong type")
+        flat = values if ndim == 1 else [x for value in values for x in value]
+        if not set(map(type, flat)) <= kinds or not np.all(check(column)):
+            raise StreamFormatError(f"{path}: {name!r} values must be {rule}")
+        columns[name] = column.astype(dtype, copy=False)
+    return Reports(**columns)
+
+
+def report_outcome(read, path):
+    """What ``read(path)`` gives: the type and text of what it raised, or
+    each column's dtype and values."""
+    try:
+        reports = read(path)
+    except (ValueError, OSError) as err:  # format errors and UnicodeDecodeError are ValueErrors
+        return type(err), str(err)
+    return [
+        None if column is None else (column.dtype.str, column.tolist())
+        for column in (getattr(reports, name) for name in (*REPORT_COLUMNS, "correct"))
+    ]
+
+
+def _no_json(*args):
+    raise AssertionError("a majority report was decoded as JSON")
+
+
+def majority_reports(steps, labeled, seed=0, dtype=np.int8):
+    rng = np.random.default_rng([steps, seed])
+    signs = np.array([-1, 1], dtype=dtype)
+    truth = rng.choice(signs, size=steps) if labeled else None
+    return Reports(prediction=rng.choice(signs, size=steps), truth=truth)
+
+
+#: lengths on both sides of a new digit of t and of the 4096-line block
+_MAJORITY_STEPS = (1, 9, 10, 11, 99, 100, 4095, 4096, 4097, 8193, 9999, 10000)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    steps=st.sampled_from(_MAJORITY_STEPS),
+    labeled=st.booleans(),
+    dtype=st.sampled_from((np.int8, np.int16, np.int32, np.int64)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_majority_reports_round_trip_by_bytes(tmp_path_factory, steps, labeled, dtype, seed):
+    reports = majority_reports(steps, labeled, seed, dtype)
+    path = tmp_path_factory.mktemp("majority") / "reports.jsonl"
+    write_reports(path, reports)
+    assert path.read_text() == dumps_reports(reports)
+    want = Reports(
+        prediction=reports.prediction.astype(np.int8),
+        truth=None if reports.truth is None else reports.truth.astype(np.int8),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dio, "_jsonl_decode", _no_json)
+        assert_same_reports(read_reports(path), want)
+
+
+@pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+def test_majority_reports_are_read_by_bytes(tmp_path, monkeypatch, labeled):
+    path = tmp_path / "reports.jsonl"
+    votes = np.random.default_rng(5).choice(np.array([-1, 1], dtype=np.int8), size=(9000, 3))
+    reports = run_strategy(votes, "majority", truths=majority_reports(9000, labeled).truth)
+    write_reports(path, reports)
+    monkeypatch.setattr(dio, "_jsonl_decode", _no_json)
+    assert_same_reports(read_reports(path), reports)
+    monkeypatch.setattr(dio, "_BLOCK", 7)
+    assert_same_reports(read_reports(path), reports)
+
+
+def _replace(lineno, old, new):
+    """An edit of one line (1-based) of a report file's lines."""
+    def edit(lines):
+        assert old in lines[lineno - 1]
+        lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+    return edit
+
+
+def _insert(lineno, line):
+    def edit(lines):
+        lines.insert(lineno - 1, line)
+    return edit
+
+
+def _crlf(lines):
+    lines[:] = [line.replace("\n", "\r\n") for line in lines]
+
+
+def _no_final_newline(lines):
+    lines[-1] = lines[-1].rstrip("\n")
+
+
+def _compact(lineno):
+    def edit(lines):
+        lines[lineno - 1] = json.dumps(json.loads(lines[lineno - 1]), separators=(",", ":")) + "\n"
+    return edit
+
+
+def _swap_keys(lineno):
+    def edit(lines):
+        obj = json.loads(lines[lineno - 1])
+        lines[lineno - 1] = json.dumps(dict(reversed(obj.items()))) + "\n"
+    return edit
+
+
+def _flip_correct(lineno):
+    def edit(lines):
+        obj = json.loads(lines[lineno - 1])
+        obj["correct"] = not obj["correct"]
+        lines[lineno - 1] = json.dumps(obj) + "\n"
+    return edit
+
+
+def _drop_truth(lineno):
+    def edit(lines):
+        obj = json.loads(lines[lineno - 1])
+        del obj["truth"], obj["correct"]
+        lines[lineno - 1] = json.dumps(obj) + "\n"
+    return edit
+
+
+#: (name, edit of the lines of a labeled majority report of 14 steps); the
+#: same edits, where they apply, are made to an unlabeled one
+_NEAR_MAJORITY = [
+    ("crlf", _crlf),
+    ("a blank line", _insert(6, "\n")),
+    ("a blank first line", _insert(1, "  \n")),
+    ("a trailing blank line", _insert(15, "\n")),
+    ("no final newline", _no_final_newline),
+    ("t of 0", _replace(1, '"t": 1,', '"t": 0,')),
+    ("t repeated", _replace(12, '"t": 12,', '"t": 11,')),
+    ("t skips", _replace(14, '"t": 14,', '"t": 15,')),
+    ("t a string", _replace(1, '"t": 1,', '"t": "1",')),
+    ("t a float", _replace(9, '"t": 9,', '"t": 9.0,')),
+    ("t with a leading zero", _replace(9, '"t": 9,', '"t": 09,')),
+    ("t missing", _replace(11, '"t": 11, ', "")),
+    ("compact separators", _compact(11)),
+    ("compact first line", _compact(1)),
+    ("swapped keys", _swap_keys(11)),
+    ("an extra key", _replace(11, "}", ', "x": 1}')),
+    ("a duplicate key", _replace(11, "}", ', "prediction": 1}')),
+    ("a disagreeing correct", _flip_correct(11)),
+    ("a line without truth", _drop_truth(11)),
+    ("a first line without truth", _drop_truth(1)),
+    ("prediction -0", _replace(10, '"prediction": -1', '"prediction": -0')),
+    ("truth -0", _replace(10, '"truth": -1', '"truth": -0')),
+    ("prediction 1.0", _replace(11, '"prediction": 1', '"prediction": 1.0')),
+    ("prediction true", _replace(11, '"prediction": 1', '"prediction": true')),
+    ("prediction 2", _replace(11, '"prediction": 1', '"prediction": 2')),
+    ("truth 0", _replace(11, '"truth": 1', '"truth": 0')),
+    ("an extra space", _replace(11, ", ", ",  ")),
+    ("a tab", _replace(11, ": ", ":\t")),
+    ("a BOM", _replace(1, "{", "\ufeff{")),
+    ("a window", _replace(11, '"t": 11, ', '"t": 11, "window": 3, ')),
+    ("two objects on a line", _replace(11, "}\n", '}, {"t": 12, "prediction": 1}\n')),
+    ("bad JSON", _replace(11, "}", "")),
+]
+
+
+def _near_majority_text(labeled):
+    """A majority report of 14 steps, as ``write_reports`` writes it."""
+    prediction = np.array([-1, 1, 1, -1, 1, 1, 1, -1, 1, -1, 1, 1, -1, -1], dtype=np.int8)
+    truth = np.array([-1, 1, -1, -1, 1, -1, 1, 1, 1, -1, 1, 1, 1, -1], dtype=np.int8)
+    return dumps_reports(Reports(prediction=prediction, truth=truth if labeled else None))
+
+
+def _edited(text, edit):
+    """``text`` with its lines edited, or None where the edit does not apply."""
+    lines = text.splitlines(keepends=True)
+    try:
+        edit(lines)
+    except (AssertionError, KeyError):
+        return None
+    return "".join(lines)
+
+
+_NEAR_MAJORITY_CASES = [
+    pytest.param(edited, id=f"{name}-{'labeled' if labeled else 'unlabeled'}")
+    for name, edit in _NEAR_MAJORITY
+    for labeled in (False, True)
+    if (edited := _edited(_near_majority_text(labeled), edit)) is not None
+]
+
+
+@pytest.mark.parametrize("text", _NEAR_MAJORITY_CASES)
+def test_near_majority_files_read_as_json_reads_them(tmp_path, monkeypatch, text):
+    path = tmp_path / "r.jsonl"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert text not in (_near_majority_text(False), _near_majority_text(True))
+    want = report_outcome(read_reports_json, path)
+    for block in (3, 4096):
+        monkeypatch.setattr(dio, "_BLOCK", block)
+        assert report_outcome(read_reports, path) == want
+
+
+def test_a_non_utf8_byte_raises_as_json_reading_does(tmp_path, monkeypatch):
+    path = tmp_path / "r.jsonl"
+    text = dumps_reports(majority_reports(14, True)).encode()
+    for at in (3, text.index(b"\n", 500) - 2):
+        path.write_bytes(text[:at] + b"\xff" + text[at + 1:])
+        want = report_outcome(read_reports_json, path)
+        assert want[0] is UnicodeDecodeError
+        for block in (3, 4096):
+            monkeypatch.setattr(dio, "_BLOCK", block)
+            assert report_outcome(read_reports, path) == want
+
+
+#: bytes a mutation puts into a majority report file
+_MUTATION_BYTES = b' -019\n\r",:{}tfrue'
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    labeled=st.booleans(),
+    edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_MUTATION_BYTES), st.booleans()),
+                   min_size=1, max_size=2),
+    block=st.integers(1, 12),
+)
+def test_mutated_majority_files_read_as_json_reads_them(tmp_path_factory, labeled, edits, block):
+    data = bytearray(dumps_reports(majority_reports(23, labeled)).encode())
+    for at, byte, insert in edits:
+        at %= len(data) + insert
+        if insert:
+            data.insert(at, byte)
+        else:
+            data[at] = byte
+    path = tmp_path_factory.mktemp("mutated") / "r.jsonl"
+    path.write_bytes(bytes(data))
+    want = report_outcome(read_reports_json, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dio, "_BLOCK", block)
+        assert report_outcome(read_reports, path) == want

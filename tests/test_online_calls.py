@@ -206,6 +206,7 @@ WEIGHTED_CASES = {
     "same-sign-infs": ([1, 1, -1], [np.inf, np.inf, 1.0]),
     "signed-inf": ([-1, 1, -1], [np.inf, -np.inf, 1.0]),
     "overflowing-sum": ([1e308, 1e308], [1.0, 1.0]),  # the reference warns of the overflow
+    "overflowing-product": ([1e200, 1.0], [1e200, 1.0]),  # finite sums, an overflowing product
     "zero-d": (1.0, 2.0),
     "two-d": ([[1, -1], [1, 1]], [[0.5, 0.5], [1.0, 1.0]]),
     "shape-mismatch": ([1, 1, 1], [1.0, 1.0]),

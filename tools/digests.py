@@ -5,13 +5,18 @@ Run:  python3 tools/digests.py [ROOT]
 
 ROOT is the checkout whose ``src/`` and ``demos/`` are run (default: the
 checkout holding this script), so one script lists any two checkouts, and
-``diff`` of the two listings is the check.  The 25 outputs:
+``diff`` of the two listings is the check.  The 33 outputs:
 
 * ``simulate`` of the block-drift preset (block length 400, JSONL) and of
   two-block streams at n = 8 (JSONL) and n = 32 (CSV);
 * ``run`` adaptive, ``fixed:64``, majority and ``--sizes 1,3,9,27,81`` on
   each of the three streams;
 * ``eval`` of each strategy's three report files;
+* a labeled n = 8 stream of 12,500 steps (``simulate``) and its unlabeled
+  copy (``write_stream`` of its votes alone); ``run --strategy majority``
+  on each, whose report files cross a 4096-line block and t = 10^4; the
+  columns ``read_reports`` gives of each report file, and ``eval`` of each
+  (the unlabeled one fails, so its exit code and stderr);
 * the stdout of the four narrative demos (``engine_scaling`` prints
   timings, so it is left out);
 * every ``run_strategy`` column of the same four strategies at n = 3, 8
@@ -41,6 +46,8 @@ STRATEGIES = {
 }
 #: steps of the two-block stream at each n
 STEPS = {3: 2500, 8: 1500, 32: 600}
+#: steps of the long majority stream
+LONG_STEPS = 12500
 
 
 def accuracies(n: int) -> list[float]:
@@ -84,6 +91,42 @@ def cli_outputs(work: Path) -> dict[str, str]:
         summary = work / f"eval-{strategy}.json"
         cli("eval", "--reports", *reports, "--out", str(summary))
         out[f"eval/{strategy}.json"] = sha(summary.read_bytes())
+    out.update(long_majority_outputs(cli, work))
+    return out
+
+
+def long_majority_outputs(cli, work: Path) -> dict[str, str]:
+    """Digests of the long labeled stream, its unlabeled copy, their
+    majority report files, the columns ``read_reports`` gives of each, and
+    ``eval`` of each: its summary, or its exit code and stderr where it
+    fails, as it does for reports without labels."""
+    import contextlib
+    import io
+
+    from driftvote import Stream
+    from driftvote.cli import main
+    from driftvote.io import read_reports, read_stream, write_stream
+
+    labeled, unlabeled = work / "long.jsonl", work / "long-unlabeled.jsonl"
+    cli("simulate", "--blocks", f"{LONG_STEPS}:{','.join(map(str, accuracies(8)))}",
+        "--seed", "3", "--out", str(labeled))
+    write_stream(unlabeled, Stream(votes=read_stream(labeled).votes, truth=None))
+    out = {}
+    for stream in (labeled, unlabeled):
+        out[f"simulate/{stream.name}"] = sha(stream.read_bytes())
+        reports = work / f"{stream.stem}-majority.jsonl"
+        cli("run", "--input", str(stream), "--strategy", "majority", "--out", str(reports))
+        out[f"run/{reports.name}"] = sha(reports.read_bytes())
+        back = read_reports(reports)
+        out[f"read/{reports.stem}"] = sha(b"".join(
+            b"None" if col is None else f"{col.dtype.str} {col.shape}".encode() + col.tobytes()
+            for col in (back.prediction, back.window, back.p_hat, back.weights, back.truth, back.stop_reason)
+        ))
+        summary, stderr = work / f"eval-{reports.stem}.json", io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["eval", "--reports", str(reports), "--out", str(summary)])
+        result = summary.read_bytes() if code == 0 else f"exit {code}\n{stderr.getvalue()}".encode()
+        out[f"eval/{reports.stem}.json"] = sha(result)
     return out
 
 
