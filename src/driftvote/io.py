@@ -77,6 +77,10 @@ _LABEL_VALUES = (-1, 1)
 
 #: JSONL lines read, decoded and checked together, and stream rows written together
 _BLOCK = 4096
+#: majority report rows written together: each of the encoder's byte grids
+#: then stays under glibc's 128 KiB mmap threshold, so writing reuses freed
+#: heap memory and adds no peak RSS (4096 rows added about 0.45 MB to ``run``)
+_REPORT_ROWS = 1024
 #: an object closed and followed by a comma within one line
 _OBJECT_THEN_COMMA = re.compile(r"\}[ \t\r]*,")
 _MINUS, _ZERO = ord("-"), ord("0")
@@ -421,10 +425,10 @@ def _majority_lines(start: int, prediction: np.ndarray, truth: np.ndarray | None
     line = _MAJORITY_LINES[truth is not None]
     skeleton = np.frombuffer((line[:_T_AT] + "0" * digits + line[_T_AT:]).encode(), dtype=np.uint8)
     grid = np.tile(skeleton, (rows, 1))
-    t = np.arange(start, start + rows)[:, None]
-    powers = 10 ** np.arange(digits - 1, -1, -1)
-    grid[:, _T_AT:_T_AT + digits] = np.where(t >= powers, t // powers % 10 + _ZERO, _PAD)
+    t = np.arange(start, start + rows)
     at = _T_AT + digits
+    for power in range(digits):  # the digit of 10**power, then a column, fill t's slots
+        grid[:, at - 1 - power] = np.where(t >= 10**power, t // 10**power % 10 + _ZERO, _PAD)
     grid[:, at + _SIGN_AT] = np.where(prediction < 0, _MINUS, _PAD)
     if truth is not None:
         grid[:, at + _TRUTH_SIGN_AT] = np.where(truth < 0, _MINUS, _PAD)
@@ -513,10 +517,10 @@ def write_reports(path, reports: Reports) -> None:
     prediction, truth = columns["prediction"], columns.get("truth")
     if columns.keys() <= {"prediction", "truth"}:
         with open(path, "wb") as fh:
-            for start in range(0, rows, _BLOCK):
-                block = slice(start, start + _BLOCK)
+            for start in range(0, rows, _REPORT_ROWS):
+                block = slice(start, start + _REPORT_ROWS)
                 labels = None if truth is None else truth[block]
-                fh.write(_majority_lines(start + 1, prediction[block], labels).tobytes())
+                fh.write(_majority_lines(start + 1, prediction[block], labels))
         return
     fields, values = ['"t": %d'], [range(1, rows + 1)]
     for name in _REPORT_FIELDS[1:]:

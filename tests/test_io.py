@@ -848,8 +848,9 @@ def majority_reports(steps, labeled, seed=0, dtype=np.int8):
     return Reports(prediction=rng.choice(signs, size=steps), truth=truth)
 
 
-#: lengths on both sides of a new digit of t and of the 4096-line block
-_MAJORITY_STEPS = (1, 9, 10, 11, 99, 100, 4095, 4096, 4097, 8193, 9999, 10000)
+#: lengths on both sides of a new digit of t and of the 1024-row write and
+#: 4096-line read blocks
+_MAJORITY_STEPS = (1, 9, 10, 11, 99, 100, 1024, 1025, 4095, 4096, 4097, 8193, 9999, 10000)
 
 
 @settings(max_examples=30, deadline=None)
