@@ -14,9 +14,10 @@ checkout holding this script), so one script lists any two checkouts, and
 * ``eval`` of each strategy's three report files;
 * a labeled n = 8 stream of 12,500 steps (``simulate``) and its unlabeled
   copy (``write_stream`` of its votes alone); ``run --strategy majority``
-  on each, whose report files cross a 4096-line block and t = 10^4; the
-  columns ``read_reports`` gives of each report file, and ``eval`` of each
-  (the unlabeled one fails, so its exit code and stderr);
+  on each, whose report files cross the 1024-row write and 4096-line read
+  blocks and t = 10^4; the columns ``read_reports`` gives of each report
+  file, and ``eval`` of each (the unlabeled one fails, so its exit code
+  and stderr);
 * the stdout of the four narrative demos (``engine_scaling`` prints
   timings, so it is left out);
 * every ``run_strategy`` column of the same four strategies at n = 3, 8
