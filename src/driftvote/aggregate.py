@@ -125,18 +125,16 @@ def _checked_strategy(strategy: str, config: AdaptiveConfig) -> tuple[str, int |
     return kind, fixed_r
 
 
-def _checked_votes(votes, config: AdaptiveConfig | None) -> tuple[np.ndarray, AdaptiveConfig]:
-    """Input check of :func:`run_strategy`: a nonempty (T, n) +/-1 matrix as
-    int8, and a config for n labelers (``AdaptiveConfig(n)`` when None)."""
+def _checked_votes(votes, config: AdaptiveConfig | None) -> np.ndarray:
+    """Input check of :func:`run_strategy`: a (T, n) +/-1 matrix with T and
+    n positive, as int8, whose n is ``config``'s when a config is given."""
     v = np.asarray(votes)
-    if v.ndim != 2 or v.shape[0] < 1:
+    if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
         raise ValueError(f"expected a nonempty (T, n) vote matrix, got shape {v.shape}")
     n = v.shape[1]
-    if config is None:
-        config = AdaptiveConfig(n=n)
-    if config.n != n:
+    if config is not None and config.n != n:
         raise ValueError(f"config expects {config.n} labelers, stream has {n}")
-    return as_vote_matrix(v, n), config
+    return as_vote_matrix(v, n)
 
 
 def _estimate(pairs: np.ndarray, n: int, config: AdaptiveConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -203,18 +201,21 @@ def run_strategy(
         ``1 <= R <= config.schedule.max_size``.  ``adaptive`` needs a
         ladder whose first size is 1, so that step 1 has a window.
     config : AdaptiveConfig, optional
-        Defaults to ``AdaptiveConfig(n)`` for the stream's width.
+        Defaults to ``AdaptiveConfig(n)`` for the stream's width, which
+        needs n >= 3.  ``majority`` builds none, so it takes any n >= 1;
+        a config that is given must still be for n labelers.
     truths : (T,) array, optional
         True labels; fills ``truth`` (and so ``correct``) in the reports.
     """
-    v, config = _checked_votes(votes, config)
-    kind, fixed_r = _checked_strategy(strategy, config)
+    v = _checked_votes(votes, config)
     steps, n = v.shape
     truth = _check_truths(truths, steps)
-
-    if kind == STRATEGY_MAJORITY:
+    if parse_strategy(strategy)[0] == STRATEGY_MAJORITY:
         # exact integer row sums, the same sign as majority_vote per row
         return Reports(prediction=np.where(v.sum(axis=1) >= 0, 1, -1).astype(np.int8), truth=truth)
+    if config is None:
+        config = AdaptiveConfig(n=n)
+    kind, fixed_r = _checked_strategy(strategy, config)
 
     adaptive = kind == STRATEGY_ADAPTIVE
     bank = CorrelationBank(n, config.schedule.sizes if adaptive else (fixed_r,))

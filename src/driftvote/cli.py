@@ -135,21 +135,23 @@ def cmd_run(args) -> int:
     from dataclasses import replace
 
     from . import io as dio
-    from .aggregate import _checked_strategy, run_strategy
+    from .aggregate import STRATEGY_MAJORITY, _checked_strategy, run_strategy
     from .driftgen import resolve_abstentions
 
-    # check the whole run configuration before any file work; n=3 stands in
-    # until the stream's width is known, and replace() checks the real n
+    # check the whole run configuration before any file work, for every
+    # strategy; n=3 stands in until the stream's width is known, and
+    # replace() checks the real n of a run that needs a config
     clip_lo, clip_hi = _parse_clip(args.clip)
     config = replace(_config(args, n=3), clip_lo=clip_lo, clip_hi=clip_hi)
-    _checked_strategy(args.strategy, config)
+    kind, _ = _checked_strategy(args.strategy, config)
     if args.abstain_seed < 0:
         raise ValueError(f"--abstain-seed must be nonnegative, got {args.abstain_seed}")
     stream = dio.read_stream(args.input)
     if len(stream) == 0:
         raise ValueError(f"{args.input}: stream file is empty")
     votes = resolve_abstentions(stream.votes, args.abstain_seed)
-    config = replace(config, n=votes.shape[1])
+    # a majority vote needs no config, so it takes a stream of any width
+    config = None if kind == STRATEGY_MAJORITY else replace(config, n=votes.shape[1])
     reports = run_strategy(votes, args.strategy, config, truths=stream.truth)
     dio.write_reports(args.out, reports)
     _save_config(args, "run")

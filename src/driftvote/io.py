@@ -30,30 +30,27 @@ reads back: any other window, prediction, label or stop code, and a NaN
 or infinite ``p_hat`` or ``weights`` (JSON has no spelling for them),
 raises a :class:`ValueError` naming the column.
 
-JSONL files are read in blocks of lines.  A stream block whose lines are
-all canonical, with the width and labeling of its first line, is checked
-and decoded by comparing its bytes with that line's skeleton.  The
-canonical spelling is the one :func:`write_stream` and ``json.dumps``
-give: ``{"votes": [1, -1, 0], "label": 1}``, one space after each comma
-and colon, no ``t``.  Any other stream block is decoded with one
-``json.loads``; it is checked line by line, and a block that does not
-decode as one is parsed again line by line, so every error names the
-same line, with the same message, as a line-by-line reader would give.
-JSONL streams are written from the same skeleton, so their votes must be
--1, 0 or 1 and their labels -1 or 1.
-
-Reports of a run with no column but ``prediction`` and ``truth`` (a
-``majority`` run) hold integers only, ``{"t": 12, "prediction": -1,
-"truth": 1, "correct": false}`` or ``{"t": 12, "prediction": -1}``, and
-are written by one byte encoder, in blocks of lines.  A report file
-whose first line starts that way is read by decoding each block from its
-sign bytes and encoding it again: when every byte of every block
-matches, with ``t`` = 1..T, the file is read; else the whole file is
-read again as JSON, one ``json.loads`` per block as for streams, which
-gives any such file the same columns.  Every other report is written
+JSONL files are read in blocks of lines.  Each canonical line format has
+one byte encoder, which defines its spelling (the one ``json.dumps``
+gives) and is used by its writer and its reader: :func:`_stream_lines`
+for streams, ``{"votes": [1, -1, 0], "label": 1}`` with no ``t``, and
+:func:`_majority_lines` for reports of a run with no column but
+``prediction`` and ``truth`` (a ``majority`` run),
+``{"t": 12, "prediction": -1, "truth": 1, "correct": false}`` or
+``{"t": 12, "prediction": -1}``.  A reader guesses a block's values from
+its bytes and keeps them only when encoding them gives the block back.
+A stream block takes the width and labeling of its first line; any other
+stream block is decoded with one ``json.loads`` and checked line by
+line, and a block that does not decode as one is parsed again line by
+line, so every error names the same line, with the same message, as a
+line-by-line reader would give.  A report file is read by bytes when its first line
+starts as a majority line and every block, with ``t`` running on, is
+canonical; else the whole file is read again as JSON, one ``json.loads``
+per block, which gives any such file the same columns.  Blank lines are
+left out and CRLF read as LF either way.  Every other report is written
 from one ``%``-format template per file and read as JSON.  Streams and
 reports are written byte for byte as ``json.dumps`` of each line gives
-them.
+them, so written JSONL stream votes must be -1, 0 or 1 and labels -1 or 1.
 """
 
 from __future__ import annotations
@@ -75,15 +72,17 @@ class StreamFormatError(ValueError):
 _VOTE_VALUES = (-1, 0, 1)
 _LABEL_VALUES = (-1, 1)
 
-#: JSONL lines read, decoded and checked together, and stream rows written together
+#: JSONL lines read, decoded and checked together
 _BLOCK = 4096
-#: majority report rows written together: each of the encoder's byte grids
-#: then stays under glibc's 128 KiB mmap threshold, so writing reuses freed
-#: heap memory and adds no peak RSS (4096 rows added about 0.45 MB to ``run``)
-_REPORT_ROWS = 1024
+#: rows each byte encoder writes together: its byte grids then stay under
+#: glibc's 128 KiB mmap threshold, so writing reuses freed heap memory and
+#: adds no peak RSS (4096 rows added about 0.45 MB to ``run``)
+_WRITE_ROWS = 1024
 #: an object closed and followed by a comma within one line
 _OBJECT_THEN_COMMA = re.compile(r"\}[ \t\r]*,")
 _MINUS, _ZERO = ord("-"), ord("0")
+#: a byte no JSONL line holds: the byte encoders' pad, which they drop
+_PAD = 0
 
 
 def _bad(path, lineno: int, msg: str) -> StreamFormatError:
@@ -107,60 +106,57 @@ def _check_label(label, path, lineno: int) -> int | None:
     return label
 
 
-def _skeleton(n: int, labeled: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical JSONL stream line of ``n`` votes, and a label when
-    ``labeled``, as ``json.dumps`` spells it, with every value 0: its
-    uint8 bytes and the offsets of its value digits, the label's last.
+def _compact(grid: np.ndarray) -> np.ndarray:
+    """The bytes of a uint8 grid of lines, row by row, with ``_PAD`` dropped."""
+    flat = grid.ravel()
+    return flat[flat != _PAD]
 
-    A canonical line is this skeleton with each digit 0 or 1, the label's
-    1, and a ``-`` put just before any digit.
+
+def _stream_lines(cells: np.ndarray, labeled: bool) -> np.ndarray:
+    """The uint8 bytes of one JSONL stream line per row of ``cells``: its
+    votes, then its label when ``labeled`` (values -1, 0 or 1), as
+    ``json.dumps`` spells them: ``{"votes": [1, -1, 0], "label": 1}``.
+
+    Every line is first one row of a grid with a sign slot before each
+    digit; the sign slot of a value that is not negative holds ``_PAD``.
     """
-    line = '{"votes": [' + ", ".join(["0"] * n) + "]" + (', "label": 0' if labeled else "") + "}\n"
+    cells = cells.astype(np.int8, copy=False)  # so that abs and < read one byte per value
+    n = cells.shape[1] - labeled
+    line = '{"votes": [' + ", ".join(["-0"] * n) + "]" + (', "label": -0' if labeled else "") + "}\n"
     skeleton = np.frombuffer(line.encode(), dtype=np.uint8)
-    return skeleton, np.flatnonzero(skeleton == _ZERO)
+    digits = np.flatnonzero(skeleton == _ZERO)
+    grid = np.tile(skeleton, (len(cells), 1))
+    grid[:, digits] = np.abs(cells) + _ZERO
+    grid[:, digits - 1] = np.where(cells < 0, _MINUS, _PAD)
+    return _compact(grid)
 
 
 def _canonical_block(lines):
     """``(votes, truth, widths)`` of a block of JSONL stream lines, as
-    :func:`_rows_block` gives them, when every line is canonical with the
-    width and labels of the first; else None.
+    :func:`_rows_block` gives them, when the block is what
+    :func:`_stream_lines` gives for the width and labeling of its first
+    line; else None.
 
-    The block's bytes, with their minus signs taken out, must equal the
-    skeleton repeated once per line, but for 0 or 1 in each digit slot;
-    each minus sign must stand just before a digit slot of its own.
+    The bytes ``0`` and ``1`` are taken as the values' digits, each
+    negative when a minus stands just before it, and kept only when
+    encoding them gives the block back.
     """
     # the width of a canonical first line; a line with no comma gives the
-    # labeled skeleton of no votes, which has a comma, so no block of empty
+    # labeled line of no votes, which has a comma, so no block of empty
     # vote lists is read here
     first = lines[0]
     labeled = '"label"' in first
     n = first.count(",") + (not labeled)
-    skeleton, slots = _skeleton(n, labeled)
-    width = skeleton.size
     data = np.frombuffer("".join(lines).encode(), dtype=np.uint8)
-    is_minus = data == _MINUS
-    minus = np.flatnonzero(is_minus)
-    if data.size - minus.size != len(lines) * width:
+    at = np.flatnonzero((data | 1) == ord("1"))
+    if at.size != len(lines) * (n + labeled):
         return None
-    grid = data[~is_minus].reshape(len(lines), width)
-    # the low bit of a digit slot is its value; every other byte is fixed
-    mask = np.full(width, 0xFF, dtype=np.uint8)
-    mask[slots] = 0xFE
-    if not ((grid & mask) == skeleton).all():
-        return None
-    # each minus as (row, slot) of the byte after it in the grid; a minus
-    # after the last byte lands on a row's opening brace, which is no slot
-    after = minus - np.arange(minus.size)
-    slot_of = np.full(width, -1)
-    slot_of[slots] = np.arange(slots.size)
-    rows, cols = np.divmod(after, width)
-    cols = slot_of[cols]
-    if np.any(cols < 0) or np.any(np.diff(minus) == 1):
-        return None
-    cells = (grid[:, slots] - _ZERO).view(np.int8)
+    digits = (data[at] - _ZERO).astype(np.int8)
+    cells = np.where(data[at - 1] == _MINUS, -digits, digits).reshape(len(lines), n + labeled)
     if labeled and not cells[:, n].all():
         return None
-    cells[rows, cols] = -cells[rows, cols]
+    if not np.array_equal(_stream_lines(cells, labeled), data):
+        return None
     return np.ascontiguousarray(cells[:, :n]), cells[:, n] if labeled else None, {n}
 
 
@@ -323,7 +319,7 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
     else JSONL).  Both formats take what :func:`read_stream` reads back:
     votes must be integers in {-1, 0, 1} and labels in {-1, 1} (a boolean
     is not an integer); anything else raises :class:`ValueError` naming
-    the column.  JSONL lines are the canonical skeleton filled in.
+    the column.  JSONL lines are written by :func:`_stream_lines`.
     """
     path = Path(path)
     if fmt is None:
@@ -345,14 +341,9 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
             writer.writerow([f"votes_{i + 1}" for i in range(n)] + ["label"] * labeled)
             writer.writerows(cells.tolist())
         return
-    skeleton, slots = _skeleton(n, labeled)
     with open(path, "wb") as fh:
-        for start in range(0, len(cells), _BLOCK):
-            block = cells[start:start + _BLOCK]
-            grid = np.tile(skeleton, (len(block), 1))
-            grid[:, slots] += np.abs(block).astype(np.uint8)
-            rows, cols = np.nonzero(block < 0)
-            fh.write(np.insert(grid.ravel(), rows * skeleton.size + slots[cols], _MINUS).tobytes())
+        for start in range(0, len(cells), _WRITE_ROWS):
+            fh.write(_stream_lines(cells[start:start + _WRITE_ROWS], labeled))
 
 
 _JSON_BOOLS = ("false", "true")
@@ -390,8 +381,6 @@ def _check_values(name: str, column: np.ndarray, allowed: tuple[int, ...]) -> No
         raise ValueError(f"{name!r} must be one of {', '.join(map(str, allowed))}, got {bad[0]}")
 
 
-#: a byte no report line holds: the majority encoder's pad, which it drops
-_PAD = 0
 #: a majority report line with no digits of ``t``, unlabeled and labeled,
 #: each sign slot holding a minus and ``correct`` spelled ``false``
 _MAJORITY_LINES = (
@@ -417,8 +406,7 @@ def _majority_lines(start: int, prediction: np.ndarray, truth: np.ndarray | None
     Every line is first one row of a grid with a slot for each digit of
     the largest ``t``, a sign slot before each value and five letters for
     ``correct``; the slots a line leaves empty (leading digits, the sign
-    of a 1, the fifth letter of ``true``) hold ``_PAD``, which one mask
-    drops from the grid.
+    of a 1, the fifth letter of ``true``) hold ``_PAD``.
     """
     rows = len(prediction)
     digits = len(str(start + rows - 1))
@@ -433,52 +421,37 @@ def _majority_lines(start: int, prediction: np.ndarray, truth: np.ndarray | None
     if truth is not None:
         grid[:, at + _TRUTH_SIGN_AT] = np.where(truth < 0, _MINUS, _PAD)
         grid[:, at + _CORRECT_AT:at + _CORRECT_AT + 5] = _CORRECT[(prediction == truth).astype(np.intp)]
-    flat = grid.ravel()
-    return flat[flat != _PAD]
+    return _compact(grid)
 
 
 def _majority_reports(path) -> Reports | None:
-    """The :class:`Reports` of a file that is, byte for byte, what
+    """The :class:`Reports` of a file whose nonblank lines are what
     :func:`_majority_lines` gives for steps 1..T, labeled as its first
     line is; else None.
 
-    Each block of ``_BLOCK`` lines is decoded from the bytes where such
-    lines hold their signs, which the digits of each line's ``t`` place,
-    and kept only when encoding what was decoded gives the block back.
+    Each block of lines is decoded from its sign bytes, two places after
+    each line's 2nd colon (the prediction's) and 3rd (the truth's), and
+    kept only when encoding what was decoded gives the block back.
     """
-    head = b'{"t": 1, "prediction": '
-    with open(path, "rb") as fh:
-        data = fh.read(len(head))
-        if data != head:
-            return None
-        data += fh.read()
-    raw = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(raw == ord("\n")) + 1
-    if not ends.size or ends[-1] != raw.size:
+    with open(path, encoding="utf-8") as fh:
+        first = next(filter(str.strip, fh), "")
+    if not first.startswith('{"t": 1, "prediction": '):
         return None
-    labeled = b'"truth"' in data[:ends[0]]
-    starts = np.concatenate(([0], ends[:-1]))
-    rows = ends.size
-    digits = np.ones(rows, dtype=np.intp)  # of each line's t, its 1-based index
-    power = 10
-    while power <= rows:
-        digits[power - 1:] += 1
-        power *= 10
-    signs = starts + digits + _T_AT + _SIGN_AT
-    predictions, truths = [], []
-    for lo in range(0, rows, _BLOCK):
-        at = signs[lo:lo + _BLOCK]
-        negative = raw.take(at, mode="clip") == _MINUS
-        prediction = np.where(negative, -1, 1).astype(np.int8)
-        truth = None
-        if labeled:  # the truth's sign follows the prediction's "1" or "-1"
-            at = at + (_TRUTH_SIGN_AT - _SIGN_AT - 1) + negative
-            truth = np.where(raw.take(at, mode="clip") == _MINUS, -1, 1).astype(np.int8)
-        block = raw[starts[lo]:ends[min(lo + _BLOCK, rows) - 1]]
-        if not np.array_equal(_majority_lines(lo + 1, prediction, truth), block):
+    labeled = '"truth"' in first
+    predictions, truths, start = [], [], 1
+    for _, lines in _jsonl_lines(path):
+        data = np.frombuffer("".join(lines).encode(), dtype=np.uint8)
+        colons = np.flatnonzero(data == ord(":"))
+        if colons.size != len(lines) * (4 if labeled else 2):
+            return None
+        signs = data.take(colons.reshape(len(lines), -1)[:, 1:2 + labeled] + 2, mode="clip")
+        values = np.where(signs == _MINUS, -1, 1).astype(np.int8)
+        prediction, truth = values[:, 0], values[:, 1] if labeled else None
+        if not np.array_equal(_majority_lines(start, prediction, truth), data):
             return None
         predictions.append(prediction)
         truths.append(truth)
+        start += len(lines)
     truth = np.concatenate(truths) if labeled else None
     return Reports(prediction=np.concatenate(predictions), truth=truth)
 
@@ -517,8 +490,8 @@ def write_reports(path, reports: Reports) -> None:
     prediction, truth = columns["prediction"], columns.get("truth")
     if columns.keys() <= {"prediction", "truth"}:
         with open(path, "wb") as fh:
-            for start in range(0, rows, _REPORT_ROWS):
-                block = slice(start, start + _REPORT_ROWS)
+            for start in range(0, rows, _WRITE_ROWS):
+                block = slice(start, start + _WRITE_ROWS)
                 labels = None if truth is None else truth[block]
                 fh.write(_majority_lines(start + 1, prediction[block], labels))
         return
@@ -551,7 +524,7 @@ def read_reports(path) -> Reports:
 
     A column is kept only when every line has it; ``t`` must be present
     but is not kept, and ``correct`` is recomputed from the columns.  An
-    empty file reads as zero rows.  A file that is byte for byte what
+    empty file reads as zero rows.  A file whose nonblank lines are what
     :func:`write_reports` writes for a run with no column but
     ``prediction`` and ``truth`` is read by :func:`_majority_reports`;
     any other is decoded as JSON, which gives every such file the same

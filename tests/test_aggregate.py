@@ -183,6 +183,29 @@ def test_adaptive_accuracy_on_stationary_stream(stream):
     assert acc > 0.85
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_majority_takes_fewer_than_three_labelers(n):
+    # a majority vote recovers no accuracies, so it needs no AdaptiveConfig
+    votes = np.array([[1, -1], [-1, -1], [1, 1], [-1, 1]], dtype=np.int8)[:, :n]
+    truths = np.array([1, -1, -1, 1], dtype=np.int8)
+    reports = run_strategy(votes, "majority", truths=truths)
+    assert reports.prediction.tolist() == [majority_vote(row) for row in votes]
+    assert reports.truth.tolist() == truths.tolist()
+    assert reports.window is None and reports.p_hat is None
+    assert run_strategy(np.ones((4, n), np.int8), "majority").prediction.tolist() == [1] * 4
+    for strategy in ("adaptive", "fixed:1"):
+        with pytest.raises(ValueError, match=f"need at least 3 labelers, got n={n}"):
+            run_strategy(votes, strategy)
+    with pytest.raises(ValueError, match=f"config expects 3 labelers, stream has {n}"):
+        run_strategy(votes, "majority", config=AdaptiveConfig(n=3))
+
+
+def test_run_strategy_rejects_no_labelers():
+    for strategy in ("majority", "adaptive", "fixed:1"):
+        with pytest.raises(ValueError, match="expected a nonempty"):
+            run_strategy(np.empty((4, 0), dtype=np.int8), strategy)
+
+
 def test_run_strategy_validation(stream):
     votes = np.asarray(stream.votes)
     with pytest.raises(ValueError):

@@ -118,6 +118,25 @@ def test_majority_equals_fixed_one_with_shared_abstain_seed(tmp_path):
     assert np.array_equal(read_reports(out_m).prediction, read_reports(out_f).prediction)
 
 
+@pytest.mark.parametrize("accuracies", ["0.8", "0.8,0.7"])
+def test_majority_runs_on_fewer_than_three_labelers(tmp_path, capsys, accuracies):
+    stream = tmp_path / "s.jsonl"
+    assert run_cli("simulate", "--blocks", f"200:{accuracies}", "--seed", "0",
+                   "--out", str(stream)) == 0
+    out = tmp_path / "r.jsonl"
+    assert run_cli("run", "--input", str(stream), "--strategy", "majority", "--out", str(out)) == 0
+    votes = read_stream(stream).votes
+    assert votes.shape == (200, accuracies.count(",") + 1)
+    reports = read_reports(out)
+    assert reports.prediction.tolist() == np.where(votes.sum(axis=1) >= 0, 1, -1).tolist()
+    assert reports.truth is not None
+    n = votes.shape[1]
+    for strategy in ("adaptive", "fixed:4"):
+        assert run_cli("run", "--input", str(stream), "--strategy", strategy,
+                       "--out", str(tmp_path / "a.jsonl")) == 2
+        assert f"need at least 3 labelers, got n={n}" in capsys.readouterr().err
+
+
 def test_errors_exit_2_with_message(tmp_path, capsys):
     stream = tmp_path / "s.jsonl"
     run_cli("simulate", "--blocks", "30:0.9,0.8,0.7", "--seed", "0",

@@ -127,16 +127,21 @@ def test_empty_file_reads_empty(tmp_path):
         assert stream.truth is None
 
 
+#: the integer dtypes a drawn stream's votes and labels take; both writers
+#: accept any of them
+_INT_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
 @st.composite
 def streams(draw):
     n = draw(st.integers(1, 8))
     steps = draw(st.integers(1, 60))
     cells = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=steps * n, max_size=steps * n))
-    votes = np.array(cells, dtype=np.int8).reshape(steps, n)
+    votes = np.array(cells, dtype=draw(st.sampled_from(_INT_DTYPES))).reshape(steps, n)
     truth = None
     if draw(st.booleans()):
         labels = draw(st.lists(st.sampled_from((-1, 1)), min_size=steps, max_size=steps))
-        truth = np.array(labels, dtype=np.int8)
+        truth = np.array(labels, dtype=draw(st.sampled_from(_INT_DTYPES)))
     return Stream(votes=votes, truth=truth)
 
 
@@ -719,7 +724,9 @@ def test_written_streams_are_read_by_bytes(tmp_path, monkeypatch, n, labeled):
     stream = Stream(votes=votes, truth=truth)
     written = tmp_path / "written.jsonl"
     dumped = tmp_path / "dumped.jsonl"
-    monkeypatch.setattr(dio, "_BLOCK", 4)  # a write and read block edge inside the stream
+    # a write and a read block edge inside the stream
+    monkeypatch.setattr(dio, "_WRITE_ROWS", 4)
+    monkeypatch.setattr(dio, "_BLOCK", 4)
     write_stream(written, stream)
     dumped.write_text(dumps_stream(stream))  # json.dumps per line, as bench/pipeline.py writes
     assert written.read_bytes() == dumped.read_bytes()

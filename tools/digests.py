@@ -5,19 +5,23 @@ Run:  python3 tools/digests.py [ROOT]
 
 ROOT is the checkout whose ``src/`` and ``demos/`` are run (default: the
 checkout holding this script), so one script lists any two checkouts, and
-``diff`` of the two listings is the check.  The 33 outputs:
+``diff`` of the two listings is the check.  The 40 outputs:
 
 * ``simulate`` of the block-drift preset (block length 400, JSONL) and of
-  two-block streams at n = 8 (JSONL) and n = 32 (CSV);
+  two-block streams at n = 8 (JSONL) and n = 32 (CSV), and the columns
+  ``read_stream`` gives of each;
+* a JSONL copy of the n = 32 stream (``write_stream`` of what
+  ``read_stream`` gives of the CSV), so that the widest lines go through
+  the JSONL codec, and the columns ``read_stream`` gives of it;
 * ``run`` adaptive, ``fixed:64``, majority and ``--sizes 1,3,9,27,81`` on
   each of the three streams;
 * ``eval`` of each strategy's three report files;
 * a labeled n = 8 stream of 12,500 steps (``simulate``) and its unlabeled
   copy (``write_stream`` of its votes alone); ``run --strategy majority``
   on each, whose report files cross the 1024-row write and 4096-line read
-  blocks and t = 10^4; the columns ``read_reports`` gives of each report
-  file, and ``eval`` of each (the unlabeled one fails, so its exit code
-  and stderr);
+  blocks and t = 10^4; the columns ``read_stream`` gives of each stream
+  and ``read_reports`` of each report file, and ``eval`` of each report
+  file (the unlabeled one fails, so its exit code and stderr);
 * the stdout of the four narrative demos (``engine_scaling`` prints
   timings, so it is left out);
 * every ``run_strategy`` column of the same four strategies at n = 3, 8
@@ -66,6 +70,22 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def columns(*cols) -> str:
+    """The digest of arrays, each with its dtype and shape, or None."""
+    return sha(b"".join(
+        b"None" if col is None else f"{col.dtype.str} {col.shape}".encode() + col.tobytes()
+        for col in cols
+    ))
+
+
+def stream_columns(path: Path) -> str:
+    """The digest of the columns ``read_stream`` gives of a stream file."""
+    from driftvote.io import read_stream
+
+    stream = read_stream(path)
+    return columns(stream.votes, stream.truth)
+
+
 def cli_outputs(work: Path) -> dict[str, str]:
     from driftvote.cli import main
 
@@ -82,6 +102,13 @@ def cli_outputs(work: Path) -> dict[str, str]:
     for name, flags in streams.items():
         cli("simulate", *flags, "--out", str(work / name))
         out[f"simulate/{name}"] = sha((work / name).read_bytes())
+        out[f"read/{name}"] = stream_columns(work / name)
+    from driftvote.io import read_stream, write_stream
+
+    copy = work / "n32.jsonl"
+    write_stream(copy, read_stream(work / "n32.csv"))
+    out[f"write/{copy.name}"] = sha(copy.read_bytes())
+    out[f"read/{copy.name}"] = stream_columns(copy)
     for strategy, (flags, _, _) in STRATEGIES.items():
         reports = []
         for name in streams:
@@ -115,14 +142,14 @@ def long_majority_outputs(cli, work: Path) -> dict[str, str]:
     out = {}
     for stream in (labeled, unlabeled):
         out[f"simulate/{stream.name}"] = sha(stream.read_bytes())
+        out[f"read/{stream.name}"] = stream_columns(stream)
         reports = work / f"{stream.stem}-majority.jsonl"
         cli("run", "--input", str(stream), "--strategy", "majority", "--out", str(reports))
         out[f"run/{reports.name}"] = sha(reports.read_bytes())
         back = read_reports(reports)
-        out[f"read/{reports.stem}"] = sha(b"".join(
-            b"None" if col is None else f"{col.dtype.str} {col.shape}".encode() + col.tobytes()
-            for col in (back.prediction, back.window, back.p_hat, back.weights, back.truth, back.stop_reason)
-        ))
+        out[f"read/{reports.stem}"] = columns(
+            back.prediction, back.window, back.p_hat, back.weights, back.truth, back.stop_reason
+        )
         summary, stderr = work / f"eval-{reports.stem}.json", io.StringIO()
         with contextlib.redirect_stderr(stderr):
             code = main(["eval", "--reports", str(reports), "--out", str(summary)])
