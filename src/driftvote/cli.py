@@ -11,8 +11,8 @@ Every command is deterministic given its flags: identical invocations
 produce byte-identical outputs.  Errors, a failed allocation among them,
 exit 2 with a single ``error: ...`` line on stderr.
 
-Each command imports the modules it uses when it runs, so that ``bound``
-without a stream layout loads no numpy and ``eval`` no engine.
+Each command imports the modules it uses when it runs, so that ``eval``
+and ``bound`` without a stream layout load no numpy.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .core import (
     DRIFT_TO_CORR,
     ROLLING_LOOKAHEAD,
     AdaptiveConfig,
+    Reports,
     WindowSchedule,
     error_budget,
     selection_overhead,
@@ -169,7 +170,10 @@ def cmd_eval(args) -> int:
         while name in summaries:  # a repeated stem takes the first free stem-2, stem-3, ...
             k += 1
             name = f"{stem}-{k}"
-        summaries[name] = summarize(dio.read_reports(path_text), lookahead=args.lookahead)
+        # eval reads the report columns as array.array: numpy is not loaded
+        columns = dio._report_columns(path_text)
+        reports = Reports(**{col: values for col, (values, width) in columns.items() if width is None})
+        summaries[name] = summarize(reports, lookahead=args.lookahead)
     doc = {
         "runs": {name: s.to_json_dict() for name, s in summaries.items()},
         "comparison": comparison_rows(summaries),
@@ -179,7 +183,8 @@ def cmd_eval(args) -> int:
         series_dir = Path(args.series_dir)
         series_dir.mkdir(parents=True, exist_ok=True)
         for name, s in summaries.items():
-            dio.write_series_csv(series_dir / f"{name}_rolling.csv", s.rolling)
+            if s.rolling is not None:  # an unlabeled run has no series
+                dio.write_series_csv(series_dir / f"{name}_rolling.csv", s.rolling)
     _save_config(args, "eval")
     return 0
 

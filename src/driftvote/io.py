@@ -16,53 +16,44 @@ accepted and checked on read but not kept; written streams carry no
 Reports (:class:`~driftvote.core.Reports`) are always JSONL with
 fields ``t``, ``window``, ``p_hat``, ``weights``, ``prediction``,
 ``truth``, ``correct``, ``stop_reason`` (absent fields were not produced
-by the strategy).  On read, a column is kept only when every line has
-it; ``t`` must be present but is not kept, and ``correct`` is
-recomputed.  Windows must be positive JSON integers, predictions and
-labels -1 or 1 (a boolean is not an integer), ``p_hat``/``weights``
-numbers and stop reasons one of the names in
-:data:`~driftvote.core.STOPS`; anything else is a
-:class:`StreamFormatError` naming the file.  A stop reason is written as
-its name and read back as its int8 code, the index of that name in
-``STOPS``.  Floats round-trip exactly through JSON's shortest-repr
-encoding.  :func:`write_reports` writes only what :func:`read_reports`
-reads back: any other window, prediction, label or stop code, and a NaN
-or infinite ``p_hat`` or ``weights`` (JSON has no spelling for them),
-raises a :class:`ValueError` naming the column.
+by the strategy).  They are read as JSON, with no numpy, into
+``array.array`` columns (:func:`_report_columns`).  A column is kept
+only when every line has it; ``t`` must be present but is not kept, and
+``correct`` is recomputed.  Windows must be positive integers,
+predictions and labels -1 or 1 (a boolean is not an integer),
+``p_hat``/``weights`` finite numbers and stop reasons names in
+:data:`~driftvote.core.STOPS`, read back as their int8 index.  By one
+rule, a value of the wrong shape (a list in a 1-d column, a row that is
+not a list as long as the first line's) or an integer outside int64
+(float64 in ``p_hat``/``weights``) is a :class:`StreamFormatError`
+"'<column>' values are ragged or of the wrong type", and any other wrong
+value, a string, an object or ``null`` included, "'<column>' values
+must be ...".  :func:`write_reports` writes only what
+:func:`read_reports` reads back, floats exactly in their shortest repr,
+and raises a :class:`ValueError` naming the column for anything else.
 
-JSONL files are read in blocks of lines.  Each canonical line format has
-one byte encoder, which defines its spelling (the one ``json.dumps``
-gives) and is used by its writer and its reader: :func:`_stream_lines`
-for streams, ``{"votes": [1, -1, 0], "label": 1}`` with no ``t``, and
-:func:`_majority_lines` for reports of a run with no column but
-``prediction`` and ``truth`` (a ``majority`` run),
-``{"t": 12, "prediction": -1, "truth": 1, "correct": false}`` or
-``{"t": 12, "prediction": -1}``.  A reader guesses a block's values from
-its bytes and keeps them only when encoding them gives the block back.
-A stream block takes the width and labeling of its first line; any other
-stream block is decoded with one ``json.loads`` and checked line by
-line, and a block that does not decode as one is parsed again line by
-line, so every error names the same line, with the same message, as a
-line-by-line reader would give.  A report file is read by bytes when its first line
-starts as a majority line and every block, with ``t`` running on, is
-canonical; else the whole file is read again as JSON, one ``json.loads``
-per block, which gives any such file the same columns.  Blank lines are
-left out and CRLF read as LF either way.  Every other report is written
-from one ``%``-format template per file and read as JSON.  Streams and
-reports are written byte for byte as ``json.dumps`` of each line gives
-them, so written JSONL stream votes must be -1, 0 or 1 and labels -1 or 1.
+JSONL files are read in blocks of lines (:func:`_jsonl_lines`,
+:func:`_jsonl_decode`) and written byte for byte as ``json.dumps`` of
+each line gives them: streams by :func:`_stream_lines`, which also reads
+canonical stream blocks back, reports of a run with no column but
+``prediction`` and ``truth`` (``majority``) by :func:`_majority_lines`,
+and other reports from one ``%``-format template per file.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from array import array
 from itertools import chain, islice
+from math import isfinite
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import STOPS, Reports, Stream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class StreamFormatError(ValueError):
@@ -120,6 +111,8 @@ def _stream_lines(cells: np.ndarray, labeled: bool) -> np.ndarray:
     Every line is first one row of a grid with a sign slot before each
     digit; the sign slot of a value that is not negative holds ``_PAD``.
     """
+    import numpy as np
+
     cells = cells.astype(np.int8, copy=False)  # so that abs and < read one byte per value
     n = cells.shape[1] - labeled
     line = '{"votes": [' + ", ".join(["-0"] * n) + "]" + (', "label": -0' if labeled else "") + "}\n"
@@ -141,6 +134,8 @@ def _canonical_block(lines):
     negative when a minus stands just before it, and kept only when
     encoding them gives the block back.
     """
+    import numpy as np
+
     # the width of a canonical first line; a line with no comma gives the
     # labeled line of no votes, which has a comma, so no block of empty
     # vote lists is read here
@@ -225,11 +220,13 @@ def _rows_block(rows):
     """``(votes, truth, widths)`` of checked ``(votes, label)`` rows: int8
     votes (None unless every row has one width), int8 labels (None unless
     every row has one) and the set of row widths."""
+    import numpy as np
+
     votes, labels = zip(*rows) if rows else ((), ())
     widths = set(map(len, votes))
-    array = np.array(votes, dtype=np.int8) if len(widths) == 1 else None
+    matrix = np.array(votes, dtype=np.int8) if len(widths) == 1 else None
     truth = np.array(labels, dtype=np.int8) if rows and None not in labels else None
-    return array, truth, widths
+    return matrix, truth, widths
 
 
 def _jsonl_block(path, linenos, lines):
@@ -294,6 +291,8 @@ def read_stream(path) -> Stream:
     the file and line, and a line's violation anywhere in the file wins
     over inconsistent widths.
     """
+    import numpy as np
+
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         head = next((line.lstrip() for line in fh if line.strip()), "")
@@ -321,17 +320,17 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
     is not an integer); anything else raises :class:`ValueError` naming
     the column.  JSONL lines are written by :func:`_stream_lines`.
     """
+    import numpy as np
+
     path = Path(path)
     if fmt is None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown stream format {fmt!r}")
-    cells = _writable("votes", stream.votes, 2, len(stream.votes))
-    _check_values("votes", cells, _VOTE_VALUES)
+    cells = _writable("votes", stream.votes, 2, len(stream.votes), allowed=_VOTE_VALUES)
     n, labeled = cells.shape[1], stream.truth is not None
     if labeled:
-        truth = _writable("truth", stream.truth, 1, len(cells))
-        _check_values("truth", truth, _LABEL_VALUES)
+        truth = _writable("truth", stream.truth, 1, len(cells), allowed=_LABEL_VALUES)
         cells = np.column_stack((cells, truth))
     if fmt == "csv":
         import csv
@@ -350,35 +349,38 @@ _JSON_BOOLS = ("false", "true")
 _STOP_NAMES = tuple(map(json.dumps, STOPS))
 _REPORT_FIELDS = ("t", "window", "p_hat", "weights", "prediction", "truth", "correct", "stop_reason")
 
-#: per report column kept on read: dtype, dimension, the JSON value types
-#: it accepts (a boolean is not an integer here), what its values must be,
-#: and a check of the read array
+#: per report column: its ``array`` typecode, dimension and what its values must be
 _REPORT_COLUMNS = {
-    "window": (np.int64, 1, {int}, "positive integers", lambda c: c >= 1),
-    "p_hat": (np.float64, 2, {int, float}, "numbers", lambda c: True),
-    "weights": (np.float64, 2, {int, float}, "numbers", lambda c: True),
-    "prediction": (np.int8, 1, {int}, "-1 or 1", lambda c: np.abs(c) == 1),
-    "truth": (np.int8, 1, {int}, "-1 or 1", lambda c: np.abs(c) == 1),
-    "stop_reason": (np.int8, 1, {str}, "one of " + ", ".join(STOPS), lambda c: c >= 0),
+    "window": ("q", 1, "positive integers"),
+    "p_hat": ("d", 2, "finite numbers"),
+    "weights": ("d", 2, "finite numbers"),
+    "prediction": ("b", 1, "-1 or 1"),
+    "truth": ("b", 1, "-1 or 1"),
+    "stop_reason": ("b", 1, "one of " + ", ".join(STOPS)),
 }
+_STOP_CODES = {name: code for code, name in enumerate(STOPS)}
+#: what a report column's values are when one has the wrong shape or size
+_RAGGED = "are ragged or of the wrong type"
 
 
-def _writable(name: str, column, ndim: int, rows: int, floats: bool = False) -> np.ndarray:
-    """``column`` as an array of ``rows`` rows and ``ndim`` dimensions,
-    floats as float64 or integers (a boolean is not an integer), so that
-    a ``%r``/``%d`` template writes it as ``json`` would."""
+def _writable(name: str, column, ndim: int, rows: int, floats: bool = False, allowed=None) -> np.ndarray:
+    """``column`` as an array of ``rows`` rows and ``ndim`` dimensions, finite
+    floats as float64 or integers (a boolean is not an integer), each in
+    ``allowed`` when it is given, so that a ``%r``/``%d`` template writes it
+    as ``json`` would; anything else raises :class:`ValueError` naming it."""
+    import numpy as np
+
     a = np.asarray(column)
     if a.dtype.kind not in ("f" if floats else "iu") or a.ndim != ndim or len(a) != rows:
         what = "floats" if floats else "integers"
         raise ValueError(f"{name!r} must be {ndim}-d {what} with {rows} rows, got {a.dtype} {a.shape}")
-    return a.astype(np.float64, copy=False) if floats else a
-
-
-def _check_values(name: str, column: np.ndarray, allowed: tuple[int, ...]) -> None:
-    """Raise :class:`ValueError` naming the column unless every value is in ``allowed``."""
-    bad = column[~np.isin(column, allowed)]
-    if bad.size:
+    if floats:
+        a = a.astype(np.float64, copy=False)
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name!r} values must be finite")
+    elif allowed is not None and (bad := a[~np.isin(a, allowed)]).size:
         raise ValueError(f"{name!r} must be one of {', '.join(map(str, allowed))}, got {bad[0]}")
+    return a
 
 
 #: a majority report line with no digits of ``t``, unlabeled and labeled,
@@ -392,8 +394,8 @@ _MAJORITY_LINES = (
 _T_AT = len('{"t": ')
 _SIGN_AT, _TRUTH_SIGN_AT = (i - _T_AT for i, c in enumerate(_MAJORITY_LINES[1]) if c == "-")
 _CORRECT_AT = _MAJORITY_LINES[1].index("false") - _T_AT
-#: ``correct`` padded to one width, indexed by its value
-_CORRECT = np.array([list(b"false"), list(b"true") + [_PAD]], dtype=np.uint8)
+#: ``correct`` of each value, padded to five bytes
+_CORRECT = b"false" + b"true" + bytes([_PAD])
 
 
 def _majority_lines(start: int, prediction: np.ndarray, truth: np.ndarray | None) -> np.ndarray:
@@ -408,6 +410,8 @@ def _majority_lines(start: int, prediction: np.ndarray, truth: np.ndarray | None
     ``correct``; the slots a line leaves empty (leading digits, the sign
     of a 1, the fifth letter of ``true``) hold ``_PAD``.
     """
+    import numpy as np
+
     rows = len(prediction)
     digits = len(str(start + rows - 1))
     line = _MAJORITY_LINES[truth is not None]
@@ -420,40 +424,9 @@ def _majority_lines(start: int, prediction: np.ndarray, truth: np.ndarray | None
     grid[:, at + _SIGN_AT] = np.where(prediction < 0, _MINUS, _PAD)
     if truth is not None:
         grid[:, at + _TRUTH_SIGN_AT] = np.where(truth < 0, _MINUS, _PAD)
-        grid[:, at + _CORRECT_AT:at + _CORRECT_AT + 5] = _CORRECT[(prediction == truth).astype(np.intp)]
+        correct = np.frombuffer(_CORRECT, dtype=np.uint8).reshape(2, 5)
+        grid[:, at + _CORRECT_AT:at + _CORRECT_AT + 5] = correct[(prediction == truth).astype(np.intp)]
     return _compact(grid)
-
-
-def _majority_reports(path) -> Reports | None:
-    """The :class:`Reports` of a file whose nonblank lines are what
-    :func:`_majority_lines` gives for steps 1..T, labeled as its first
-    line is; else None.
-
-    Each block of lines is decoded from its sign bytes, two places after
-    each line's 2nd colon (the prediction's) and 3rd (the truth's), and
-    kept only when encoding what was decoded gives the block back.
-    """
-    with open(path, encoding="utf-8") as fh:
-        first = next(filter(str.strip, fh), "")
-    if not first.startswith('{"t": 1, "prediction": '):
-        return None
-    labeled = '"truth"' in first
-    predictions, truths, start = [], [], 1
-    for _, lines in _jsonl_lines(path):
-        data = np.frombuffer("".join(lines).encode(), dtype=np.uint8)
-        colons = np.flatnonzero(data == ord(":"))
-        if colons.size != len(lines) * (4 if labeled else 2):
-            return None
-        signs = data.take(colons.reshape(len(lines), -1)[:, 1:2 + labeled] + 2, mode="clip")
-        values = np.where(signs == _MINUS, -1, 1).astype(np.int8)
-        prediction, truth = values[:, 0], values[:, 1] if labeled else None
-        if not np.array_equal(_majority_lines(start, prediction, truth), data):
-            return None
-        predictions.append(prediction)
-        truths.append(truth)
-        start += len(lines)
-    truth = np.concatenate(truths) if labeled else None
-    return Reports(prediction=np.concatenate(predictions), truth=truth)
 
 
 def write_reports(path, reports: Reports) -> None:
@@ -471,21 +444,14 @@ def write_reports(path, reports: Reports) -> None:
     """
     rows = len(reports)
     columns = {}
-    for name, (dtype, ndim, *_) in _REPORT_COLUMNS.items():
+    allowed = {"prediction": _LABEL_VALUES, "truth": _LABEL_VALUES, "stop_reason": tuple(range(len(STOPS)))}
+    for name, (typecode, ndim, _) in _REPORT_COLUMNS.items():
         column = getattr(reports, name)
         if column is None:
             continue
-        column = _writable(name, column, ndim, rows, floats=dtype is np.float64)
-        if ndim == 2:
-            if not np.isfinite(column).all():
-                raise ValueError(f"{name!r} values must be finite")
-        elif name == "window":
-            if np.any(column < 1):
-                raise ValueError(f"'window' must be positive, got {column[column < 1][0]}")
-        elif name == "stop_reason":
-            _check_values(name, column, tuple(range(len(STOPS))))
-        else:
-            _check_values(name, column, _LABEL_VALUES)
+        column = _writable(name, column, ndim, rows, typecode == "d", allowed.get(name))
+        if name == "window" and (column < 1).any():
+            raise ValueError(f"'window' must be positive, got {column[column < 1][0]}")
         columns[name] = column
     prediction, truth = columns["prediction"], columns.get("truth")
     if columns.keys() <= {"prediction", "truth"}:
@@ -519,56 +485,87 @@ def write_reports(path, reports: Reports) -> None:
         fh.writelines(map(template.__mod__, zip(*values)))
 
 
-def read_reports(path) -> Reports:
-    """Read reports written by :func:`write_reports`; exact round-trip.
+def _report_values(name: str, values: list, width: int | None):
+    """The ``array`` of one block of a report column's values, a 2-d
+    column's rows (``width`` long) flattened; or, when one is wrong, the
+    rest of the error message by the rule in the module docstring."""
+    typecode, ndim, rule = _REPORT_COLUMNS[name]
+    if ndim == 2:
+        if set(map(type, values)) != {list} or set(map(len, values)) != {width}:
+            return _RAGGED
+        values = list(chain.from_iterable(values))
+    types = set(map(type, values))
+    if ndim == 2:
+        good = types <= {int, float}
+    elif name == "stop_reason":
+        good = types == {str} and set(values) <= _STOP_CODES.keys()
+        values = list(map(_STOP_CODES.get, values)) if good else values
+    else:
+        good = types == {int} and (min(values) >= 1 if name == "window" else set(values) <= {-1, 1})
+    try:
+        if good:  # a finite sum shows that every value is finite
+            column = array(typecode, values)
+            if ndim == 1 or isfinite(sum(column)) or all(map(isfinite, column)):
+                return column
+        elif list in types:
+            return _RAGGED
+        else:
+            array("d" if ndim == 2 else "q", [x for x in values if type(x) is int])
+    except OverflowError:
+        return _RAGGED
+    return f"must be {rule}"
 
-    A column is kept only when every line has it; ``t`` must be present
-    but is not kept, and ``correct`` is recomputed from the columns.  An
-    empty file reads as zero rows.  A file whose nonblank lines are what
-    :func:`write_reports` writes for a run with no column but
-    ``prediction`` and ``truth`` is read by :func:`_majority_reports`;
-    any other is decoded as JSON, which gives every such file the same
-    columns.
-    """
-    reports = _majority_reports(path)
-    return reports if reports is not None else _json_reports(path)
 
-
-def _json_reports(path) -> Reports:
-    """:func:`read_reports` of any file, each block decoded as JSON."""
-    lines = []
-    for linenos, block in _jsonl_lines(path):
-        objects, error = _jsonl_decode(path, linenos, block)
+def _report_columns(path) -> dict[str, tuple[array, int | None]]:
+    """The columns :func:`read_reports` keeps of a report file, with no
+    numpy: name -> ``(values, width)``, ``values`` an ``array.array`` (a
+    2-d column's rows flattened) and ``width`` a 2-d column's row length,
+    None for a 1-d column.  Lines are checked as they are read, columns
+    once all are, in :data:`_REPORT_COLUMNS` order: of a column's wrong
+    values, one of the wrong shape or size names the error."""
+    kept, errors = None, {}
+    for linenos, lines in _jsonl_lines(path):
+        objects, error = _jsonl_decode(path, linenos, lines)
         for lineno, obj in zip(linenos, objects):
             if not isinstance(obj, dict) or "t" not in obj or "prediction" not in obj:
                 raise _bad(path, lineno, "expected an object with 't' and 'prediction'")
         if error is not None:
             raise error
-        lines += objects
-    columns = {}
-    for name, (dtype, ndim, kinds, rule, check) in _REPORT_COLUMNS.items():
-        # a column is kept only when every line has it, so a column the
-        # first line lacks is not gathered at all
-        if name != "prediction" and not (lines and name in lines[0]):
-            continue
-        values = [obj.get(name) for obj in lines]
-        if name != "prediction" and None in values:
-            continue
-        raw = values
-        if name == "stop_reason":  # any other value reads as -1 and fails the check
-            raw = [STOPS.index(x) if x in STOPS else -1 for x in values]
-        try:
-            # int8 columns read as int64 first, so that an out-of-range
-            # value fails the value check, not the conversion
-            column = np.array(raw, dtype=np.int64 if dtype is np.int8 else dtype)
-        except (TypeError, ValueError, OverflowError):
-            column = None
-        if column is None or column.ndim != ndim:
-            raise StreamFormatError(f"{path}: {name!r} values are ragged or of the wrong type")
-        flat = values if ndim == 1 else chain.from_iterable(values)
-        if not set(map(type, flat)) <= kinds or not np.all(check(column)):
-            raise StreamFormatError(f"{path}: {name!r} values must be {rule}")
-        columns[name] = column.astype(dtype, copy=False)
+        if kept is None:  # a column the first line lacks is not gathered at all
+            first = objects[0]
+            kept = {
+                name: (array(typecode), len(first[name]) if ndim == 2 and type(first[name]) is list else None)
+                for name, (typecode, ndim, _) in _REPORT_COLUMNS.items()
+                if name == "prediction" or name in first
+            }
+        for name, (column, width) in list(kept.items()):
+            values = [obj.get(name) for obj in objects]
+            if name != "prediction" and None in values:  # kept only when every line has it
+                del kept[name]
+                errors.pop(name, None)
+                continue
+            block = _RAGGED if errors.get(name) == _RAGGED else _report_values(name, values, width)
+            if not isinstance(block, str):
+                column.extend(block)
+            elif block == _RAGGED or name not in errors:
+                errors[name] = block
+    for name in _REPORT_COLUMNS:
+        if name in errors:
+            raise StreamFormatError(f"{path}: {name!r} values {errors[name]}")
+    return kept or {"prediction": (array("b"), None)}
+
+
+def read_reports(path) -> Reports:
+    """Read reports written by :func:`write_reports`; exact round-trip: the
+    columns of :func:`_report_columns` as numpy arrays of the dtypes and
+    shapes :class:`Reports` gives them.  An empty file reads as zero rows."""
+    import numpy as np
+
+    columns, dtypes = _report_columns(path), {"b": np.int8, "q": np.int64, "d": np.float64}
+    rows = len(columns["prediction"][0])
+    for name, (values, width) in columns.items():
+        column = np.frombuffer(values, dtype=dtypes[values.typecode])
+        columns[name] = column if width is None else column.reshape(rows, width)
     return Reports(**columns)
 
 

@@ -1,26 +1,40 @@
-"""Evaluation of per-step reports: accuracy, F1, windows, rolling series."""
+"""Evaluation of per-step reports: accuracy, F1, windows, rolling series.
+
+Every metric reads 1-d columns with ``.tolist()`` and counts in Python
+integers, so numpy arrays and ``array.array`` columns serve alike and no
+numpy is loaded.  Each float is one ``int / int`` of exact counts, so it
+equals the float64 arithmetic of numpy bit for bit; the rolling series is
+an ``array('d')``.
+"""
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate, chain, repeat
+from operator import eq, sub, truediv
 
 from .core import ROLLING_LOOKAHEAD, Reports
 
 
-def _truth_pairs(reports: Reports) -> tuple[np.ndarray, np.ndarray]:
+def _truth_pairs(reports: Reports) -> tuple[list, list]:
     if len(reports) == 0:
         raise ValueError("no reports to evaluate")
     if reports.truth is None:
         raise ValueError("reports lack truth labels; accuracy metrics need a labeled stream")
-    return reports.prediction, reports.truth
+    return reports.prediction.tolist(), reports.truth.tolist()
+
+
+def _check_lookahead(lookahead: int) -> None:
+    if lookahead < 1:
+        raise ValueError(f"lookahead must be positive, got {lookahead}")
 
 
 def prediction_accuracy(reports: Reports) -> float:
     """Fraction of steps whose prediction matches the truth."""
     pred, truth = _truth_pairs(reports)
-    return float(np.mean(pred == truth))
+    return sum(map(eq, pred, truth)) / len(pred)
 
 
 def f1_score(reports: Reports) -> float:
@@ -28,10 +42,8 @@ def f1_score(reports: Reports) -> float:
 
     Degenerate cases (no predicted positives, no true positives) score 0.
     """
-    pred, truth = _truth_pairs(reports)
-    tp = int(np.sum((pred == 1) & (truth == 1)))
-    fp = int(np.sum((pred == 1) & (truth == -1)))
-    fn = int(np.sum((pred == -1) & (truth == 1)))
+    pairs = Counter(zip(*_truth_pairs(reports)))
+    tp, fp, fn = pairs[1, 1], pairs[1, -1], pairs[-1, 1]
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     if precision + recall == 0.0:
@@ -39,22 +51,23 @@ def f1_score(reports: Reports) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def rolling_accuracy(reports: Reports, lookahead: int = ROLLING_LOOKAHEAD) -> np.ndarray:
+def rolling_accuracy(reports: Reports, lookahead: int = ROLLING_LOOKAHEAD) -> array:
     """Accuracy over the next ``lookahead`` steps starting at each step.
 
     Entry ``i`` averages correctness over steps ``i .. i + lookahead - 1``
-    (0-based), truncated at the end of the stream, so the series has one
-    entry per report and its tail shrinks to a single-step average.
+    (0-based), truncated at the end of the stream, so the series, an
+    ``array('d')``, has one entry per report and its tail shrinks to a
+    single-step average.
     """
-    if lookahead < 1:
-        raise ValueError(f"lookahead must be positive, got {lookahead}")
+    _check_lookahead(lookahead)
     pred, truth = _truth_pairs(reports)
-    correct = (pred == truth).astype(float)
-    steps = correct.shape[0]
-    csum = np.concatenate([[0.0], np.cumsum(correct)])
-    idx = np.arange(steps)
-    end = np.minimum(idx + lookahead, steps)
-    return (csum[end] - csum[idx]) / (end - idx)
+    steps = len(pred)
+    csum = list(accumulate(map(eq, pred, truth), initial=0))
+    full = max(steps - lookahead + 1, 0)  # entries whose window fits before the end
+    return array("d", chain(
+        map(truediv, map(sub, csum[lookahead:], csum[:full]), repeat(lookahead, full)),
+        map(truediv, map(sub, repeat(csum[steps]), csum[full:steps]), range(steps - full, 0, -1)),
+    ))
 
 
 def window_histogram(reports: Reports) -> dict[int, int]:
@@ -66,43 +79,56 @@ def window_histogram(reports: Reports) -> dict[int, int]:
         raise ValueError("no reports to evaluate")
     if reports.window is None:
         raise ValueError("reports lack windows; histogram needs a windowed strategy")
-    sizes, counts = np.unique(reports.window, return_counts=True)
-    return {int(s): int(c) for s, c in zip(sizes, counts)}
+    return dict(sorted(Counter(reports.window.tolist()).items()))
+
+
+def _known(fields: dict) -> dict:
+    """``fields`` without those that are None."""
+    return {key: value for key, value in fields.items() if value is not None}
 
 
 @dataclass
 class RunSummary:
-    """Headline numbers for one run; ``rolling`` is the full series and is
-    excluded from the JSON view (series go to CSV instead)."""
+    """Headline numbers for one run.  ``accuracy``, ``f1`` and ``rolling``
+    (the full series, an ``array('d')``) are None for an unlabeled run,
+    ``histogram`` for a run without windows; the JSON view omits what is
+    None, and ``rolling`` always (series go to CSV instead)."""
 
     steps: int
-    accuracy: float
-    f1: float
+    accuracy: float | None
+    f1: float | None
     histogram: dict[int, int] | None
-    rolling: np.ndarray
+    rolling: array | None
 
     def to_json_dict(self) -> dict:
-        out: dict = {"steps": self.steps, "accuracy": self.accuracy, "f1": self.f1}
-        if self.histogram is not None:
-            out["window_histogram"] = {str(k): v for k, v in self.histogram.items()}
-        return out
+        histogram = None if self.histogram is None else {str(k): v for k, v in self.histogram.items()}
+        return _known({
+            "steps": self.steps, "accuracy": self.accuracy, "f1": self.f1,
+            "window_histogram": histogram,
+        })
 
 
 def summarize(reports: Reports, lookahead: int = ROLLING_LOOKAHEAD) -> RunSummary:
-    """Bundle accuracy, F1, the window histogram (when the strategy used
-    windows), and the rolling-accuracy series."""
+    """Bundle the step count, the window histogram (when the strategy used
+    windows) and, for a labeled run, accuracy, F1 and the rolling-accuracy
+    series."""
+    if len(reports) == 0:
+        raise ValueError("no reports to evaluate")
+    _check_lookahead(lookahead)
+    labeled = reports.truth is not None
     return RunSummary(
         steps=len(reports),
-        accuracy=prediction_accuracy(reports),
-        f1=f1_score(reports),
+        accuracy=prediction_accuracy(reports) if labeled else None,
+        f1=f1_score(reports) if labeled else None,
         histogram=None if reports.window is None else window_histogram(reports),
-        rolling=rolling_accuracy(reports, lookahead),
+        rolling=rolling_accuracy(reports, lookahead) if labeled else None,
     )
 
 
 def comparison_rows(summaries: dict[str, RunSummary]) -> list[dict]:
-    """One row per run for side-by-side comparison, in input order."""
+    """One row per run for side-by-side comparison, in input order; an
+    unlabeled run's row has no accuracy or F1."""
     return [
-        {"run": name, "steps": s.steps, "accuracy": s.accuracy, "f1": s.f1}
+        _known({"run": name, "steps": s.steps, "accuracy": s.accuracy, "f1": s.f1})
         for name, s in summaries.items()
     ]

@@ -11,6 +11,7 @@ import pytest
 
 import driftvote
 from driftvote import (
+    Stream,
     WindowSchedule,
     read_reports,
     read_stream,
@@ -18,6 +19,7 @@ from driftvote import (
     statistical_error,
     true_drift_error,
     union_bound_constant,
+    write_stream,
 )
 from driftvote.cli import main
 
@@ -442,3 +444,31 @@ def test_eval_rejects_empty_and_ragged_report_files(tmp_path, capsys):
     )
     assert run_cli("eval", "--reports", str(path)) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: 'p_hat'")
+    # a window outside int64 is a format error, not an uncaught OverflowError
+    path.write_text(f'{{"t": 1, "window": {2**70}, "prediction": 1, "truth": 1}}\n')
+    assert run_cli("eval", "--reports", str(path)) == 2
+    assert capsys.readouterr().err == f"error: {path}: 'window' values are ragged or of the wrong type\n"
+
+
+def test_eval_of_unlabeled_reports(tmp_path, capsys):
+    # the paper's setting: no labels, so steps and windows but no accuracy
+    stream = tmp_path / "s.jsonl"
+    run_cli("simulate", "--blocks", "40:0.9,0.8,0.7", "--seed", "2", "--out", str(stream))
+    unlabeled = tmp_path / "u.jsonl"
+    write_stream(unlabeled, Stream(votes=read_stream(stream).votes))
+    for strategy in ("adaptive", "majority"):
+        run_cli("run", "--input", str(unlabeled), "--strategy", strategy, "--m", "4",
+                "--out", str(tmp_path / f"{strategy}.jsonl"))
+    run_cli("run", "--input", str(stream), "--out", str(tmp_path / "labeled.jsonl"), "--m", "4")
+    capsys.readouterr()
+    reports = [str(tmp_path / f"{name}.jsonl") for name in ("adaptive", "majority", "labeled")]
+    series = tmp_path / "series"
+    assert run_cli("eval", "--reports", *reports, "--series-dir", str(series)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc["runs"]["adaptive"]) == {"steps", "window_histogram"}
+    assert sum(doc["runs"]["adaptive"]["window_histogram"].values()) == 40
+    assert doc["runs"]["majority"] == {"steps": 40}
+    assert set(doc["runs"]["labeled"]) == {"steps", "accuracy", "f1", "window_histogram"}
+    assert doc["comparison"][:2] == [{"run": "adaptive", "steps": 40}, {"run": "majority", "steps": 40}]
+    assert set(doc["comparison"][2]) == {"run", "steps", "accuracy", "f1"}
+    assert [p.name for p in series.iterdir()] == ["labeled_rolling.csv"]

@@ -66,14 +66,16 @@ def test_simulate_and_eval_load_no_engine(tmp_path):
     assert loaded.isdisjoint(ENGINE + ("driftvote.metrics",))
 
     main(["run", "--input", str(stream), "--m", "4", "--out", str(reports)])
-    code = (
-        "from driftvote.cli import main\n"
-        f"assert main(['eval', '--reports', {str(reports)!r}, '--out', '-',"
-        f" '--series-dir', {str(tmp_path)!r}]) == 0\n"
-    )
-    loaded = loaded_after(code)
-    assert {"driftvote.io", "driftvote.metrics"} <= loaded
-    assert loaded.isdisjoint(ENGINE + ("driftvote.driftgen",))
+    # eval loads no numpy either, with or without series files
+    for series in ([], ["--series-dir", str(tmp_path / "series")]):
+        code = (
+            "from driftvote.cli import main\n"
+            f"assert main(['eval', '--reports', {str(reports)!r}, '--out', '-', *{series!r}]) == 0\n"
+        )
+        assert loaded_after(code) == {
+            "driftvote", "driftvote.cli", "driftvote.core", "driftvote.io", "driftvote.metrics",
+        }
+    assert (tmp_path / "series" / "r_rolling.csv").is_file()
 
 
 def test_every_public_name_resolves():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -384,6 +385,62 @@ def test_each_bad_report_value_names_file_and_column(tmp_path, column, value):
     path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "t": 2, column: value}) + "\n")
     with pytest.raises(StreamFormatError, match=rf"{path.name}: '{column}' values must be"):
         read_reports(path)
+
+
+_RAGGED = "are ragged or of the wrong type"
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        ("window", '"wide"', "must be positive integers"),
+        ("window", str(2**70), _RAGGED),
+        ("window", "[3]", _RAGGED),
+        ("prediction", '{"sign": 1}', "must be -1 or 1"),
+        ("prediction", "null", "must be -1 or 1"),
+        ("prediction", str(-(2**63) - 1), _RAGGED),
+        ("p_hat", "[0.5, 0.5]", _RAGGED),
+        ("p_hat", '"0.5"', _RAGGED),
+        ("p_hat", '[0.5, "high", 0.5]', "must be finite numbers"),
+        ("p_hat", "[0.5, NaN, 0.5]", "must be finite numbers"),
+        ("p_hat", "[1e400, 0.5, 0.5]", "must be finite numbers"),
+        ("weights", "[0.1, -Infinity, 0.2]", "must be finite numbers"),
+        ("weights", f"[{10**400}, 0.1, 0.2]", _RAGGED),
+        ("weights", "[[0.0], 0.1, 0.2]", _RAGGED),
+        ("stop_reason", '["horizon_reached"]', _RAGGED),
+        ("stop_reason", '{"name": "horizon_reached"}', "must be one of"),
+    ],
+)
+def test_hostile_report_values_follow_the_message_rule(tmp_path, column, value, message):
+    # a value of the wrong shape, or an integer outside int64 (float64 in
+    # p_hat and weights), is ragged; any other wrong value must be something
+    path = tmp_path / "bad.jsonl"
+    good = {"t": 1, **_GOOD_REPORT_VALUES}
+    bad = json.dumps({**good, "t": 2, column: 0}).replace(f'"{column}": 0', f'"{column}": {value}')
+    path.write_text(json.dumps(good) + "\n" + bad + "\n")
+    with pytest.raises(StreamFormatError, match=rf"{path.name}: '{column}' values {re.escape(message)}"):
+        read_reports(path)
+
+
+def test_a_ragged_value_names_the_error_in_any_block(tmp_path, monkeypatch):
+    # a column's wrong shape is named over its out-of-range values, in
+    # whichever block each is; the first column in file order is named
+    monkeypatch.setattr(dio, "_BLOCK", 2)
+    lines = [{"t": t, **_GOOD_REPORT_VALUES} for t in range(1, 6)]
+    lines[0]["truth"] = 0
+    lines[4]["truth"] = [1]
+    lines[2]["window"] = 0
+    path = tmp_path / "r.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(StreamFormatError, match="'window' values must be positive"):
+        read_reports(path)
+    lines[2]["window"] = 3
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(StreamFormatError, match=f"'truth' values {_RAGGED}"):
+        read_reports(path)
+    del lines[3]["truth"]  # a column some line lacks is not kept, nor checked
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert read_reports(path).truth is None
 
 
 def test_empty_report_file_reads_zero_rows(tmp_path):
@@ -793,41 +850,69 @@ def test_reports_longer_than_a_block(tmp_path, monkeypatch, labeled_votes):
         read_reports(path)
 
 
-# -- majority reports: written and read by bytes, the same result as JSON -----
+# -- reading reports: the same result as a per-line JSON reader ---------------
+
+#: per report column: dtype, dimension, a check of one value and what the
+#: values must be
+_ORACLE_COLUMNS = {
+    "window": (np.int64, 1, lambda x: type(x) is int and x >= 1, "positive integers"),
+    "p_hat": (np.float64, 2, lambda x: type(x) in (int, float) and math.isfinite(x), "finite numbers"),
+    "weights": (np.float64, 2, lambda x: type(x) in (int, float) and math.isfinite(x), "finite numbers"),
+    "prediction": (np.int8, 1, lambda x: type(x) is int and x in (-1, 1), "-1 or 1"),
+    "truth": (np.int8, 1, lambda x: type(x) is int and x in (-1, 1), "-1 or 1"),
+    "stop_reason": (np.int8, 1, lambda x: x in STOPS, "one of " + ", ".join(STOPS)),
+}
 
 
-def read_reports_json(path):
-    """The JSON report reader before majority reports were read by bytes,
-    the oracle of :func:`read_reports`."""
-    lines = []
-    for linenos, block in dio._jsonl_lines(path):
-        objects, error = dio._jsonl_decode(path, linenos, block)
-        for lineno, obj in zip(linenos, objects):
-            if not isinstance(obj, dict) or "t" not in obj or "prediction" not in obj:
-                raise StreamFormatError(f"{path}:{lineno}: expected an object with 't' and 'prediction'")
-        if error is not None:
-            raise error
-        lines += objects
-    columns = {}
-    for name, (dtype, ndim, kinds, rule, check) in dio._REPORT_COLUMNS.items():
-        if name != "prediction" and not (lines and name in lines[0]):
+def _fits(x, ndim):
+    """Whether ``x`` is not an integer outside int64 (float64 when ``ndim`` is 2)."""
+    if type(x) is not int:
+        return True
+    if ndim == 1:
+        return -(2**63) <= x < 2**63
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
+def read_reports_per_line(path):
+    """Reports by the rule of the ``driftvote.io`` docstring, one
+    ``json.loads`` per line and one check per value: the oracle of
+    :func:`read_reports`."""
+    with open(path, encoding="utf-8") as fh:
+        lines = list(fh)
+    objects = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
             continue
-        values = [obj.get(name) for obj in lines]
-        if name != "prediction" and None in values:
-            continue
-        raw = values
-        if name == "stop_reason":
-            raw = [STOPS.index(x) if x in STOPS else -1 for x in values]
         try:
-            column = np.array(raw, dtype=np.int64 if dtype is np.int8 else dtype)
-        except (TypeError, ValueError, OverflowError):
-            column = None
-        if column is None or column.ndim != ndim:
+            obj = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise StreamFormatError(f"{path}:{lineno}: bad JSON: {err}") from None
+        if not isinstance(obj, dict) or "t" not in obj or "prediction" not in obj:
+            raise StreamFormatError(f"{path}:{lineno}: expected an object with 't' and 'prediction'")
+        objects.append(obj)
+    columns = {}
+    for name, (dtype, ndim, ok, rule) in _ORACLE_COLUMNS.items():
+        values = [obj.get(name) for obj in objects]
+        if name != "prediction" and (not values or None in values):
+            continue
+        flat, width = values, None
+        if ndim == 2:
+            width = len(values[0]) if type(values[0]) is list else None
+            if any(type(row) is not list or len(row) != width for row in values):
+                raise StreamFormatError(f"{path}: {name!r} values are ragged or of the wrong type")
+            flat = [x for row in values for x in row]
+        if any(type(x) is list or not _fits(x, ndim) for x in flat):
             raise StreamFormatError(f"{path}: {name!r} values are ragged or of the wrong type")
-        flat = values if ndim == 1 else [x for value in values for x in value]
-        if not set(map(type, flat)) <= kinds or not np.all(check(column)):
+        if not all(map(ok, flat)):
             raise StreamFormatError(f"{path}: {name!r} values must be {rule}")
-        columns[name] = column.astype(dtype, copy=False)
+        if name == "stop_reason":
+            flat = [STOPS.index(x) for x in flat]
+        column = np.array(flat, dtype=dtype)
+        columns[name] = column if ndim == 1 else column.reshape(len(values), width)
     return Reports(**columns)
 
 
@@ -842,10 +927,6 @@ def report_outcome(read, path):
         None if column is None else (column.dtype.str, column.tolist())
         for column in (getattr(reports, name) for name in (*REPORT_COLUMNS, "correct"))
     ]
-
-
-def _no_json(*args):
-    raise AssertionError("a majority report was decoded as JSON")
 
 
 def majority_reports(steps, labeled, seed=0, dtype=np.int8):
@@ -876,21 +957,7 @@ def test_majority_reports_round_trip_by_bytes(tmp_path_factory, steps, labeled, 
         prediction=reports.prediction.astype(np.int8),
         truth=None if reports.truth is None else reports.truth.astype(np.int8),
     )
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dio, "_jsonl_decode", _no_json)
-        assert_same_reports(read_reports(path), want)
-
-
-@pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
-def test_majority_reports_are_read_by_bytes(tmp_path, monkeypatch, labeled):
-    path = tmp_path / "reports.jsonl"
-    votes = np.random.default_rng(5).choice(np.array([-1, 1], dtype=np.int8), size=(9000, 3))
-    reports = run_strategy(votes, "majority", truths=majority_reports(9000, labeled).truth)
-    write_reports(path, reports)
-    monkeypatch.setattr(dio, "_jsonl_decode", _no_json)
-    assert_same_reports(read_reports(path), reports)
-    monkeypatch.setattr(dio, "_BLOCK", 7)
-    assert_same_reports(read_reports(path), reports)
+    assert_same_reports(read_reports(path), want)
 
 
 def _replace(lineno, old, new):
@@ -1012,7 +1079,7 @@ def test_near_majority_files_read_as_json_reads_them(tmp_path, monkeypatch, text
     path = tmp_path / "r.jsonl"
     path.write_text(text, encoding="utf-8", newline="")
     assert text not in (_near_majority_text(False), _near_majority_text(True))
-    want = report_outcome(read_reports_json, path)
+    want = report_outcome(read_reports_per_line, path)
     for block in (3, 4096):
         monkeypatch.setattr(dio, "_BLOCK", block)
         assert report_outcome(read_reports, path) == want
@@ -1023,7 +1090,7 @@ def test_a_non_utf8_byte_raises_as_json_reading_does(tmp_path, monkeypatch):
     text = dumps_reports(majority_reports(14, True)).encode()
     for at in (3, text.index(b"\n", 500) - 2):
         path.write_bytes(text[:at] + b"\xff" + text[at + 1:])
-        want = report_outcome(read_reports_json, path)
+        want = report_outcome(read_reports_per_line, path)
         assert want[0] is UnicodeDecodeError
         for block in (3, 4096):
             monkeypatch.setattr(dio, "_BLOCK", block)
@@ -1051,7 +1118,7 @@ def test_mutated_majority_files_read_as_json_reads_them(tmp_path_factory, labele
             data[at] = byte
     path = tmp_path_factory.mktemp("mutated") / "r.jsonl"
     path.write_bytes(bytes(data))
-    want = report_outcome(read_reports_json, path)
+    want = report_outcome(read_reports_per_line, path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dio, "_BLOCK", block)
         assert report_outcome(read_reports, path) == want

@@ -1,7 +1,11 @@
 """Report evaluation against small hand-computed examples."""
 
+from array import array
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftvote import (
     ROLLING_LOOKAHEAD,
@@ -57,6 +61,25 @@ def test_metrics_require_truth():
             fn(bare)
     with pytest.raises(ValueError, match="no reports"):
         prediction_accuracy(EMPTY)
+    with pytest.raises(ValueError, match="no reports"):
+        summarize(EMPTY)
+
+
+def test_summarize_unlabeled_runs():
+    # the steps, and the histogram of a windowed run; nothing that needs labels
+    windowed = Reports(
+        prediction=np.array([1, -1, 1], dtype=np.int8), window=np.array([2, 1, 2], dtype=np.int64)
+    )
+    s = summarize(windowed)
+    assert (s.steps, s.accuracy, s.f1, s.histogram, s.rolling) == (3, None, None, {1: 1, 2: 2}, None)
+    assert s.to_json_dict() == {"steps": 3, "window_histogram": {"1": 1, "2": 2}}
+    bare = summarize(Reports(prediction=np.array([1, -1], dtype=np.int8)))
+    assert bare.to_json_dict() == {"steps": 2}
+    assert comparison_rows({"w": s, "b": bare}) == [
+        {"run": "w", "steps": 3}, {"run": "b", "steps": 2},
+    ]
+    with pytest.raises(ValueError, match="lookahead must be positive"):
+        summarize(windowed, lookahead=0)
 
 
 def test_rolling_accuracy_hand_example():
@@ -82,6 +105,63 @@ def test_rolling_matches_naive_loop():
     correct = [p == g for p, g in zip(preds, truths)]
     naive = [np.mean(correct[i : i + 7]) for i in range(500)]
     assert np.allclose(out, naive)
+
+
+# -- the numpy formulas these metrics replaced, kept as their oracles ---------
+
+
+def numpy_accuracy(pred, truth):
+    return float(np.mean(pred == truth))
+
+
+def numpy_f1(pred, truth):
+    tp = int(np.sum((pred == 1) & (truth == 1)))
+    fp = int(np.sum((pred == 1) & (truth == -1)))
+    fn = int(np.sum((pred == -1) & (truth == 1)))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def numpy_rolling(pred, truth, lookahead):
+    correct = (pred == truth).astype(float)
+    steps = correct.shape[0]
+    csum = np.concatenate([[0.0], np.cumsum(correct)])
+    idx = np.arange(steps)
+    end = np.minimum(idx + lookahead, steps)
+    return (csum[end] - csum[idx]) / (end - idx)
+
+
+def numpy_histogram(window):
+    sizes, counts = np.unique(window, return_counts=True)
+    return {int(s): int(c) for s, c in zip(sizes, counts)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), steps=st.integers(1, 300), column=st.sampled_from(("numpy", "array")))
+def test_metrics_equal_the_numpy_formulas_bit_for_bit(data, steps, column):
+    signs = st.lists(st.sampled_from((-1, 1)), min_size=steps, max_size=steps)
+    pred, truth = data.draw(signs), data.draw(signs)
+    window = data.draw(st.lists(st.integers(1, 2**40), min_size=steps, max_size=steps))
+    # from 1 to T + 5, so that T falls below the lookahead too
+    lookahead = data.draw(st.integers(1, steps + 5))
+    if column == "numpy":
+        reports = make_reports(pred, truth, window)
+    else:
+        reports = Reports(prediction=array("b", pred), truth=array("b", truth), window=array("q", window))
+    p, g = np.array(pred, dtype=np.int8), np.array(truth, dtype=np.int8)
+    assert prediction_accuracy(reports) == numpy_accuracy(p, g)
+    assert f1_score(reports) == numpy_f1(p, g)
+    rolling = rolling_accuracy(reports, lookahead)
+    assert rolling.typecode == "d"
+    assert bytes(rolling) == numpy_rolling(p, g, lookahead).tobytes()
+    assert window_histogram(reports) == numpy_histogram(np.array(window, dtype=np.int64))
+    s = summarize(reports, lookahead)
+    assert (s.accuracy, s.f1, bytes(s.rolling)) == (
+        numpy_accuracy(p, g), numpy_f1(p, g), numpy_rolling(p, g, lookahead).tobytes()
+    )
 
 
 def test_window_histogram():
@@ -115,7 +195,7 @@ def test_summarize_majority_run_has_no_histogram():
     s = summarize(reports)
     assert s.histogram is None
     assert "window_histogram" not in s.to_json_dict()
-    assert s.rolling.shape == (2,)
+    assert s.rolling.typecode == "d" and len(s.rolling) == 2
 
 
 def test_default_lookahead_is_plumbed():

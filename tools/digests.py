@@ -5,7 +5,7 @@ Run:  python3 tools/digests.py [ROOT]
 
 ROOT is the checkout whose ``src/`` and ``demos/`` are run (default: the
 checkout holding this script), so one script lists any two checkouts, and
-``diff`` of the two listings is the check.  The 40 outputs:
+``diff`` of the two listings is the check.  The 47 outputs:
 
 * ``simulate`` of the block-drift preset (block length 400, JSONL) and of
   two-block streams at n = 8 (JSONL) and n = 32 (CSV), and the columns
@@ -15,13 +15,16 @@ checkout holding this script), so one script lists any two checkouts, and
   the JSONL codec, and the columns ``read_stream`` gives of it;
 * ``run`` adaptive, ``fixed:64``, majority and ``--sizes 1,3,9,27,81`` on
   each of the three streams;
-* ``eval`` of each strategy's three report files;
+* ``eval`` of each strategy's three report files, and the rolling-accuracy
+  CSVs it writes under ``--series-dir``; the columns ``read_reports``
+  gives of the adaptive report of the block-drift stream;
 * a labeled n = 8 stream of 12,500 steps (``simulate``) and its unlabeled
   copy (``write_stream`` of its votes alone); ``run --strategy majority``
   on each, whose report files cross the 1024-row write and 4096-line read
   blocks and t = 10^4; the columns ``read_stream`` gives of each stream
   and ``read_reports`` of each report file, and ``eval`` of each report
-  file (the unlabeled one fails, so its exit code and stderr);
+  file (its exit code and stderr where it fails) with its ``--series-dir``
+  CSVs (none for the unlabeled one);
 * the stdout of the four narrative demos (``engine_scaling`` prints
   timings, so it is left out);
 * every ``run_strategy`` column of the same four strategies at n = 3, 8
@@ -78,6 +81,21 @@ def columns(*cols) -> str:
     ))
 
 
+def series(directory: Path) -> str:
+    """The digest of the names and bytes of the files under ``directory``
+    (none when it does not exist)."""
+    files = sorted(directory.iterdir()) if directory.is_dir() else []
+    return sha(b"".join(f"{f.name} {f.stat().st_size}\n".encode() + f.read_bytes() for f in files))
+
+
+def report_columns(path: Path) -> str:
+    """The digest of the columns ``read_reports`` gives of a report file."""
+    from driftvote.io import read_reports
+
+    back = read_reports(path)
+    return columns(back.prediction, back.window, back.p_hat, back.weights, back.truth, back.stop_reason)
+
+
 def stream_columns(path: Path) -> str:
     """The digest of the columns ``read_stream`` gives of a stream file."""
     from driftvote.io import read_stream
@@ -116,9 +134,11 @@ def cli_outputs(work: Path) -> dict[str, str]:
             cli("run", "--input", str(work / name), *flags, "--out", str(path))
             out[f"run/{path.name}"] = sha(path.read_bytes())
             reports.append(str(path))
-        summary = work / f"eval-{strategy}.json"
-        cli("eval", "--reports", *reports, "--out", str(summary))
+        summary, rolling = work / f"eval-{strategy}.json", work / f"series-{strategy}"
+        cli("eval", "--reports", *reports, "--out", str(summary), "--series-dir", str(rolling))
         out[f"eval/{strategy}.json"] = sha(summary.read_bytes())
+        out[f"series/{strategy}"] = series(rolling)
+    out["read/bd-adaptive"] = report_columns(work / "bd-adaptive.jsonl")
     out.update(long_majority_outputs(cli, work))
     return out
 
@@ -127,13 +147,13 @@ def long_majority_outputs(cli, work: Path) -> dict[str, str]:
     """Digests of the long labeled stream, its unlabeled copy, their
     majority report files, the columns ``read_reports`` gives of each, and
     ``eval`` of each: its summary, or its exit code and stderr where it
-    fails, as it does for reports without labels."""
+    fails, and its ``--series-dir`` CSVs."""
     import contextlib
     import io
 
     from driftvote import Stream
     from driftvote.cli import main
-    from driftvote.io import read_reports, read_stream, write_stream
+    from driftvote.io import read_stream, write_stream
 
     labeled, unlabeled = work / "long.jsonl", work / "long-unlabeled.jsonl"
     cli("simulate", "--blocks", f"{LONG_STEPS}:{','.join(map(str, accuracies(8)))}",
@@ -146,15 +166,15 @@ def long_majority_outputs(cli, work: Path) -> dict[str, str]:
         reports = work / f"{stream.stem}-majority.jsonl"
         cli("run", "--input", str(stream), "--strategy", "majority", "--out", str(reports))
         out[f"run/{reports.name}"] = sha(reports.read_bytes())
-        back = read_reports(reports)
-        out[f"read/{reports.stem}"] = columns(
-            back.prediction, back.window, back.p_hat, back.weights, back.truth, back.stop_reason
-        )
+        out[f"read/{reports.stem}"] = report_columns(reports)
         summary, stderr = work / f"eval-{reports.stem}.json", io.StringIO()
+        rolling = work / f"series-{reports.stem}"
         with contextlib.redirect_stderr(stderr):
-            code = main(["eval", "--reports", str(reports), "--out", str(summary)])
+            code = main(["eval", "--reports", str(reports), "--out", str(summary),
+                         "--series-dir", str(rolling)])
         result = summary.read_bytes() if code == 0 else f"exit {code}\n{stderr.getvalue()}".encode()
         out[f"eval/{reports.stem}.json"] = sha(result)
+        out[f"series/{reports.stem}"] = series(rolling)
     return out
 
 
