@@ -170,7 +170,7 @@ def cmd_eval(args) -> int:
         while name in summaries:  # a repeated stem takes the first free stem-2, stem-3, ...
             k += 1
             name = f"{stem}-{k}"
-        # eval reads the report columns as array.array: numpy is not loaded
+        # the checked 1-d columns as array.array, so that eval loads no numpy
         columns = dio._report_columns(path_text)
         reports = Reports(**{col: values for col, (values, width) in columns.items() if width is None})
         summaries[name] = summarize(reports, lookahead=args.lookahead)

@@ -284,7 +284,8 @@ class Reports:
     accuracy estimates and their log odds (None for majority); ``truth``
     (T,) int8 is set when the stream is labeled; ``stop_reason`` (T,) int8,
     only for adaptive runs, is each step's walk stop as an index into
-    :data:`STOPS`.
+    :data:`STOPS`.  ``eval`` fills the 1-d columns with ``array.array``
+    values instead, for which ``correct`` is one bool, not a column.
     """
 
     prediction: np.ndarray

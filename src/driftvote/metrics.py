@@ -1,10 +1,8 @@
 """Evaluation of per-step reports: accuracy, F1, windows, rolling series.
 
-Every metric reads 1-d columns with ``.tolist()`` and counts in Python
-integers, so numpy arrays and ``array.array`` columns serve alike and no
-numpy is loaded.  Each float is one ``int / int`` of exact counts, so it
-equals the float64 arithmetic of numpy bit for bit; the rolling series is
-an ``array('d')``.
+Metrics read 1-d columns (numpy or ``array.array``) with ``.tolist()`` and
+count in Python integers, so no numpy is loaded and each float is one
+``int / int``, equal to numpy's float64 arithmetic bit for bit.
 """
 
 from __future__ import annotations

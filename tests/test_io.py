@@ -424,7 +424,7 @@ def test_hostile_report_values_follow_the_message_rule(tmp_path, column, value, 
 
 def test_a_ragged_value_names_the_error_in_any_block(tmp_path, monkeypatch):
     # a column's wrong shape is named over its out-of-range values, in
-    # whichever block each is; the first column in file order is named
+    # whichever block each is; columns are named in their fixed order
     monkeypatch.setattr(dio, "_BLOCK", 2)
     lines = [{"t": t, **_GOOD_REPORT_VALUES} for t in range(1, 6)]
     lines[0]["truth"] = 0
