@@ -170,9 +170,9 @@ def _votes(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _feed(bank: CorrelationBank, rows: np.ndarray, config: AdaptiveConfig, adaptive: bool):
     """Push a checked (c, n) int8 chunk into ``bank``, which tracks
     ``config``'s ladder when ``adaptive`` and the one fixed window
-    otherwise, and decide its steps, which follow on from ``bank.t``:
-    their ``window``, ``p_hat``, ``weights``, ``prediction`` and
-    ``stop_reason`` (None unless ``adaptive``) in the dtypes of :class:`.Reports`."""
+    otherwise, and decide its steps, which follow on from ``bank.t``: their
+    report columns by name, ``window``, ``p_hat``, ``weights``, ``prediction``
+    and, only when ``adaptive``, ``stop_reason``, in the dtypes of :class:`.Reports`."""
     sizes = bank._sizes
     t = np.arange(bank.t + 1, bank.t + len(rows) + 1)
     corr = bank._extend(rows)
@@ -181,7 +181,9 @@ def _feed(bank: CorrelationBank, rows: np.ndarray, config: AdaptiveConfig, adapt
     else:
         k, stop_reason = np.zeros(len(rows), dtype=np.intp), None
     p_hat, weights = _estimate(corr[np.arange(len(rows)), k], bank.n, config)
-    return np.minimum(t, sizes[k]), p_hat, weights, _votes(rows, weights), stop_reason
+    window = np.minimum(t, sizes[k])
+    columns = dict(window=window, p_hat=p_hat, weights=weights, prediction=_votes(rows, weights))
+    return columns if stop_reason is None else {**columns, "stop_reason": stop_reason}
 
 
 def run_strategy(
@@ -220,16 +222,10 @@ def run_strategy(
     adaptive = kind == STRATEGY_ADAPTIVE
     bank = CorrelationBank(n, config.schedule.sizes if adaptive else (fixed_r,))
     chunk = max(_CHUNK_MIN_ROWS, _CHUNK_BUDGET // (len(bank.sizes) * n * (n - 1) // 2))
-    prediction = np.empty(steps, dtype=np.int8)
-    window = np.empty(steps, dtype=np.int64)
-    p_hat = np.empty((steps, n))
-    weights = np.empty((steps, n))
-    stop_reason = np.empty(steps, dtype=np.int8) if adaptive else None
+    columns = {}
     for start in range(0, steps, chunk):
-        rows = slice(start, start + chunk)
-        window[rows], p_hat[rows], weights[rows], prediction[rows], stop = _feed(
-            bank, v[rows], config, adaptive
-        )
-        if adaptive:
-            stop_reason[rows] = stop
-    return Reports(prediction, window, p_hat, weights, truth, stop_reason)
+        for name, values in _feed(bank, v[start:start + chunk], config, adaptive).items():
+            if not start:  # each column takes the dtype and row shape of its first chunk
+                columns[name] = np.empty((steps, *values.shape[1:]), dtype=values.dtype)
+            columns[name][start:start + chunk] = values
+    return Reports(truth=truth, **columns)

@@ -125,7 +125,7 @@ def cmd_simulate(args) -> int:
 
     cfg = _synthetic_config(args, args.seed)
     stream = generate_synthetic(cfg)
-    if args.permute_prob > 0.0:
+    if args.permute_prob != 0.0:  # NaN too, which the shuffle rejects
         stream = apply_permute_drift(stream, args.permute_prob, role_rngs(args.seed)["permute"])
     dio.write_stream(args.out, stream, fmt=args.format)
     _save_config(args, "simulate")

@@ -16,14 +16,15 @@ fixed window in hindsight, and a small report bundle (:class:`ErrorBudget`)
 for surfacing these numbers to users.
 
 It also holds the records that the layers pass between them, a vote
-:class:`Stream` and the per-step :class:`Reports` with their stop-reason
-names, so that reading, writing and evaluating files needs no engine.
+:class:`Stream` and the per-step :class:`Reports` with their columns and
+stop-reason names, so that reading, writing and evaluating files needs no engine.
 Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
@@ -119,6 +120,8 @@ class WindowSchedule:
         for s in self.sizes:
             if not isinstance(s, int) or isinstance(s, bool) or s < 1:
                 raise ValueError(f"window sizes must be positive ints, got {s!r}")
+            if s > sys.float_info.max:  # the theory numbers take square roots of floats
+                raise ValueError(f"window sizes must not exceed the largest float, {sys.float_info.max!r}")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError(f"window sizes must be strictly increasing: {self.sizes}")
 
@@ -274,18 +277,34 @@ class Stream:
         return self.votes.shape[0]
 
 
+#: The one list of report columns, in the order a report line holds them:
+#: name -> (``array`` typecode: "b" int8, "q" int64 or "d" float64;
+#: dimension, 2 for one value per labeler; the integers a column may hold,
+#: or the names a file spells and memory stores as their index, or None
+#: for positive integers ("q") or finite floats ("d"); what a reader says
+#: the values must be).  ``t`` (first, 1..T) and ``correct`` (after
+#: ``truth``) are derived on write and never stored.
+REPORT_COLUMNS = {
+    "window": ("q", 1, None, "positive integers"),  # the sample count used
+    "p_hat": ("d", 2, None, "finite numbers"),  # clipped accuracy estimates
+    "weights": ("d", 2, None, "finite numbers"),  # their log odds
+    "prediction": ("b", 1, (-1, 1), "-1 or 1"),
+    "truth": ("b", 1, (-1, 1), "-1 or 1"),  # set when the stream is labeled
+    "stop_reason": ("b", 1, STOPS, "one of " + ", ".join(STOPS)),  # the walk's stop
+}
+
+
 @dataclass(eq=False)
 class Reports:
     """Everything the engine decided over a stream, one row per step.
 
-    Row ``i`` is step ``t = i + 1``.  ``prediction`` is (T,) int8;
-    ``window`` (T,) int64 is the sample count actually used (None for
-    majority); ``p_hat`` and ``weights`` are (T, n) float64 clipped
-    accuracy estimates and their log odds (None for majority); ``truth``
-    (T,) int8 is set when the stream is labeled; ``stop_reason`` (T,) int8,
-    only for adaptive runs, is each step's walk stop as an index into
-    :data:`STOPS`.  ``eval`` fills the 1-d columns with ``array.array``
-    values instead, for which ``correct`` is one bool, not a column.
+    Row ``i`` is step ``t = i + 1``.  Each field is a column of
+    :data:`REPORT_COLUMNS`: a numpy array of its typecode, (T,) or (T, n)
+    by its dimension, or None where the run made none (``window``,
+    ``p_hat`` and ``weights`` for majority, ``truth`` for an unlabeled
+    stream, ``stop_reason`` unless adaptive).  ``eval`` fills the 1-d
+    columns with ``array.array`` values instead, for which ``correct`` is
+    one bool, not a column.
     """
 
     prediction: np.ndarray

@@ -14,23 +14,23 @@ accepted and checked on read but not kept; written streams carry no
 ``t`` and no block annotations.
 
 Reports (:class:`~driftvote.core.Reports`) are always JSONL with
-fields ``t``, ``window``, ``p_hat``, ``weights``, ``prediction``,
-``truth``, ``correct``, ``stop_reason`` (absent fields were not produced
-by the strategy).  They are read as JSON, with no numpy, into
-``array.array`` columns (:func:`_report_columns`).  A column is kept
-only when every line has it; ``t`` must be present but is not kept, and
-``correct`` is recomputed.  Windows must be positive integers,
-predictions and labels -1 or 1 (a boolean is not an integer),
-``p_hat``/``weights`` finite numbers and stop reasons names in
-:data:`~driftvote.core.STOPS`, read back as their int8 index.  By one
-rule, a value of the wrong shape (a list in a 1-d column, a row that is
-not a list as long as the first line's) or an integer outside int64
-(float64 in ``p_hat``/``weights``) is a :class:`StreamFormatError`
-"'<column>' values are ragged or of the wrong type", and any other wrong
-value, a string, an object or ``null`` included, "'<column>' values
-must be ...".  :func:`write_reports` writes only what
-:func:`read_reports` reads back, floats exactly in their shortest repr,
-and raises a :class:`ValueError` naming the column for anything else.
+fields ``t``, then the columns of :data:`~driftvote.core.REPORT_COLUMNS`
+(the one list, whose typecodes, dimensions and values every check here
+takes), ``correct`` after ``truth``; absent fields were not produced by
+the strategy.  They are read as JSON, with no numpy, into ``array.array``
+columns (:func:`_report_columns`).  A column is kept only when every line
+has it; ``t`` must be present but is not kept, and ``correct`` is
+recomputed.  Windows must be positive integers, predictions and labels
+-1 or 1 (a boolean is not an integer), ``p_hat``/``weights`` finite
+numbers and stop reasons names in :data:`~driftvote.core.STOPS`, read
+back as their int8 index.  By one rule, a value of the wrong shape (a
+list in a 1-d column, a row that is not a list as long as the first
+line's) or an integer outside int64 (float64 in ``p_hat``/``weights``)
+is a :class:`StreamFormatError` "'<column>' values are ragged or of the
+wrong type", and any other wrong value, a string, an object or ``null``
+included, "'<column>' values must be ...".  :func:`write_reports` writes
+only what :func:`read_reports` reads back, floats exactly in their
+shortest repr, and raises a :class:`ValueError` naming the column.
 
 JSONL files are read in blocks of lines (:func:`_jsonl_lines`,
 :func:`_jsonl_decode`) and written byte for byte as ``json.dumps`` of
@@ -50,7 +50,7 @@ from math import isfinite
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .core import STOPS, Reports, Stream
+from .core import REPORT_COLUMNS, Reports, Stream
 
 if TYPE_CHECKING:
     import numpy as np
@@ -327,10 +327,10 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown stream format {fmt!r}")
-    cells = _writable("votes", stream.votes, 2, len(stream.votes), allowed=_VOTE_VALUES)
+    cells = _writable("votes", stream.votes, 2, len(stream.votes), "b", _VOTE_VALUES)
     n, labeled = cells.shape[1], stream.truth is not None
     if labeled:
-        truth = _writable("truth", stream.truth, 1, len(cells), allowed=_LABEL_VALUES)
+        truth = _writable("truth", stream.truth, 1, len(cells), "b", _LABEL_VALUES)
         cells = np.column_stack((cells, truth))
     if fmt == "csv":
         import csv
@@ -345,31 +345,18 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
             fh.write(_stream_lines(cells[start:start + _WRITE_ROWS], labeled))
 
 
-_JSON_BOOLS = ("false", "true")
-_STOP_NAMES = tuple(map(json.dumps, STOPS))
-_REPORT_FIELDS = ("t", "window", "p_hat", "weights", "prediction", "truth", "correct", "stop_reason")
-
-#: per report column: its ``array`` typecode, dimension and what its values must be
-_REPORT_COLUMNS = {
-    "window": ("q", 1, "positive integers"),
-    "p_hat": ("d", 2, "finite numbers"),
-    "weights": ("d", 2, "finite numbers"),
-    "prediction": ("b", 1, "-1 or 1"),
-    "truth": ("b", 1, "-1 or 1"),
-    "stop_reason": ("b", 1, "one of " + ", ".join(STOPS)),
-}
-_STOP_CODES = {name: code for code, name in enumerate(STOPS)}
 #: what a report column's values are when one has the wrong shape or size
 _RAGGED = "are ragged or of the wrong type"
 
 
-def _writable(name: str, column, ndim: int, rows: int, floats: bool = False, allowed=None) -> np.ndarray:
-    """``column`` as an array of ``rows`` rows and ``ndim`` dimensions, finite
-    floats as float64 or integers (a boolean is not an integer), each in
-    ``allowed`` when it is given, so that a ``%r``/``%d`` template writes it
-    as ``json`` would; anything else raises :class:`ValueError` naming it."""
+def _writable(name: str, column, ndim: int, rows: int, typecode: str, values) -> np.ndarray:
+    """``column`` as an array of ``rows`` rows and ``ndim`` dimensions: finite
+    float64 for typecode "d", else integers (a boolean is not one) in
+    ``values`` (a name's index) or positive when it is None, so that a
+    ``%r``/``%s`` template writes it as ``json`` would; else a :class:`ValueError` naming it."""
     import numpy as np
 
+    floats = typecode == "d"
     a = np.asarray(column)
     if a.dtype.kind not in ("f" if floats else "iu") or a.ndim != ndim or len(a) != rows:
         what = "floats" if floats else "integers"
@@ -378,8 +365,12 @@ def _writable(name: str, column, ndim: int, rows: int, floats: bool = False, all
         a = a.astype(np.float64, copy=False)
         if not np.isfinite(a).all():
             raise ValueError(f"{name!r} values must be finite")
-    elif allowed is not None and (bad := a[~np.isin(a, allowed)]).size:
-        raise ValueError(f"{name!r} must be one of {', '.join(map(str, allowed))}, got {bad[0]}")
+    elif values is None and (a < 1).any():
+        raise ValueError(f"{name!r} must be positive, got {a[a < 1][0]}")
+    elif values is not None:
+        allowed = range(len(values)) if type(values[0]) is str else values
+        if (bad := a[~np.isin(a, allowed)]).size:
+            raise ValueError(f"{name!r} must be one of {', '.join(map(str, allowed))}, got {bad[0]}")
     return a
 
 
@@ -430,12 +421,12 @@ def _majority_lines(start: int, prediction: np.ndarray, truth: np.ndarray | None
 
 
 def write_reports(path, reports: Reports) -> None:
-    """Write :class:`Reports` as JSONL, one line per step with ``t`` = 1..T,
-    the derived ``correct`` and stop reasons by name, omitting absent
-    columns.
+    """Write :class:`Reports` as JSONL, one line per step: ``t`` = 1..T and
+    the present columns in :data:`~driftvote.core.REPORT_COLUMNS` order,
+    the derived ``correct`` after ``truth`` and stop reasons by name.
 
-    Every column must have the dtype kind, dimension and length that
-    :class:`Reports` gives it; windows must be positive, predictions and
+    Every column must have the dtype kind, dimension, length and values
+    that its table entry gives it: windows positive, predictions and
     labels -1 or 1, ``p_hat``/``weights`` finite and stop reasons codes of
     ``STOPS``, so that :func:`read_reports` reads back what is written;
     anything else raises :class:`ValueError` naming the column.  Reports
@@ -444,15 +435,9 @@ def write_reports(path, reports: Reports) -> None:
     """
     rows = len(reports)
     columns = {}
-    allowed = {"prediction": _LABEL_VALUES, "truth": _LABEL_VALUES, "stop_reason": tuple(range(len(STOPS)))}
-    for name, (typecode, ndim, _) in _REPORT_COLUMNS.items():
-        column = getattr(reports, name)
-        if column is None:
-            continue
-        column = _writable(name, column, ndim, rows, typecode == "d", allowed.get(name))
-        if name == "window" and (column < 1).any():
-            raise ValueError(f"'window' must be positive, got {column[column < 1][0]}")
-        columns[name] = column
+    for name, (typecode, ndim, values, _) in REPORT_COLUMNS.items():
+        if (column := getattr(reports, name)) is not None:
+            columns[name] = _writable(name, column, ndim, rows, typecode, values)
     prediction, truth = columns["prediction"], columns.get("truth")
     if columns.keys() <= {"prediction", "truth"}:
         with open(path, "wb") as fh:
@@ -461,56 +446,51 @@ def write_reports(path, reports: Reports) -> None:
                 labels = None if truth is None else truth[block]
                 fh.write(_majority_lines(start + 1, prediction[block], labels))
         return
-    fields, values = ['"t": %d'], [range(1, rows + 1)]
-    for name in _REPORT_FIELDS[1:]:
-        if name == "correct":
-            if truth is not None:
-                fields.append('"correct": %s')
-                values.append(list(map(_JSON_BOOLS.__getitem__, (prediction == truth).tolist())))
-            continue
-        column = columns.get(name)
-        if column is None:
-            continue
+    fields, cells = ['"t": %d'], [range(1, rows + 1)]
+    for name, column in columns.items():
         if column.ndim == 2:
             fields.append(f'"{name}": [' + ", ".join(["%r"] * column.shape[1]) + "]")
-            values += column.T.tolist()
-        elif name == "stop_reason":
-            fields.append('"stop_reason": %s')
-            values.append(list(map(_STOP_NAMES.__getitem__, column.tolist())))
-        else:
-            fields.append(f'"{name}": %d')
-            values.append(column.tolist())
+            cells += column.T.tolist()
+            continue
+        fields.append(f'"{name}": %s')
+        values, names = column.tolist(), REPORT_COLUMNS[name][2]
+        if names and type(names[0]) is str:  # the index of a name is stored: spell the name
+            values = list(map(tuple(map(json.dumps, names)).__getitem__, values))
+        cells.append(values)
+        if name == "truth":
+            fields.append('"correct": %s')
+            cells.append(list(map(("false", "true").__getitem__, (prediction == truth).tolist())))
     template = "{" + ", ".join(fields) + "}\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(template.__mod__, zip(*values)))
+        fh.writelines(map(template.__mod__, zip(*cells)))
 
 
 def _report_values(name: str, values: list, width: int | None):
     """The ``array`` of one block of a report column's values, a 2-d
     column's rows (``width`` long) flattened; or, when one is wrong, the
     rest of the error message by the rule in the module docstring."""
-    typecode, ndim, rule = _REPORT_COLUMNS[name]
+    typecode, ndim, allowed, rule = REPORT_COLUMNS[name]
     if ndim == 2:
         if set(map(type, values)) != {list} or set(map(len, values)) != {width}:
             return _RAGGED
         values = list(chain.from_iterable(values))
     types = set(map(type, values))
-    if ndim == 2:
+    if typecode == "d":
         good = types <= {int, float}
-    elif name == "stop_reason":
-        good = types == {str} and set(values) <= _STOP_CODES.keys()
-        values = list(map(_STOP_CODES.get, values)) if good else values
-    else:
-        good = types == {int} and (min(values) >= 1 if name == "window" else set(values) <= {-1, 1})
+    elif allowed is None:
+        good = types == {int} and min(values) >= 1
+    else:  # one of ``allowed``, a name read back as its index
+        good = types == {type(allowed[0])} and set(values) <= set(allowed)
+        values = list(map(allowed.index, values)) if good and str in types else values
     try:
         if good:  # a finite sum shows that every value is finite
             column = array(typecode, values)
-            if ndim == 1 or isfinite(sum(column)) or all(map(isfinite, column)):
+            if typecode != "d" or isfinite(sum(column)) or all(map(isfinite, column)):
                 return column
         elif list in types:
             return _RAGGED
         else:
-            array("d" if ndim == 2 else "q", [x for x in values if type(x) is int])
+            array("d" if typecode == "d" else "q", [x for x in values if type(x) is int])
     except OverflowError:
         return _RAGGED
     return f"must be {rule}"
@@ -521,8 +501,8 @@ def _report_columns(path) -> dict[str, tuple[array, int | None]]:
     numpy: name -> ``(values, width)``, ``values`` an ``array.array`` (a
     2-d column's rows flattened) and ``width`` a 2-d column's row length,
     None for a 1-d column.  Lines are checked as they are read, columns
-    once all are, in :data:`_REPORT_COLUMNS` order: of a column's wrong
-    values, one of the wrong shape or size names the error."""
+    once all are, in :data:`~driftvote.core.REPORT_COLUMNS` order: of a
+    column's wrong values, one of the wrong shape or size names the error."""
     kept, errors = None, {}
     for linenos, lines in _jsonl_lines(path):
         objects, error = _jsonl_decode(path, linenos, lines)
@@ -535,7 +515,7 @@ def _report_columns(path) -> dict[str, tuple[array, int | None]]:
             first = objects[0]
             kept = {
                 name: (array(typecode), len(first[name]) if ndim == 2 and type(first[name]) is list else None)
-                for name, (typecode, ndim, _) in _REPORT_COLUMNS.items()
+                for name, (typecode, ndim, _, _) in REPORT_COLUMNS.items()
                 if name == "prediction" or name in first
             }
         for name, (column, width) in list(kept.items()):
@@ -549,7 +529,7 @@ def _report_columns(path) -> dict[str, tuple[array, int | None]]:
                 column.extend(block)
             elif block == _RAGGED or name not in errors:
                 errors[name] = block
-    for name in _REPORT_COLUMNS:
+    for name in REPORT_COLUMNS:
         if name in errors:
             raise StreamFormatError(f"{path}: {name!r} values {errors[name]}")
     return kept or {"prediction": (array("b"), None)}

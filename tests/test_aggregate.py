@@ -347,13 +347,13 @@ def test_feed_resumes_from_its_bank(n, strategy):
         parts.append(aggregate._feed(bank, votes[start:start + length], config, adaptive))
         start += length
     want = run_strategy(votes, strategy, config)
-    for column, name in zip(zip(*parts), ("window", "p_hat", "weights", "prediction", "stop_reason")):
+    names = ["window", "p_hat", "weights", "prediction"] + ["stop_reason"] * adaptive
+    assert all(list(part) == names for part in parts)
+    assert want.truth is None and (want.stop_reason is None) == (not adaptive)
+    for name in names:
         expected = getattr(want, name)
-        if expected is None:
-            assert column == (None,) * len(parts)
-            continue
-        assert all(part.dtype == expected.dtype for part in column)
-        assert np.concatenate(column).tobytes() == expected.tobytes()
+        assert all(part[name].dtype == expected.dtype for part in parts)
+        assert np.concatenate([part[name] for part in parts]).tobytes() == expected.tobytes()
     assert bank.t == len(votes)
 
 

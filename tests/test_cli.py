@@ -230,12 +230,41 @@ def test_bound_rejects_non_finite_beta(capsys, flags):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a negative or NaN shuffle probability is no probability at all
+        (["simulate", "--blocks", "30:0.9,0.8,0.7", "--permute-prob", "-0.5"], "shuffle probability"),
+        (["simulate", "--blocks", "30:0.9,0.8,0.7", "--permute-prob", "nan"], "shuffle probability"),
+        # the theory numbers take the square root of every size as a float
+        (["bound", "--n", "3", "--m", "1025"], "largest float"),
+        (["bound", "--n", "3", "--sizes", f"1,{2**1100}"], "largest float"),
+    ],
+)
+def test_out_of_range_flags_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and message in err[0]
+    assert not out.exists()
+
+
+def test_bound_takes_the_largest_doubling_ladder_a_float_holds(capsys):
+    assert run_cli("bound", "--n", "3", "--m", "1024") == 0
+    assert json.loads(capsys.readouterr().out)["sizes"][-1] == 2**1023
+
+
+@pytest.mark.parametrize(
     "m, message",
     [
         # a 2**49-row ring, past any 64-bit user address space: allocation fails
         ("50", "Unable to allocate"),
         # the largest window, 2**63, does not fit int64
         ("64", "window sizes must fit in int64"),
+        # the largest window, 2**1024, does not fit a float
+        ("1025", "window sizes must not exceed the largest float"),
     ],
 )
 def test_run_reports_huge_ladders_as_errors(tmp_path, capsys, m, message):

@@ -119,7 +119,8 @@ def test_shared_records_are_one_object_everywhere():
 
     assert aggregate.Reports is io.Reports is metrics.Reports is core.Reports
     assert driftgen.Stream is io.Stream is core.Stream
-    assert adaptive.STOPS is io.STOPS is core.STOPS
+    assert io.REPORT_COLUMNS is core.REPORT_COLUMNS
+    assert adaptive.STOPS is core.REPORT_COLUMNS["stop_reason"][2] is core.STOPS
     assert metrics.ROLLING_LOOKAHEAD is core.ROLLING_LOOKAHEAD
     for name in ("STOP_THRESHOLD", "STOP_SCHEDULE", "STOP_HORIZON"):
         assert getattr(adaptive, name) is getattr(core, name) is getattr(driftvote, name)

@@ -1,5 +1,6 @@
 """Stream/report file formats: round-trips, sniffing, error reporting."""
 
+import dataclasses
 import json
 import math
 import re
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import driftvote.core as core
 import driftvote.io as dio
 from driftvote import (
     STOPS,
@@ -252,6 +254,20 @@ def test_report_round_trip_exact(tmp_path, labeled_votes):
     assert list(first) == ["t", "window", "p_hat", "weights", "prediction", "truth", "correct"]
     assert first["t"] == 1
     assert_same_reports(read_reports(path), reports)
+
+
+def test_report_table_names_the_fields_of_reports():
+    assert set(core.REPORT_COLUMNS) == {field.name for field in dataclasses.fields(Reports)}
+
+
+def test_adaptive_report_keys_follow_the_table(tmp_path, labeled_votes):
+    votes, truth = labeled_votes
+    path = tmp_path / "reports.jsonl"
+    write_reports(path, run_strategy(votes, "adaptive", config=AdaptiveConfig(n=3), truths=truth))
+    names = list(core.REPORT_COLUMNS)
+    names.insert(names.index("truth") + 1, "correct")
+    assert names == ["window", "p_hat", "weights", "prediction", "truth", "correct", "stop_reason"]
+    assert all(list(json.loads(line)) == ["t", *names] for line in path.read_text().splitlines())
 
 
 def test_majority_reports_omit_fields(tmp_path, labeled_votes):

@@ -37,6 +37,7 @@ checkout holding this script), so one script lists any two checkouts, and
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -88,12 +89,19 @@ def series(directory: Path) -> str:
     return sha(b"".join(f"{f.name} {f.stat().st_size}\n".encode() + f.read_bytes() for f in files))
 
 
+def report_fields() -> list[str]:
+    """The names of the :class:`Reports` columns, in field order."""
+    from driftvote import Reports
+
+    return [field.name for field in dataclasses.fields(Reports)]
+
+
 def report_columns(path: Path) -> str:
     """The digest of the columns ``read_reports`` gives of a report file."""
     from driftvote.io import read_reports
 
     back = read_reports(path)
-    return columns(back.prediction, back.window, back.p_hat, back.weights, back.truth, back.stop_reason)
+    return columns(*(getattr(back, name) for name in report_fields()))
 
 
 def stream_columns(path: Path) -> str:
@@ -209,7 +217,7 @@ def engine_columns() -> str:
         for label, (_, strategy, sizes) in STRATEGIES.items():
             config = AdaptiveConfig(n, WindowSchedule(sizes)) if sizes else AdaptiveConfig(n)
             reports = run_strategy(votes, strategy, config, truths=truth)
-            for field in ("prediction", "window", "p_hat", "weights", "truth", "stop_reason"):
+            for field in report_fields():
                 col = getattr(reports, field)
                 spec = "None" if col is None else f"{col.dtype.str} {col.shape}"
                 h.update(f"{n} {label} {field} {spec}\n".encode())
