@@ -89,19 +89,12 @@ def series(directory: Path) -> str:
     return sha(b"".join(f"{f.name} {f.stat().st_size}\n".encode() + f.read_bytes() for f in files))
 
 
-def report_fields() -> list[str]:
-    """The names of the :class:`Reports` columns, in field order."""
-    from driftvote import Reports
-
-    return [field.name for field in dataclasses.fields(Reports)]
-
-
 def report_columns(path: Path) -> str:
     """The digest of the columns ``read_reports`` gives of a report file."""
     from driftvote.io import read_reports
 
     back = read_reports(path)
-    return columns(*(getattr(back, name) for name in report_fields()))
+    return columns(*(getattr(back, field.name) for field in dataclasses.fields(back)))
 
 
 def stream_columns(path: Path) -> str:
@@ -217,10 +210,10 @@ def engine_columns() -> str:
         for label, (_, strategy, sizes) in STRATEGIES.items():
             config = AdaptiveConfig(n, WindowSchedule(sizes)) if sizes else AdaptiveConfig(n)
             reports = run_strategy(votes, strategy, config, truths=truth)
-            for field in report_fields():
-                col = getattr(reports, field)
+            for field in dataclasses.fields(reports):
+                col = getattr(reports, field.name)
                 spec = "None" if col is None else f"{col.dtype.str} {col.shape}"
-                h.update(f"{n} {label} {field} {spec}\n".encode())
+                h.update(f"{n} {label} {field.name} {spec}\n".encode())
                 if col is not None:
                     h.update(col.tobytes())
     return h.hexdigest()
