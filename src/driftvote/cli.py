@@ -103,13 +103,11 @@ def _synthetic_config(args, seed: int) -> SyntheticStreamConfig:
     return SyntheticStreamConfig(blocks=blocks, seed=seed, n=len(blocks[0].accuracies))
 
 
-def _save_config(args, command: str) -> None:
-    if not getattr(args, "save_config", None):
-        return
-    skip = {"func", "save_config"}
-    params = {k: v for k, v in vars(args).items() if k not in skip}
-    text = json.dumps({"command": command, "params": params}, indent=2, sort_keys=True)
-    Path(args.save_config).write_text(text + "\n", encoding="utf-8")
+def _save_config(args) -> None:
+    if args.save_config:
+        params = {k: v for k, v in vars(args).items() if k not in ("func", "save_config")}
+        text = json.dumps({"command": args.command, "params": params}, indent=2, sort_keys=True)
+        Path(args.save_config).write_text(text + "\n", encoding="utf-8")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -123,12 +121,13 @@ def cmd_simulate(args) -> int:
     from . import io as dio
     from .driftgen import apply_permute_drift, generate_synthetic, role_rngs
 
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     cfg = _synthetic_config(args, args.seed)
     stream = generate_synthetic(cfg)
     if args.permute_prob != 0.0:  # NaN too, which the shuffle rejects
         stream = apply_permute_drift(stream, args.permute_prob, role_rngs(args.seed)["permute"])
     dio.write_stream(args.out, stream, fmt=args.format)
-    _save_config(args, "simulate")
     return 0
 
 
@@ -155,7 +154,6 @@ def cmd_run(args) -> int:
     config = None if kind == STRATEGY_MAJORITY else replace(config, n=votes.shape[1])
     reports = run_strategy(votes, args.strategy, config, truths=stream.truth)
     dio.write_reports(args.out, reports)
-    _save_config(args, "run")
     return 0
 
 
@@ -185,7 +183,6 @@ def cmd_eval(args) -> int:
         for name, s in summaries.items():
             if s.rolling is not None:  # an unlabeled run has no series
                 dio.write_series_csv(series_dir / f"{name}_rolling.csv", s.rolling)
-    _save_config(args, "eval")
     return 0
 
 
@@ -230,7 +227,6 @@ def cmd_bound(args) -> int:
             for b in _parse_float_list(args.beta_sweep)
         ]
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    _save_config(args, "bound")
     return 0
 
 
@@ -300,7 +296,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        _save_config(args)
+        return status
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ fields ``t``, then the columns of :data:`~driftvote.core.REPORT_COLUMNS`
 takes), ``correct`` after ``truth``; absent fields were not produced by
 the strategy.  They are read as JSON, with no numpy, into ``array.array``
 columns (:func:`_report_columns`).  A column is kept only when every line
-has it; ``t`` must be present but is not kept, and ``correct`` is
+has its key; ``t`` must be present but is not kept, and ``correct`` is
 recomputed.  Windows must be positive integers, predictions and labels
 -1 or 1 (a boolean is not an integer), ``p_hat``/``weights`` finite
 numbers and stop reasons names in :data:`~driftvote.core.STOPS`, read
@@ -35,9 +35,10 @@ shortest repr, and raises a :class:`ValueError` naming the column.
 JSONL files are read in blocks of lines (:func:`_jsonl_lines`,
 :func:`_jsonl_decode`) and written byte for byte as ``json.dumps`` of
 each line gives them: streams by :func:`_stream_lines`, which also reads
-canonical stream blocks back, reports of a run with no column but
-``prediction`` and ``truth`` (``majority``) by :func:`_majority_lines`,
-and other reports from one ``%``-format template per file.
+canonical stream blocks back, ``majority`` reports (no column but
+``prediction`` and ``truth``) by :func:`_majority_lines` as ``{"t": ``,
+the digits of ``t`` and one of six spelled line ends, and other reports
+from one ``%``-format template per file.
 """
 
 from __future__ import annotations
@@ -347,6 +348,8 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
 
 #: what a report column's values are when one has the wrong shape or size
 _RAGGED = "are ragged or of the wrong type"
+#: the value of a key that a report line lacks
+_MISSING = object()
 
 
 def _writable(name: str, column, ndim: int, rows: int, typecode: str, values) -> np.ndarray:
@@ -374,19 +377,16 @@ def _writable(name: str, column, ndim: int, rows: int, typecode: str, values) ->
     return a
 
 
-#: a majority report line with no digits of ``t``, unlabeled and labeled,
-#: each sign slot holding a minus and ``correct`` spelled ``false``
-_MAJORITY_LINES = (
-    '{"t": , "prediction": -1}\n',
-    '{"t": , "prediction": -1, "truth": -1, "correct": false}\n',
+#: the ends of majority report lines after the digits of ``t``, unlabeled and
+#: labeled, by ``(prediction > 0) + 2 * (truth > 0)``, padded with ``_PAD``
+_MAJORITY_ENDS = tuple(
+    "".join(end.ljust(max(map(len, ends)), chr(_PAD)) for end in ends).encode()
+    for ends in (
+        [', "prediction": %d}\n' % p for p in (-1, 1)],
+        [', "prediction": %d, "truth": %d, "correct": %s}\n' % (p, t, json.dumps(p == t))
+         for t in (-1, 1) for p in (-1, 1)],
+    )
 )
-#: where the digits of ``t`` go, and the slots after them as offsets from
-#: there: the prediction's sign, the truth's sign and ``correct``
-_T_AT = len('{"t": ')
-_SIGN_AT, _TRUTH_SIGN_AT = (i - _T_AT for i, c in enumerate(_MAJORITY_LINES[1]) if c == "-")
-_CORRECT_AT = _MAJORITY_LINES[1].index("false") - _T_AT
-#: ``correct`` of each value, padded to five bytes
-_CORRECT = b"false" + b"true" + bytes([_PAD])
 
 
 def _majority_lines(start: int, prediction: np.ndarray, truth: np.ndarray | None) -> np.ndarray:
@@ -396,27 +396,24 @@ def _majority_lines(start: int, prediction: np.ndarray, truth: np.ndarray | None
     ``{"t": 12, "prediction": -1, "truth": 1, "correct": false}``, or
     ``{"t": 12, "prediction": -1}`` when ``truth`` is None.
 
-    Every line is first one row of a grid with a slot for each digit of
-    the largest ``t``, a sign slot before each value and five letters for
-    ``correct``; the slots a line leaves empty (leading digits, the sign
-    of a 1, the fifth letter of ``true``) hold ``_PAD``.
+    Every line is first one row of a grid: ``{"t": ``, a slot for each
+    digit of the largest ``t`` (``_PAD`` before a shorter ``t``) and its
+    end of :data:`_MAJORITY_ENDS`.
     """
     import numpy as np
 
-    rows = len(prediction)
+    rows, labeled = len(prediction), truth is not None
+    ends = np.frombuffer(_MAJORITY_ENDS[labeled], dtype=np.uint8).reshape(2 + 2 * labeled, -1)
+    key = np.frombuffer(b'{"t": ', dtype=np.uint8)
     digits = len(str(start + rows - 1))
-    line = _MAJORITY_LINES[truth is not None]
-    skeleton = np.frombuffer((line[:_T_AT] + "0" * digits + line[_T_AT:]).encode(), dtype=np.uint8)
-    grid = np.tile(skeleton, (rows, 1))
+    at = len(key) + digits
+    grid = np.empty((rows, at + ends.shape[1]), dtype=np.uint8)
+    grid[:, :len(key)] = key
     t = np.arange(start, start + rows)
-    at = _T_AT + digits
     for power in range(digits):  # the digit of 10**power, then a column, fill t's slots
         grid[:, at - 1 - power] = np.where(t >= 10**power, t // 10**power % 10 + _ZERO, _PAD)
-    grid[:, at + _SIGN_AT] = np.where(prediction < 0, _MINUS, _PAD)
-    if truth is not None:
-        grid[:, at + _TRUTH_SIGN_AT] = np.where(truth < 0, _MINUS, _PAD)
-        correct = np.frombuffer(_CORRECT, dtype=np.uint8).reshape(2, 5)
-        grid[:, at + _CORRECT_AT:at + _CORRECT_AT + 5] = correct[(prediction == truth).astype(np.intp)]
+    # an integer index: a boolean one would be a mask
+    grid[:, at:] = ends[(prediction > 0) + (2 * (truth > 0) if labeled else 0)]
     return _compact(grid)
 
 
@@ -500,7 +497,8 @@ def _report_columns(path) -> dict[str, tuple[array, int | None]]:
     """The columns :func:`read_reports` keeps of a report file, with no
     numpy: name -> ``(values, width)``, ``values`` an ``array.array`` (a
     2-d column's rows flattened) and ``width`` a 2-d column's row length,
-    None for a 1-d column.  Lines are checked as they are read, columns
+    None for a 1-d column.  A column is kept while every line has its key
+    (``null`` is a value).  Lines are checked as they are read, columns
     once all are, in :data:`~driftvote.core.REPORT_COLUMNS` order: of a
     column's wrong values, one of the wrong shape or size names the error."""
     kept, errors = None, {}
@@ -516,19 +514,19 @@ def _report_columns(path) -> dict[str, tuple[array, int | None]]:
             kept = {
                 name: (array(typecode), len(first[name]) if ndim == 2 and type(first[name]) is list else None)
                 for name, (typecode, ndim, _, _) in REPORT_COLUMNS.items()
-                if name == "prediction" or name in first
+                if name in first
             }
         for name, (column, width) in list(kept.items()):
-            values = [obj.get(name) for obj in objects]
-            if name != "prediction" and None in values:  # kept only when every line has it
+            values = [obj.get(name, _MISSING) for obj in objects]
+            if _MISSING in values:  # kept only when every line has it
                 del kept[name]
                 errors.pop(name, None)
-                continue
-            block = _RAGGED if errors.get(name) == _RAGGED else _report_values(name, values, width)
-            if not isinstance(block, str):
-                column.extend(block)
-            elif block == _RAGGED or name not in errors:
-                errors[name] = block
+            elif errors.get(name) != _RAGGED:  # a column has one "must be" text
+                block = _report_values(name, values, width)
+                if isinstance(block, str):
+                    errors[name] = block
+                else:
+                    column.extend(block)
     for name in REPORT_COLUMNS:
         if name in errors:
             raise StreamFormatError(f"{path}: {name!r} values {errors[name]}")
@@ -541,10 +539,10 @@ def read_reports(path) -> Reports:
     shapes :class:`Reports` gives them.  An empty file reads as zero rows."""
     import numpy as np
 
-    columns, dtypes = _report_columns(path), {"b": np.int8, "q": np.int64, "d": np.float64}
+    columns = _report_columns(path)
     rows = len(columns["prediction"][0])
     for name, (values, width) in columns.items():
-        column = np.frombuffer(values, dtype=dtypes[values.typecode])
+        column = np.frombuffer(values, dtype=values.typecode)
         columns[name] = column if width is None else column.reshape(rows, width)
     return Reports(**columns)
 

@@ -238,6 +238,8 @@ def test_bound_rejects_non_finite_beta(capsys, flags):
         # the theory numbers take the square root of every size as a float
         (["bound", "--n", "3", "--m", "1025"], "largest float"),
         (["bound", "--n", "3", "--sizes", f"1,{2**1100}"], "largest float"),
+        # a negative seed is rejected with its flag before numpy sees it
+        (["simulate", "--blocks", "30:0.9,0.8,0.7", "--seed", "-1"], "--seed must be nonnegative, got -1"),
     ],
 )
 def test_out_of_range_flags_exit_2_with_one_line(tmp_path, capsys, argv, message):
@@ -477,6 +479,13 @@ def test_eval_rejects_empty_and_ragged_report_files(tmp_path, capsys):
     path.write_text(f'{{"t": 1, "window": {2**70}, "prediction": 1, "truth": 1}}\n')
     assert run_cli("eval", "--reports", str(path)) == 2
     assert capsys.readouterr().err == f"error: {path}: 'window' values are ragged or of the wrong type\n"
+    # null is a value like any other: it does not drop the column
+    path.write_text(
+        '{"t": 1, "window": 4, "prediction": 1, "truth": 1}\n'
+        '{"t": 2, "window": null, "prediction": 1, "truth": 1}\n'
+    )
+    assert run_cli("eval", "--reports", str(path)) == 2
+    assert capsys.readouterr().err == f"error: {path}: 'window' values must be positive integers\n"
 
 
 def test_eval_of_unlabeled_reports(tmp_path, capsys):

@@ -425,6 +425,11 @@ _RAGGED = "are ragged or of the wrong type"
         ("weights", "[[0.0], 0.1, 0.2]", _RAGGED),
         ("stop_reason", '["horizon_reached"]', _RAGGED),
         ("stop_reason", '{"name": "horizon_reached"}', "must be one of"),
+        # null is a value, not a missing key
+        ("window", "null", "must be positive integers"),
+        ("truth", "null", "must be -1 or 1"),
+        ("stop_reason", "null", "must be one of"),
+        ("p_hat", "null", _RAGGED),
     ],
 )
 def test_hostile_report_values_follow_the_message_rule(tmp_path, column, value, message):
@@ -953,8 +958,8 @@ def majority_reports(steps, labeled, seed=0, dtype=np.int8):
 
 
 #: lengths on both sides of a new digit of t and of the 1024-row write and
-#: 4096-line read blocks
-_MAJORITY_STEPS = (1, 9, 10, 11, 99, 100, 1024, 1025, 4095, 4096, 4097, 8193, 9999, 10000)
+#: 4096-line read blocks, and one whose sixth digit of t starts inside a block
+_MAJORITY_STEPS = (1, 9, 10, 11, 99, 100, 1024, 1025, 4095, 4096, 4097, 8193, 9999, 10000, 100_001)
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,7 +5,7 @@ Run:  python3 tools/digests.py [ROOT]
 
 ROOT is the checkout whose ``src/`` and ``demos/`` are run (default: the
 checkout holding this script), so one script lists any two checkouts, and
-``diff`` of the two listings is the check.  The 47 outputs:
+``diff`` of the two listings is the check.  The 49 outputs:
 
 * ``simulate`` of the block-drift preset (block length 400, JSONL) and of
   two-block streams at n = 8 (JSONL) and n = 32 (CSV), and the columns
@@ -25,6 +25,8 @@ checkout holding this script), so one script lists any two checkouts, and
   and ``read_reports`` of each report file, and ``eval`` of each report
   file (its exit code and stderr where it fails) with its ``--series-dir``
   CSVs (none for the unlabeled one);
+* ``bound`` with a margin and a beta sweep, and with the drift terms of
+  the block-drift preset (block length 400) at step 900;
 * the stdout of the four narrative demos (``engine_scaling`` prints
   timings, so it is left out);
 * every ``run_strategy`` column of the same four strategies at n = 3, 8
@@ -57,6 +59,11 @@ STRATEGIES = {
 STEPS = {3: 2500, 8: 1500, 32: 600}
 #: steps of the long majority stream
 LONG_STEPS = 12500
+#: ``bound`` flags of each output
+BOUNDS = {
+    "sweep": ["--n", "3", "--m", "20", "--margin", "0.2", "--beta-sweep", "0.05,0.1,0.4142"],
+    "block-drift": ["--n", "3", "--m", "12", "--preset", "block-drift", "--block-len", "400", "--at", "900"],
+}
 
 
 def accuracies(n: int) -> list[float]:
@@ -140,6 +147,10 @@ def cli_outputs(work: Path) -> dict[str, str]:
         out[f"eval/{strategy}.json"] = sha(summary.read_bytes())
         out[f"series/{strategy}"] = series(rolling)
     out["read/bd-adaptive"] = report_columns(work / "bd-adaptive.jsonl")
+    for name, flags in BOUNDS.items():
+        path = work / f"bound-{name}.json"
+        cli("bound", *flags, "--out", str(path))
+        out[f"bound/{name}.json"] = sha(path.read_bytes())
     out.update(long_majority_outputs(cli, work))
     return out
 
