@@ -167,16 +167,16 @@ def _votes(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     )
 
 
-def _feed(bank: CorrelationBank, rows: np.ndarray, config: AdaptiveConfig, adaptive: bool):
-    """Push a checked (c, n) int8 chunk into ``bank``, which tracks
-    ``config``'s ladder when ``adaptive`` and the one fixed window
-    otherwise, and decide its steps, which follow on from ``bank.t``: their
-    report columns by name, ``window``, ``p_hat``, ``weights``, ``prediction``
-    and, only when ``adaptive``, ``stop_reason``, in the dtypes of :class:`.Reports`."""
+def _feed(bank: CorrelationBank, rows: np.ndarray, config: AdaptiveConfig):
+    """Push a checked (c, n) int8 chunk into ``bank`` and decide its steps,
+    which follow on from ``bank.t``: a bank of ``config``'s ladder (two
+    rungs or more) walks it, and a bank of one fixed window does not.
+    Returns their report columns by name, ``window``, ``p_hat``, ``weights``,
+    ``prediction`` and, only after a walk, ``stop_reason``, in the dtypes of :class:`.Reports`."""
     sizes = bank._sizes
     t = np.arange(bank.t + 1, bank.t + len(rows) + 1)
     corr = bank._extend(rows)
-    if adaptive:
+    if len(sizes) > 1:
         k, stop_reason = _walk(corr, t, sizes, config.thresholds)
     else:
         k, stop_reason = np.zeros(len(rows), dtype=np.intp), None
@@ -219,12 +219,11 @@ def run_strategy(
         config = AdaptiveConfig(n=n)
     kind, fixed_r = _checked_strategy(strategy, config)
 
-    adaptive = kind == STRATEGY_ADAPTIVE
-    bank = CorrelationBank(n, config.schedule.sizes if adaptive else (fixed_r,))
+    bank = CorrelationBank(n, (fixed_r,) if kind == STRATEGY_FIXED else config.schedule.sizes)
     chunk = max(_CHUNK_MIN_ROWS, _CHUNK_BUDGET // (len(bank.sizes) * n * (n - 1) // 2))
     columns = {}
     for start in range(0, steps, chunk):
-        for name, values in _feed(bank, v[start:start + chunk], config, adaptive).items():
+        for name, values in _feed(bank, v[start:start + chunk], config).items():
             if not start:  # each column takes the dtype and row shape of its first chunk
                 columns[name] = np.empty((steps, *values.shape[1:]), dtype=values.dtype)
             columns[name][start:start + chunk] = values

@@ -24,6 +24,7 @@ Nothing here imports numpy.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -45,6 +46,28 @@ STOP_HORIZON = "horizon_reached"
 
 #: every stop reason, indexed by the code ``Reports.stop_reason`` stores
 STOPS = (STOP_THRESHOLD, STOP_HORIZON, STOP_SCHEDULE)
+
+
+def integer(value, what: str) -> int:
+    """``value`` as a Python int if it is a Python or numpy integer (not a
+    bool; a numpy bool has no index), else a :class:`ValueError` naming ``what``."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def window_sizes(sizes, least: int) -> tuple[int, ...]:
+    """The one window-ladder rule, of :class:`WindowSchedule` and :class:`.corrwin.CorrelationBank`:
+    ``least`` or more :func:`integer` sizes, strictly increasing from 1 up to the largest float."""
+    sizes = tuple(integer(s, "a window size") for s in sizes)
+    if len(sizes) < least or any(b <= a for a, b in zip((0, *sizes), sizes)):
+        raise ValueError(f"need {least} or more window sizes, positive and strictly increasing, got {sizes}")
+    if sizes[-1] > sys.float_info.max:  # the theory numbers take square roots of floats
+        raise ValueError(f"window sizes must not exceed the largest float, {sys.float_info.max!r}")
+    return sizes
 
 
 def union_bound_constant(n: int, m: int, delta: float) -> float:
@@ -88,11 +111,8 @@ def drift_threshold(r_small: int, r_large: int, beta: float, bound_const: float)
     ``bound_const * (2 beta / sqrt(r_small) + sqrt((1 - r_small/r_large) / r_small))``.
     The second term is the deviation band of the *difference* of the two
     overlapping estimates; the first is slack for the drift the walk
-    tolerates before it shrinks the window."""
-    if r_small < 1:
-        raise ValueError(f"window size must be positive, got {r_small}")
-    if r_large <= r_small:
-        raise ValueError(f"windows must increase: got {r_small} -> {r_large}")
+    tolerates before it shrinks the window.  The two sizes are a :func:`window_sizes` ladder."""
+    r_small, r_large = window_sizes((r_small, r_large), 2)
     if not 0.0 <= beta < math.inf:  # NaN fails
         raise ValueError(f"beta must be nonnegative and finite, got {beta}")
     if bound_const <= 0.0:
@@ -115,21 +135,11 @@ class WindowSchedule:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.sizes) < 2:
-            raise ValueError("schedule needs at least 2 window sizes")
-        for s in self.sizes:
-            if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-                raise ValueError(f"window sizes must be positive ints, got {s!r}")
-            if s > sys.float_info.max:  # the theory numbers take square roots of floats
-                raise ValueError(f"window sizes must not exceed the largest float, {sys.float_info.max!r}")
-        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ValueError(f"window sizes must be strictly increasing: {self.sizes}")
+        object.__setattr__(self, "sizes", window_sizes(self.sizes, 2))
 
     @classmethod
     def doubling(cls, m: int) -> "WindowSchedule":
         """The default ladder ``1, 2, 4, ..., 2**(m-1)``."""
-        if m < 2:
-            raise ValueError(f"need at least 2 windows, got m={m}")
         return cls(tuple(2**k for k in range(m)))
 
     @property
@@ -201,7 +211,7 @@ class AdaptiveConfig:
     clip_hi: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.n < 3:
+        if integer(self.n, "n") < 3:
             raise ValueError(f"need at least 3 labelers, got n={self.n}")
         if not 0.0 < self.beta < math.inf:  # NaN fails
             raise ValueError(f"beta must be positive and finite, got {self.beta}")

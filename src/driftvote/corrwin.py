@@ -25,23 +25,10 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
+from .core import integer, window_sizes
+
 #: ``1.0`` and ``True`` compare (and hash) equal to 1, ``1j`` and NaN do not
 _PLUS_MINUS_ONE = frozenset((1, -1))
-
-
-def _check_sizes(sizes) -> np.ndarray:
-    sizes = list(sizes)
-    try:
-        arr = np.asarray(sizes, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("window sizes must fit in int64") from None
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("need at least one window size")
-    if arr[0] < 1:
-        raise ValueError(f"window sizes must be positive, got {arr[0]}")
-    if np.any(np.diff(arr) <= 0):
-        raise ValueError(f"window sizes must be strictly increasing: {arr.tolist()}")
-    return arr
 
 
 class CorrelationBank:
@@ -50,20 +37,23 @@ class CorrelationBank:
     Parameters
     ----------
     n : int
-        Number of labelers (columns of the vote stream), at least 2.
+        Number of labelers (columns of the vote stream), an integer >= 2.
     sizes : iterable of int
-        Strictly increasing window sizes to track.
+        Window sizes to track, at least one, by :class:`.core.WindowSchedule`'s
+        rule (:func:`.core.window_sizes`) and within int64.  They are kept as
+        the ``sizes`` tuple and the int64 ``_sizes`` array the engine indexes;
+        a lookup takes a tracked size as a Python or numpy integer.
     """
 
     def __init__(self, n: int, sizes) -> None:
-        if n < 2:
+        self.n = integer(n, "n")
+        if self.n < 2:
             raise ValueError(f"need at least 2 labelers, got n={n}")
-        self.n = int(n)
-        self._sizes = _check_sizes(sizes)
-        self._size_tuple = tuple(self._sizes.tolist())
-        self._index = {r: k for k, r in enumerate(self._size_tuple)}
-        self._cap = int(self._sizes[-1])
-        self._ring = np.zeros((self._cap, self.n), dtype=np.int8)
+        self.sizes = window_sizes(sizes, 1)
+        if self.max_size > np.iinfo(np.int64).max:
+            raise ValueError("window sizes must fit in int64")
+        self._sizes = np.array(self.sizes, dtype=np.int64)
+        self._ring = np.zeros((self.max_size, self.n), dtype=np.int8)
         self._sums = np.zeros((len(self._sizes), self.n, self.n), dtype=np.int64)
         self._t = 0
 
@@ -77,11 +67,10 @@ class CorrelationBank:
         v = as_vote_matrix(votes, n)
         bank = cls(n, sizes)
         t = v.shape[0]
-        start = max(0, t - bank._cap)
-        idx = np.arange(start, t)
-        bank._ring[idx % bank._cap] = v[idx]
-        for k, r in enumerate(bank._sizes):
-            tail = v[max(0, t - int(r)):].astype(np.int64)
+        idx = np.arange(max(0, t - bank.max_size), t)
+        bank._ring[idx % bank.max_size] = v[idx]
+        for k, r in enumerate(bank.sizes):
+            tail = v[max(0, t - r):].astype(np.int64)
             bank._sums[k] = tail.T @ tail
         bank._t = t
         return bank
@@ -92,22 +81,17 @@ class CorrelationBank:
         return self._t
 
     @property
-    def sizes(self) -> tuple[int, ...]:
-        return self._size_tuple
-
-    @property
     def max_size(self) -> int:
-        return self._cap
+        return self.sizes[-1]
 
     @property
     def retained(self) -> int:
         """Number of vote vectors currently held in memory (<= max_size)."""
-        return min(self._t, self._cap)
+        return min(self._t, self.max_size)
 
     def window_length(self, r: int) -> int:
         """Effective sample count behind ``correlation(r)``: min(t, r)."""
-        self._key(r)
-        return min(self._t, int(r))
+        return min(self._t, self.sizes[self._key(r)])
 
     def push(self, votes) -> None:
         """Append one +/-1 vote vector and update every window's sums."""
@@ -118,14 +102,14 @@ class CorrelationBank:
             raise ValueError("votes must be +/-1; resolve abstentions before pushing")
         v8 = v.astype(np.int8)
         t = self._t
-        full = bisect_right(self._size_tuple, t)  # windows r <= t evict a vector
+        full = bisect_right(self.sizes, t)  # windows r <= t evict a vector
         if full:
             # read the evicted vectors before the ring slot for step t is
             # overwritten: for r == max_size they are the same slot.
             ev = self._ring.take(t - self._sizes[:full], axis=0, mode="wrap")
             self._sums[:full] -= ev[:, None, :] * ev[:, :, None]
         self._sums += v8[:, None] * v8[None, :]
-        self._ring[t % self._cap] = v8
+        self._ring[t % self.max_size] = v8
         self._t = t + 1
 
     def _extend(self, rows: np.ndarray) -> np.ndarray:
@@ -135,7 +119,7 @@ class CorrelationBank:
         iu, ju = np.triu_indices(n, 1)
         step = np.cumsum(rows[:, iu] * rows[:, ju], axis=0, dtype=np.int64)
         sums = self._sums[:, iu, ju] + step[:, None, :]
-        live = bisect_left(self._size_tuple, t0 + c)  # windows r < t0 + c evict
+        live = bisect_left(self.sizes, t0 + c)  # windows r < t0 + c evict
         if live:
             gone = np.arange(t0, t0 + c)[:, None] - sizes[:live]
             # a window not yet full evicts a zero row: gone < 0 wraps to an unfilled slot
@@ -145,14 +129,14 @@ class CorrelationBank:
             sums[:, :live] -= np.cumsum(old[..., iu] * old[..., ju], axis=0, dtype=np.int64)
         self._sums[:, iu, ju] = self._sums[:, ju, iu] = sums[-1]
         self._sums[:, range(n), range(n)] = np.minimum(sizes, t0 + c)[:, None]
-        self._ring[np.arange(t0, t0 + c)[-self._cap:] % self._cap] = rows[-self._cap:]
+        self._ring[np.arange(t0, t0 + c)[-self.max_size:] % self.max_size] = rows[-self.max_size:]
         self._t = t0 + c
         return sums / np.minimum(np.arange(t0 + 1, t0 + c + 1)[:, None], sizes)[..., None]
 
     def _key(self, r: int) -> int:
         try:
-            return self._index[int(r)]
-        except (KeyError, TypeError):
+            return self.sizes.index(integer(r, "a window size"))
+        except ValueError:
             raise ValueError(f"window size {r!r} is not tracked by this bank") from None
 
     def pair_sums(self, r: int) -> np.ndarray:
@@ -164,7 +148,7 @@ class CorrelationBank:
         k = self._key(r)
         if self._t == 0:
             raise ValueError("no votes pushed yet")
-        return self._sums[k] / min(self._t, int(r))
+        return self._sums[k] / min(self._t, self.sizes[k])
 
 
 def as_vote_matrix(votes, n: int) -> np.ndarray:

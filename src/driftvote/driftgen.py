@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Stream
+from .core import Stream, integer
 
 _ROLES = ("truth", "votes", "abstain", "permute")
 
@@ -44,7 +44,7 @@ class BlockSpec:
     accuracies: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.length < 1:
+        if integer(self.length, "block length") < 1:
             raise ValueError(f"block length must be positive, got {self.length}")
         if len(self.accuracies) < 1:
             raise ValueError("block needs at least one labeler accuracy")

@@ -1,17 +1,18 @@
 """Reading and writing vote streams and per-step reports.
 
 A stream file holds a :class:`~driftvote.core.Stream`: one line per
-step, in one of two formats.
+step, in one of two formats, after a UTF-8 byte-order mark if any.
 
 * JSONL (canonical): one object per line, ``{"votes": [...], "label": ...,
   "t": ...}`` with ``label``/``t`` optional.
-* CSV: a header row; every column except ``label`` and ``t`` is a vote
-  column, read in header order.  Written files use ``votes_1..votes_n``.
+* CSV: a header row, in which ``label`` and ``t`` do not repeat; every
+  other column is a vote column, read in header order.  Written files
+  use ``votes_1..votes_n``.
 
 Votes are -1, 0 (abstain), or +1; labels are +/-1.  A read stream
 carries labels (``truth``) only when every line has one.  ``t`` is
 accepted and checked on read but not kept; written streams carry no
-``t`` and no block annotations.
+``t`` and no block annotations, and have a labeler when they have a step.
 
 Reports (:class:`~driftvote.core.Reports`) are always JSONL with
 fields ``t``, then the columns of :data:`~driftvote.core.REPORT_COLUMNS`
@@ -156,10 +157,10 @@ def _canonical_block(lines):
     return np.ascontiguousarray(cells[:, :n]), cells[:, n] if labeled else None, {n}
 
 
-def _jsonl_lines(path):
+def _jsonl_lines(path, encoding: str):
     """Yield ``(linenos, lines)`` for each block of up to ``_BLOCK`` lines
-    of a text file that holds a nonblank line, blank lines left out."""
-    with open(path, encoding="utf-8") as fh:
+    of a text file in ``encoding`` that holds a nonblank line, blanks left out."""
+    with open(path, encoding=encoding) as fh:
         start = 1
         while raw := list(islice(fh, _BLOCK)):
             lines = list(filter(str.strip, raw))
@@ -249,9 +250,11 @@ def _csv_rows(path):
     """Yield checked ``(votes, label or None)`` for each nonblank CSV row."""
     import csv
 
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
+        if repeated := [name for name in ("label", "t") if header.count(name) > 1]:  # votes go by position
+            raise _bad(path, 1, f"repeated {repeated[0]!r} column")
         vote_cols = [i for i, name in enumerate(header) if name not in ("label", "t")]
         label_col = header.index("label") if "label" in header else None
         t_col = header.index("t") if "t" in header else None
@@ -284,7 +287,7 @@ def _csv_rows(path):
 
 def read_stream(path) -> Stream:
     """Parse a stream file (JSONL or CSV, sniffed from the first nonblank
-    line) into a :class:`Stream` of int8 votes, 0 kept for an abstention.
+    line, a UTF-8 byte-order mark skipped) into a :class:`Stream` of int8 votes, 0 kept for an abstention.
 
     ``truth`` is set only when every line carries a label.  An empty or
     blank file reads as zero rows.  All lines must have the same number
@@ -295,10 +298,10 @@ def read_stream(path) -> Stream:
     import numpy as np
 
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         head = next((line.lstrip() for line in fh if line.strip()), "")
     if head.startswith("{"):
-        blocks = [_jsonl_block(path, *block) for block in _jsonl_lines(path)]
+        blocks = [_jsonl_block(path, *block) for block in _jsonl_lines(path, "utf-8-sig")]
     else:
         blocks = [_rows_block(list(_csv_rows(path)) if head else [])]
     widths = set().union(*(block_widths for _, _, block_widths in blocks))
@@ -317,9 +320,9 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
 
     ``fmt`` defaults to the file extension (".csv" means CSV, anything
     else JSONL).  Both formats take what :func:`read_stream` reads back:
-    votes must be integers in {-1, 0, 1} and labels in {-1, 1} (a boolean
-    is not an integer); anything else raises :class:`ValueError` naming
-    the column.  JSONL lines are written by :func:`_stream_lines`.
+    votes must be integers in {-1, 0, 1}, a column of them or more when
+    there is a step, and labels in {-1, 1} (a boolean is not an integer);
+    anything else raises :class:`ValueError` naming the column.  JSONL lines are written by :func:`_stream_lines`.
     """
     import numpy as np
 
@@ -330,6 +333,8 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
         raise ValueError(f"unknown stream format {fmt!r}")
     cells = _writable("votes", stream.votes, 2, len(stream.votes), "b", _VOTE_VALUES)
     n, labeled = cells.shape[1], stream.truth is not None
+    if len(cells) and not n:  # its lines would hold no vote, which no reader reads
+        raise ValueError(f"'votes' must have a column per labeler, got shape {cells.shape}")
     if labeled:
         truth = _writable("truth", stream.truth, 1, len(cells), "b", _LABEL_VALUES)
         cells = np.column_stack((cells, truth))
@@ -502,7 +507,7 @@ def _report_columns(path) -> dict[str, tuple[array, int | None]]:
     once all are, in :data:`~driftvote.core.REPORT_COLUMNS` order: of a
     column's wrong values, one of the wrong shape or size names the error."""
     kept, errors = None, {}
-    for linenos, lines in _jsonl_lines(path):
+    for linenos, lines in _jsonl_lines(path, "utf-8"):  # a BOM is a JSON error here
         objects, error = _jsonl_decode(path, linenos, lines)
         for lineno, obj in zip(linenos, objects):
             if not isinstance(obj, dict) or "t" not in obj or "prediction" not in obj:

@@ -61,6 +61,8 @@ def test_drift_threshold_validation():
     with pytest.raises(ValueError):
         drift_threshold(4, 2, 0.1, 1.0)
     with pytest.raises(ValueError):
+        drift_threshold(1.5, 2, 0.1, 1.0)  # its sizes follow the ladder rule
+    with pytest.raises(ValueError):
         drift_threshold(1, 2, -0.1, 1.0)
     for beta in (math.nan, math.inf):  # NaN passes a `beta < 0` test
         with pytest.raises(ValueError, match="beta must be nonnegative and finite"):

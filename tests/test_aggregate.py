@@ -344,7 +344,7 @@ def test_feed_resumes_from_its_bank(n, strategy):
     bank = CorrelationBank(n, config.schedule.sizes if adaptive else (fixed_r,))
     parts, start = [], 0
     for length in (1, 7, 999, len(votes)):
-        parts.append(aggregate._feed(bank, votes[start:start + length], config, adaptive))
+        parts.append(aggregate._feed(bank, votes[start:start + length], config))
         start += length
     want = run_strategy(votes, strategy, config)
     names = ["window", "p_hat", "weights", "prediction"] + ["stop_reason"] * adaptive

@@ -8,6 +8,7 @@ regression in either the formula or the float evaluation order shows up.
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from driftvote import (
@@ -99,6 +100,12 @@ def test_schedule_validation():
         WindowSchedule.doubling(1)
 
 
+def test_schedule_stores_numpy_integers_as_python_ints():
+    s = WindowSchedule(np.array([1, 3, 9]))
+    assert s.sizes == (1, 3, 9) and {type(r) for r in s.sizes} == {int}
+    assert s == WindowSchedule((1, 3, 9)) and hash(s) == hash(WindowSchedule((1, 3, 9)))
+
+
 def test_selection_overhead_frozen_values():
     s = WindowSchedule.doubling(20)
     # frozen from 40-digit evaluation of the full two-argument max
@@ -150,6 +157,14 @@ def test_adaptive_config_defaults():
 def test_adaptive_config_validation():
     with pytest.raises(ValueError):
         AdaptiveConfig(n=2)
+    # a count that is no integer, a bool included, is no labeler count
+    for n in (3.5, 4.0, True, np.True_, "3"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            AdaptiveConfig(n=n)
+    for n in (2, np.int64(2)):
+        with pytest.raises(ValueError, match=f"need at least 3 labelers, got n={n}"):
+            AdaptiveConfig(n=n)
+    assert AdaptiveConfig(n=np.int64(4)).bound_const == AdaptiveConfig(n=4).bound_const
     with pytest.raises(ValueError):
         AdaptiveConfig(n=3, beta=0.0)
     for beta in (math.nan, math.inf):

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from driftvote import CorrelationBank, as_vote_matrix
+from driftvote import CorrelationBank, WindowSchedule, as_vote_matrix
 
 
 def random_votes(rng, steps, n):
@@ -138,6 +138,57 @@ def test_push_and_query_validation():
         bank.correlation(3)  # untracked window
     with pytest.raises(ValueError):
         bank.pair_sums(5)
+
+
+@pytest.mark.parametrize(
+    "ladder, want",
+    [
+        ([1.5, 2], None),
+        ([True, 2], None),
+        ([np.True_, 2], None),
+        ([2.0, 4], None),
+        (np.array([1, 2, 4]), (1, 2, 4)),
+        ([np.int32(3), 5], (3, 5)),
+        ((7,), (7,)),
+        ((1, 1), None),
+        ((2, 1), None),
+        ((0, 2), None),
+        ((), None),
+    ],
+    ids=repr,
+)
+def test_schedule_and_bank_share_one_ladder_rule(ladder, want):
+    """The schedule and the bank accept and reject the same ladders; a
+    ladder of one size is padded with a larger one for the schedule, which
+    needs two.  Accepted sizes are stored as Python ints."""
+    padded = [*ladder, ladder[-1] + 1] if len(ladder) == 1 else ladder
+    if want is None:
+        with pytest.raises(ValueError):
+            WindowSchedule(padded)
+        with pytest.raises(ValueError):
+            CorrelationBank(3, ladder)
+        return
+    schedule, bank = WindowSchedule(padded), CorrelationBank(3, ladder)
+    assert bank.sizes == want and schedule.sizes[:len(want)] == want
+    assert {type(r) for r in (*bank.sizes, *schedule.sizes)} == {int}
+
+
+def test_lookups_take_a_tracked_integer():
+    bank = CorrelationBank(3, (1, 2))
+    bank.push([1, -1, 1])
+    for r in (2.7, 2.0, True, np.True_, "2", None):
+        for lookup in (bank.window_length, bank.pair_sums, bank.correlation):
+            with pytest.raises(ValueError, match="not tracked"):
+                lookup(r)
+    assert bank.window_length(np.int64(2)) == 1
+    assert np.array_equal(bank.correlation(np.int64(2)), bank.correlation(2))
+    assert np.array_equal(bank.pair_sums(np.uint8(1)), bank.pair_sums(1))
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True, np.True_, "3"])
+def test_bank_rejects_a_labeler_count_that_is_no_integer(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        CorrelationBank(n, (1, 2))
 
 
 @pytest.mark.parametrize("bad", [1j, -1j, 1 + 0j, np.nan])

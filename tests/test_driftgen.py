@@ -48,6 +48,10 @@ def test_layout_and_accuracy_path():
 def test_config_validation():
     with pytest.raises(ValueError):
         BlockSpec(0, (0.9,))
+    for length in (2.5, 3.0, True, np.True_):  # a length that is no integer
+        with pytest.raises(ValueError, match="block length must be an integer"):
+            BlockSpec(length, (0.9,))
+    assert BlockSpec(np.int64(3), (0.9,)).length == 3
     with pytest.raises(ValueError):
         BlockSpec(5, ())
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Stream/report file formats: round-trips, sniffing, error reporting."""
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -100,6 +101,24 @@ def test_partially_labeled_file_reads_without_truth(tmp_path):
         stream = read_stream(path)
         assert stream.votes.tolist() == [[1, -1, 1], [0, 1, 1]]
         assert stream.truth is None
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "loose jsonl", "label-first csv"])
+def test_stream_file_with_a_bom_reads_as_without(tmp_path, fmt):
+    """A UTF-8 byte-order mark before a stream file's first line is skipped,
+    so a JSONL stream is not sniffed as CSV and a first CSV header of
+    ``label`` is the label column, not a vote column."""
+    plain = tmp_path / "plain.txt"
+    if fmt in ("jsonl", "csv"):
+        write_stream(plain, STREAM, fmt=fmt)
+    elif fmt == "loose jsonl":  # not canonical: read by JSON, not by bytes
+        plain.write_text('{"label": 1, "votes": [1,-1,0]}\n{"votes": [1,1,1], "label": -1}\n{"votes": [-1,0,0], "label": 1}\n')
+    else:
+        plain.write_text("label,a,b,c\n1,1,-1,0\n-1,1,1,1\n1,-1,0,0\n")
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert_same_stream(read_stream(plain), STREAM)
+    assert_same_stream(read_stream(bom), STREAM)
 
 
 def test_step_column_is_checked_but_not_kept(tmp_path):
@@ -202,6 +221,14 @@ def test_csv_error_messages(tmp_path):
     path.write_text("label,t\n1,2\n")
     with pytest.raises(StreamFormatError, match=r":1: no vote columns"):
         read_stream(path)
+
+    # vote columns are read by position, so only ``label`` and ``t`` must not repeat
+    for header, name in (("a,label,label", "label"), ("t,a,b,c,t", "t")):
+        path.write_text(header + "\n" + ",".join(["1"] * (header.count(",") + 1)) + "\n")
+        with pytest.raises(StreamFormatError, match=rf"^{re.escape(str(path))}:1: repeated '{name}' column$"):
+            read_stream(path)
+    path.write_text("a,a,label\n1,-1,1\n")
+    assert read_stream(path).votes.tolist() == [[1, -1]]
 
 
 def test_inconsistent_widths_rejected(tmp_path):
@@ -567,12 +594,15 @@ def test_write_stream_jsonl_bytes_match_json_dumps(tmp_path_factory, stream):
     assert path.read_text() == dumps_stream(stream)
 
 
-def test_write_stream_of_no_labelers_writes_empty_vote_lists(tmp_path):
-    path = tmp_path / "stream.jsonl"
-    for truth in (None, np.array([1, -1], dtype=np.int8)):
+def test_write_stream_rejects_a_stream_of_no_labelers(tmp_path):
+    """Lines of no votes read back as an error (JSONL) or as no rows (CSV),
+    so such a stream is refused before its file is opened."""
+    path = tmp_path / "stream.txt"
+    for fmt, truth in itertools.product(("jsonl", "csv"), (None, np.array([1, -1], dtype=np.int8))):
         stream = Stream(votes=np.empty((2, 0), dtype=np.int8), truth=truth)
-        write_stream(path, stream)
-        assert path.read_text() == dumps_stream(stream)
+        with pytest.raises(ValueError, match=r"'votes' must have a column per labeler, got shape \(2, 0\)"):
+            write_stream(path, stream, fmt=fmt)
+        assert not path.exists()
 
 
 def test_float32_estimates_are_written_as_json_writes_them(tmp_path):

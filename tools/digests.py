@@ -5,7 +5,7 @@ Run:  python3 tools/digests.py [ROOT]
 
 ROOT is the checkout whose ``src/`` and ``demos/`` are run (default: the
 checkout holding this script), so one script lists any two checkouts, and
-``diff`` of the two listings is the check.  The 49 outputs:
+``diff`` of the two listings is the check.  The 50 outputs:
 
 * ``simulate`` of the block-drift preset (block length 400, JSONL) and of
   two-block streams at n = 8 (JSONL) and n = 32 (CSV), and the columns
@@ -34,7 +34,11 @@ checkout holding this script), so one script lists any two checkouts, and
 * every online step's outputs (the ``WindowDecision`` with its probes, the
   raw and clipped accuracies, the window, the weights and both votes)
   over two-block streams of 2500, 1500 and 600 steps at n = 3, 8 and 32,
-  under the default ladder and ``doubling(7)``.
+  under the default ladder and ``doubling(7)``;
+* every online step's outputs of a one-rung ``(64,)`` bank over the same
+  streams (the window length, the raw and clipped accuracies, the weights
+  and the vote), looked up by the fixed window as the benchmark's
+  ``fixed:R`` online pass looks them up.
 """
 
 from __future__ import annotations
@@ -262,6 +266,25 @@ def online_steps() -> str:
     return h.hexdigest()
 
 
+def fixed_online_steps(fixed: int = 64) -> str:
+    from driftvote import AdaptiveConfig, CorrelationBank, log_odds_weights, recover_accuracies, weighted_vote
+
+    h = hashlib.sha256()
+    for n in STEPS:
+        votes, _ = two_block_votes(n)
+        config = AdaptiveConfig(n)
+        bank = CorrelationBank(n, [fixed])
+        for row in votes:
+            bank.push(row)
+            window = bank.window_length(fixed)
+            est = recover_accuracies(bank.correlation(fixed), config.clip_lo, config.clip_hi, window=window)
+            weights = log_odds_weights(est.accuracies)
+            for arr in (est.raw, est.accuracies, weights):
+                h.update(arr.tobytes())
+            h.update(f"{window} {weighted_vote(row, weights)}\n".encode())
+    return h.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
     if not (root / "src" / "driftvote" / "__init__.py").is_file():
@@ -274,6 +297,7 @@ def main(argv: list[str]) -> int:
         digests.update(demo_outputs(root, work))
     digests["engine/run_strategy-columns"] = engine_columns()
     digests["online/step-outputs"] = online_steps()
+    digests["online/fixed-step-outputs"] = fixed_online_steps()
     for name, digest in digests.items():
         print(f"{digest}  {name}")
     return 0
