@@ -124,7 +124,7 @@ def drift_threshold(r_small: int, r_large: int, beta: float, bound_const: float)
 
 @dataclass(frozen=True)
 class WindowSchedule:
-    """Strictly increasing ladder of candidate window sizes.
+    """Ladder of candidate window sizes, checked and kept as Python ints by :func:`window_sizes`.
 
     The adaptive rule walks the ladder from the smallest size upward and
     stops when consecutive estimates disagree by more than a drift

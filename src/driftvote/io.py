@@ -253,7 +253,8 @@ def _csv_rows(path):
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if repeated := [name for name in ("label", "t") if header.count(name) > 1]:  # votes go by position
+        # vote columns are read by position, so only these two names must be unique
+        if repeated := [name for name in ("label", "t") if header.count(name) > 1]:
             raise _bad(path, 1, f"repeated {repeated[0]!r} column")
         vote_cols = [i for i, name in enumerate(header) if name not in ("label", "t")]
         label_col = header.index("label") if "label" in header else None
