@@ -17,6 +17,11 @@ steps (labeler accuracies spread over 0.6..0.9) and prints:
 * ``majority``: ``majority_vote`` alone on the same steps, the whole
   online cost of the ``majority`` strategy, median and 99th percentile
   in microseconds per step;
+* per online call: the median microseconds of each of ``push``,
+  ``select_window``, ``correlation``, ``recover_accuracies``,
+  ``log_odds_weights`` and ``weighted_vote``, from a second pass over the
+  same steps on a bank loaded afresh, with a clock read between the
+  calls, so that the per-step column above carries no extra clock reads;
 * the peak RSS of each, from ``resource.getrusage`` in a child process of
   its own, so that one measurement does not inherit another's peak; the
   engine's is read after its first call.
@@ -37,6 +42,9 @@ import sys
 SEED = 5
 #: engine calls timed per case; the fastest one is reported
 ENGINE_REPEATS = 3
+#: the online calls of one step, in the order a step makes them
+CALLS = ("push", "select_window", "correlation", "recover_accuracies", "log_odds_weights",
+         "weighted_vote")
 
 
 def stream(n: int, steps: int):
@@ -115,8 +123,29 @@ def measure(case: str, n: int, steps: int, online_steps: int) -> dict:
         majority.append(clock() - t0)
     us_per_step, p99_us = median_p99_us(lat)
     majority_us, majority_p99_us = median_p99_us(majority)
+    rss_mb = peak_rss_mb()  # before the second bank, as the columns above have always read it
+    bank = CorrelationBank.from_history(n, votes[:steps - timed], config.schedule.sizes)
+    calls = {name: [] for name in CALLS}
+    for row in rows:
+        t0 = clock()
+        bank.push(row)
+        t1 = clock()
+        window = select_window(bank, config).window
+        t2 = clock()
+        corr = bank.correlation(window)
+        t3 = clock()
+        est = recover_accuracies(corr, lo, hi, window=window)
+        t4 = clock()
+        weights = log_odds_weights(est.accuracies)
+        t5 = clock()
+        weighted_vote(row, weights)
+        t6 = clock()
+        for name, start, end in zip(CALLS, (t0, t1, t2, t3, t4, t5), (t1, t2, t3, t4, t5, t6)):
+            calls[name].append(end - start)
+    call_us = {name: median_p99_us(ns)[0] for name, ns in calls.items()}
     return {"us_per_step": us_per_step, "p99_us": p99_us, "majority_us": majority_us,
-            "majority_p99_us": majority_p99_us, "peak_rss_mb": peak_rss_mb(), "timed_steps": timed}
+            "majority_p99_us": majority_p99_us, "call_us": call_us, "peak_rss_mb": rss_mb,
+            "timed_steps": timed}
 
 
 def main() -> int:
@@ -140,6 +169,7 @@ def main() -> int:
     print(f"{'n':>4}  {'engine us/step':>14}  {'online us/step':>14}  {'online p99 us':>13}  "
           f"{'speed-up':>8}  {'majority us/step':>16}  {'majority p99 us':>15}  "
           f"{'engine RSS MB':>13}  {'online RSS MB':>13}")
+    call_us = {}
     for n in counts:
         result = {}
         for case in ("engine", "online"):
@@ -154,6 +184,11 @@ def main() -> int:
               f"{online['p99_us']:>13.1f}  {online['us_per_step'] / engine['us_per_step']:>7.1f}x  "
               f"{online['majority_us']:>16.2f}  {online['majority_p99_us']:>15.2f}  "
               f"{engine['peak_rss_mb']:>13.1f}  {online['peak_rss_mb']:>13.1f}")
+        call_us[n] = online["call_us"]
+    print("online calls, median us per call (a second pass over the same steps):")
+    print(f"{'n':>4}  " + "  ".join(f"{name:>{len(name)}}" for name in CALLS))
+    for n, us in call_us.items():
+        print(f"{n:>4}  " + "  ".join(f"{us[name]:>{len(name)}.2f}" for name in CALLS))
     return 0
 
 

@@ -75,8 +75,9 @@ def select_window(bank: CorrelationBank, config: AdaptiveConfig) -> WindowDecisi
 
     reach = bisect_right(sizes, t)  # rungs within the horizon, at least one
     # a rung r <= t holds exactly r votes, so its own size is its divisor
-    corr = bank._sums[:reach] / bank._sizes[:reach, None, None]
-    gaps = np.abs(corr[1:] - corr[:-1]).reshape(reach - 1, bank.n**2).max(axis=1).tolist()
+    corr = bank._sums[:reach] / bank._divisors[:reach]
+    diff = corr[1:] - corr[:-1]
+    gaps = np.maximum.reduce(np.abs(diff, out=diff), axis=(1, 2)).tolist()
     for k, gap in enumerate(gaps):
         if not gap <= thresholds[k]:  # NaN fails
             chosen, stop = k + 1, STOP_THRESHOLD

@@ -87,7 +87,10 @@ def union_bound_constant(n: int, m: int, delta: float) -> float:
         Number of windows in the schedule, at least 2.
     delta : float
         Failure probability, in (0, 1).
+
+    ``n`` and ``m`` are :func:`integer` counts.
     """
+    n, m = integer(n, "n"), integer(m, "m")
     if n < 3:
         raise ValueError(f"need at least 3 labelers, got n={n}")
     if m < 2:
@@ -99,7 +102,8 @@ def union_bound_constant(n: int, m: int, delta: float) -> float:
 
 def statistical_error(r: int, bound_const: float) -> float:
     """High-probability sup-norm deviation of an r-sample correlation
-    estimate in the stationary case: ``bound_const / sqrt(r)``."""
+    estimate in the stationary case: ``bound_const / sqrt(r)``, for an :func:`integer` ``r``."""
+    r = integer(r, "a window size")
     if r < 1:
         raise ValueError(f"window size must be positive, got {r}")
     return bound_const / math.sqrt(r)

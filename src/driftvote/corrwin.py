@@ -6,7 +6,10 @@ pairwise correlation of the last ``min(t, r)`` vote vectors,
     corr[r]_{ij} = mean over the window of  v_i * v_j ,
 
 where votes are +/-1, so each pairwise product is +/-1 and the window sum
-is an exact integer.  One push costs O(K n^2) for K windows: the outer
+is an exact integer.  The sums are held as float64: each is bounded by the
+number of votes pushed, which no bank takes past 2**53, so every sum is
+exactly an integer, and dividing it gives the same bits as dividing the
+int64 sum would.  One push costs O(K n^2) for K windows: the outer
 product of the vector falling out of each window already at capacity is
 subtracted from its accumulator, and the new outer product is added to
 every accumulator.  Sizes are increasing, so the windows at capacity are
@@ -42,7 +45,8 @@ class CorrelationBank:
         Window sizes to track, at least one, by :class:`.core.WindowSchedule`'s
         rule (:func:`.core.window_sizes`) and within int64.  They are kept as
         the ``sizes`` tuple and the int64 ``_sizes`` array the engine indexes;
-        a lookup takes a tracked size as a Python or numpy integer.
+        a lookup takes a tracked size as a Python or numpy integer.  Each
+        window's sums are float64 holding exact integers (module docstring).
     """
 
     def __init__(self, n: int, sizes) -> None:
@@ -54,7 +58,11 @@ class CorrelationBank:
             raise ValueError("window sizes must fit in int64")
         self._sizes = np.array(self.sizes, dtype=np.int64)
         self._ring = np.zeros((self.max_size, self.n), dtype=np.int8)
-        self._sums = np.zeros((len(self._sizes), self.n, self.n), dtype=np.int64)
+        shape = (len(self._sizes), self.n, self.n)
+        # exact integers in float64 (module docstring), divided by the walk
+        # as one same-dtype, same-shape call by each rung's size
+        self._sums = np.zeros(shape)
+        self._divisors = np.broadcast_to(self._sizes[:, None, None], shape).astype(float)
         self._t = 0
 
     @classmethod
@@ -100,7 +108,7 @@ class CorrelationBank:
             raise ValueError(f"expected a vote vector of shape ({self.n},), got {v.shape}")
         if v.dtype.kind == "c" or not set(v.tolist()) <= _PLUS_MINUS_ONE:
             raise ValueError("votes must be +/-1; resolve abstentions before pushing")
-        v8 = v.astype(np.int8)
+        v8 = v if v.dtype == np.int8 else v.astype(np.int8)
         t = self._t
         full = bisect_right(self.sizes, t)  # windows r <= t evict a vector
         if full:
@@ -108,7 +116,7 @@ class CorrelationBank:
             # overwritten: for r == max_size they are the same slot.
             ev = self._ring.take(t - self._sizes[:full], axis=0, mode="wrap")
             self._sums[:full] -= ev[:, None, :] * ev[:, :, None]
-        self._sums += v8[:, None] * v8[None, :]
+        self._sums += v8[:, None] * v8
         self._ring[t % self.max_size] = v8
         self._t = t + 1
 
@@ -117,7 +125,7 @@ class CorrelationBank:
         return (c, K, P) float64 upper-triangle correlations after each row."""
         c, n, t0, sizes = len(rows), self.n, self._t, self._sizes
         iu, ju = np.triu_indices(n, 1)
-        step = np.cumsum(rows[:, iu] * rows[:, ju], axis=0, dtype=np.int64)
+        step = np.cumsum(rows[:, iu] * rows[:, ju], axis=0, dtype=float)
         sums = self._sums[:, iu, ju] + step[:, None, :]
         live = bisect_left(self.sizes, t0 + c)  # windows r < t0 + c evict
         if live:
@@ -126,7 +134,7 @@ class CorrelationBank:
             old = self._ring.take(gone, axis=0, mode="wrap")
             fresh = gone >= t0
             old[fresh] = rows[gone[fresh] - t0]
-            sums[:, :live] -= np.cumsum(old[..., iu] * old[..., ju], axis=0, dtype=np.int64)
+            sums[:, :live] -= np.cumsum(old[..., iu] * old[..., ju], axis=0, dtype=float)
         self._sums[:, iu, ju] = self._sums[:, ju, iu] = sums[-1]
         self._sums[:, range(n), range(n)] = np.minimum(sizes, t0 + c)[:, None]
         self._ring[np.arange(t0, t0 + c)[-self.max_size:] % self.max_size] = rows[-self.max_size:]
@@ -140,8 +148,8 @@ class CorrelationBank:
             raise ValueError(f"window size {r!r} is not tracked by this bank") from None
 
     def pair_sums(self, r: int) -> np.ndarray:
-        """Integer sums of pairwise vote products over the last min(t, r) steps."""
-        return self._sums[self._key(r)].copy()
+        """Integer sums of pairwise vote products over the last min(t, r) steps, as int64."""
+        return self._sums[self._key(r)].astype(np.int64)
 
     def correlation(self, r: int) -> np.ndarray:
         """Empirical correlation matrix over the last min(t, r) votes."""

@@ -322,8 +322,10 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
     ``fmt`` defaults to the file extension (".csv" means CSV, anything
     else JSONL).  Both formats take what :func:`read_stream` reads back:
     votes must be integers in {-1, 0, 1}, a column of them or more when
-    there is a step, and labels in {-1, 1} (a boolean is not an integer);
-    anything else raises :class:`ValueError` naming the column.  JSONL lines are written by :func:`_stream_lines`.
+    there is a step and a step or more when there is a column, and labels
+    in {-1, 1} (a boolean is not an integer); anything else raises
+    :class:`ValueError` naming the column.  A stream of no steps and no
+    labelers writes an empty file.  JSONL lines are written by :func:`_stream_lines`.
     """
     import numpy as np
 
@@ -336,6 +338,8 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
     n, labeled = cells.shape[1], stream.truth is not None
     if len(cells) and not n:  # its lines would hold no vote, which no reader reads
         raise ValueError(f"'votes' must have a column per labeler, got shape {cells.shape}")
+    if n and not len(cells):  # no line would hold its labelers: it would read back as (0, 0)
+        raise ValueError(f"'votes' must have a step when it has labelers, got shape {cells.shape}")
     if labeled:
         truth = _writable("truth", stream.truth, 1, len(cells), "b", _LABEL_VALUES)
         cells = np.column_stack((cells, truth))

@@ -83,13 +83,16 @@ def _recover_raw(pairs: np.ndarray, n: int) -> np.ndarray:
     # so that argmax runs along memory and takes the first max in triu order
     mag = np.abs(pairs)
     pick = np.fmin(mag[:, None], cap, order="C").argmax(axis=2) + offset
-    # the flat indices in ``pairs`` of each pick's (i, j), (i, h) and (h, j)
-    at = witness.take(pick, axis=1) + np.arange(0, batch * size, size)[:, None]
+    # the flat indices in ``pairs`` of each pick's (i, j), (i, h) and (h, j);
+    # the first row's are its pair indices, a later row's are offset by its start
+    at = witness.take(pick, axis=1)
+    if batch > 1:
+        at += np.arange(0, batch * size, size)[:, None]
     # gathered as |C|: |C_ih| |C_hj| / |C_ij| is |C_ih C_hj / C_ij| bit for bit
-    c_ij, c_ih, c_hj = mag.take(at)
-    degenerate = c_ij <= ZERO_TOL
-    c_ij[degenerate] = 1.0  # a fresh gather: the input is left as it was
-    raw = 0.5 * (1.0 + np.sqrt(c_ih * c_hj / c_ij))
+    c = mag.take(at)  # rows |C_ij|, |C_ih|, |C_hj|
+    degenerate = c[0] <= ZERO_TOL
+    c[0][degenerate] = 1.0  # a fresh gather: the input is left as it was
+    raw = 0.5 * (1.0 + np.sqrt(c[1] * c[2] / c[0]))
     raw[degenerate] = 0.5
     return raw
 
@@ -121,7 +124,8 @@ def recover_accuracies(
         raise ValueError(f"recovery needs at least 3 labelers, got {n}")
     # the bound fails on NaN and +/-inf too, before inf - inf can warn
     # c - c.T is antisymmetric to the bit, so its max is its largest |entry|
-    if not np.abs(c).max() <= 1.0 + _SYM_TOL or not (c - c.T).max() <= _SYM_TOL:
+    if (not np.maximum.reduce(np.abs(c), axis=None) <= 1.0 + _SYM_TOL
+            or not np.maximum.reduce(c - c.T, axis=None) <= _SYM_TOL):
         raise ValueError("correlation matrix must be symmetric with entries in [-1, 1]")
     if not all(abs(x - 1.0) <= _SYM_TOL for x in c.diagonal().tolist()):
         raise ValueError("correlation matrix must have unit diagonal")

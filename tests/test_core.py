@@ -59,6 +59,24 @@ def test_union_bound_constant_validation():
         union_bound_constant(3, 20, 1.0)
 
 
+@pytest.mark.parametrize("bad", [3.5, 3.0, True, "3"])
+def test_theory_counts_must_be_integers(bad):
+    # a float or bool count once gave a number (3.4228 for n = 3.5, m = 2.5,
+    # and 1.0 for r = True); it is refused like the ladder's sizes are
+    with pytest.raises(ValueError, match="must be an integer"):
+        union_bound_constant(bad, 20, 0.1)
+    with pytest.raises(ValueError, match="must be an integer"):
+        union_bound_constant(3, bad, 0.1)
+    with pytest.raises(ValueError, match="a window size must be an integer"):
+        statistical_error(bad, 1.0)
+
+
+def test_theory_counts_take_numpy_integers():
+    for kind in (np.int8, np.uint16, np.int64):
+        assert union_bound_constant(kind(3), kind(20), 0.1) == union_bound_constant(3, 20, 0.1)
+        assert statistical_error(kind(4), 2.5) == statistical_error(4, 2.5) == 1.25
+
+
 def test_statistical_error_values_and_monotonicity():
     a = union_bound_constant(3, 20, 0.1)
     assert statistical_error(1, a) == a

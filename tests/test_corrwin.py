@@ -248,3 +248,25 @@ def test_extend_matches_push_loop_exactly(sizes):
         pushed.push(row)
         for r in sizes:
             assert extended.pair_sums(r).tobytes() == pushed.pair_sums(r).tobytes()
+
+
+def test_sums_equal_naive_int64_sums_by_every_route():
+    """The bank holds its sums as float64 that are exact integers: after
+    ``push``, ``_extend`` and ``from_history`` every window's sums equal the
+    naive int64 sums, and ``pair_sums`` gives them as int64."""
+    rng = np.random.default_rng(19)
+    n, sizes = 5, (1, 3, 8, 20)
+    votes = random_votes(rng, 90, n)
+    pushed, extended = CorrelationBank(n, sizes), CorrelationBank(n, sizes)
+    for step in (1, 7, 19, 20, 21, 64, 90):  # each route up to ``step`` votes
+        for row in votes[pushed.t:step]:
+            pushed.push(row)
+        extended._extend(votes[extended.t:step])
+        loaded = CorrelationBank.from_history(n, votes[:step], sizes)
+        for bank in (pushed, extended, loaded):
+            assert bank._sums.dtype == np.float64
+            for k, r in enumerate(sizes):
+                want = naive_pair_sums(list(votes[:step]), r)
+                got = bank.pair_sums(r)
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+                assert np.array_equal(bank._sums[k], want)

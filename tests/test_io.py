@@ -605,6 +605,24 @@ def test_write_stream_rejects_a_stream_of_no_labelers(tmp_path):
         assert not path.exists()
 
 
+def test_write_stream_rejects_labelers_with_no_steps(tmp_path):
+    """A (0, n) stream once wrote an empty JSONL file or a CSV header that
+    read back as shape (0, 0), so it is refused before its file is opened;
+    a (0, 0) stream still writes a file that reads back as (0, 0): an empty
+    JSONL file, and a CSV file of one blank header line."""
+    path = tmp_path / "stream.txt"
+    for fmt, truth in itertools.product(("jsonl", "csv"), (None, np.empty(0, dtype=np.int8))):
+        stream = Stream(votes=np.empty((0, 3), dtype=np.int8), truth=truth)
+        with pytest.raises(ValueError, match=r"'votes' must have a step when it has labelers, got shape \(0, 3\)"):
+            write_stream(path, stream, fmt=fmt)
+        assert not path.exists()
+    for fmt in ("jsonl", "csv"):
+        write_stream(path, Stream(votes=np.empty((0, 0), dtype=np.int8)), fmt=fmt)
+        assert path.read_bytes() == {"jsonl": b"", "csv": b"\r\n"}[fmt]
+        assert read_stream(path).votes.shape == (0, 0)
+        path.unlink()
+
+
 def test_float32_estimates_are_written_as_json_writes_them(tmp_path):
     p_hat = np.array([[0.1, 0.7], [1.0, -0.0]], dtype=np.float32)
     reports = Reports(prediction=np.array([1, -1], dtype=np.int8), window=np.array([1, 2]), p_hat=p_hat)

@@ -22,6 +22,7 @@ from driftvote import (
     AdaptiveConfig,
     AccuracyEstimate,
     CorrelationBank,
+    STOPS,
     GapProbe,
     WindowDecision,
     WindowSchedule,
@@ -29,6 +30,7 @@ from driftvote import (
     log_odds_weights,
     majority_vote,
     recover_accuracies,
+    run_strategy,
     select_window,
     weighted_vote,
 )
@@ -325,3 +327,40 @@ def test_select_window_matches_the_all_correlations_walk(n):
         if any(math.isnan(p.gap) for p in got.probes):
             reasons.add("nan")
     assert reasons == {STOP_THRESHOLD, STOP_SCHEDULE, STOP_HORIZON, "nan"}
+
+
+@pytest.mark.parametrize("schedule", [None, WindowSchedule.doubling(6)], ids=["default", "doubling-6"])
+@pytest.mark.parametrize("n", [3, 8, 32])
+def test_one_pushed_bank_gives_the_engine_columns(n, schedule):
+    """The online pass the benchmark times: one bank pushed row by row, each
+    step through ``select_window``, ``correlation``, ``recover_accuracies``,
+    ``log_odds_weights`` and ``weighted_vote``, gives ``run_strategy``'s
+    columns bit for bit over a two-block stream.  Under ``doubling(6)`` the
+    ring of 32 slots wraps many times."""
+    steps, edge = 900, 550
+    rng = np.random.default_rng([n, steps])
+    before = np.linspace(0.6, 0.9, n)
+    after = np.r_[0.1, before[:0:-1]]  # the weakest labeler falls below chance
+    acc = np.where(np.arange(steps)[:, None] < edge, before, after)
+    truth = rng.choice(np.array([-1, 1], dtype=np.int8), size=steps)
+    votes = np.where(rng.random((steps, n)) < acc, truth[:, None], -truth[:, None]).astype(np.int8)
+    config = AdaptiveConfig(n=n) if schedule is None else AdaptiveConfig(n=n, schedule=schedule)
+    bank = CorrelationBank(n, config.schedule.sizes)
+    window, stop, p_hat, weights, prediction = [], [], [], [], []
+    for row in votes:
+        bank.push(row)
+        decision = select_window(bank, config)
+        corr = bank.correlation(decision.window)
+        est = recover_accuracies(corr, config.clip_lo, config.clip_hi, window=decision.window)
+        w = log_odds_weights(est.accuracies)
+        window.append(decision.window)
+        stop.append(STOPS.index(decision.stop_reason))
+        p_hat.append(est.accuracies)
+        weights.append(w)
+        prediction.append(weighted_vote(row, w))
+    want = run_strategy(votes, "adaptive", config)
+    assert want.window.tolist() == window and want.stop_reason.tolist() == stop
+    assert want.p_hat.tobytes() == np.array(p_hat).tobytes()
+    assert want.weights.tobytes() == np.array(weights).tobytes()
+    assert want.prediction.tolist() == prediction
+    assert len(set(stop)) > 1  # threshold stops on the default ladder, the schedule's end on the short one
