@@ -325,7 +325,7 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
     there is a step and a step or more when there is a column, and labels
     in {-1, 1} (a boolean is not an integer); anything else raises
     :class:`ValueError` naming the column.  A stream of no steps and no
-    labelers writes an empty file.  JSONL lines are written by :func:`_stream_lines`.
+    labelers writes a file that reads back as such.  JSONL lines are written by :func:`_stream_lines`.
     """
     import numpy as np
 
