@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import STOP_HORIZON, STOP_SCHEDULE, STOP_THRESHOLD, STOPS, AdaptiveConfig
-from .core import drift_threshold  # noqa: F401  the walk's threshold, re-exported
 from .corrwin import CorrelationBank
 
 

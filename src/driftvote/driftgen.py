@@ -106,7 +106,8 @@ def resolve_abstentions(votes, seed_or_rng) -> np.ndarray:
     identically.  Accepts a (n,) vector or (T, n) matrix.
     """
     v = np.asarray(votes)
-    if not np.all(np.isin(v, (-1, 0, 1))):
+    # a complex array fails even where ``1+0j == 1``: its int8 cast would drop the imaginary part
+    if v.dtype.kind == "c" or not np.all(np.isin(v, (-1, 0, 1))):
         raise ValueError("votes must be -1, 0 (abstain), or +1")
     out = v.astype(np.int8)  # astype copies: the input is left as it was
     gaps = out == 0

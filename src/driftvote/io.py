@@ -35,11 +35,10 @@ shortest repr, and raises a :class:`ValueError` naming the column.
 
 JSONL files are read in blocks of lines (:func:`_jsonl_lines`,
 :func:`_jsonl_decode`) and written byte for byte as ``json.dumps`` of
-each line gives them: streams by :func:`_stream_lines`, which also reads
-canonical stream blocks back, ``majority`` reports (no column but
-``prediction`` and ``truth``) by :func:`_majority_lines` as ``{"t": ``,
-the digits of ``t`` and one of six spelled line ends, and other reports
-from one ``%``-format template per file.
+each line gives them: streams from byte grids by :func:`_stream_lines`,
+which also reads canonical stream blocks back, and reports from one
+``%``-format template per file, each line closed by one of the line ends
+spelled once for every combination of the values of its last columns.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from itertools import chain, islice
+from itertools import chain, islice, product
 from math import isfinite
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -67,14 +66,14 @@ _LABEL_VALUES = (-1, 1)
 
 #: JSONL lines read, decoded and checked together
 _BLOCK = 4096
-#: rows each byte encoder writes together: its byte grids then stay under
+#: rows the stream encoder writes together: its byte grids then stay under
 #: glibc's 128 KiB mmap threshold, so writing reuses freed heap memory and
 #: adds no peak RSS (4096 rows added about 0.45 MB to ``run``)
 _WRITE_ROWS = 1024
 #: an object closed and followed by a comma within one line
 _OBJECT_THEN_COMMA = re.compile(r"\}[ \t\r]*,")
 _MINUS, _ZERO = ord("-"), ord("0")
-#: a byte no JSONL line holds: the byte encoders' pad, which they drop
+#: a byte no JSONL line holds: the stream encoder's pad, which it drops
 _PAD = 0
 
 
@@ -325,7 +324,7 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
     there is a step and a step or more when there is a column, and labels
     in {-1, 1} (a boolean is not an integer); anything else raises
     :class:`ValueError` naming the column.  A stream of no steps and no
-    labelers writes a file that reads back as such.  JSONL lines are written by :func:`_stream_lines`.
+    labelers writes an empty file.  JSONL lines are written by :func:`_stream_lines`.
     """
     import numpy as np
 
@@ -348,7 +347,8 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
 
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow([f"votes_{i + 1}" for i in range(n)] + ["label"] * labeled)
+            if n:  # a stream of no labelers is an empty file, as in JSONL
+                writer.writerow([f"votes_{i + 1}" for i in range(n)] + ["label"] * labeled)
             writer.writerows(cells.tolist())
         return
     with open(path, "wb") as fh:
@@ -366,7 +366,7 @@ def _writable(name: str, column, ndim: int, rows: int, typecode: str, values) ->
     """``column`` as an array of ``rows`` rows and ``ndim`` dimensions: finite
     float64 for typecode "d", else integers (a boolean is not one) in
     ``values`` (a name's index) or positive when it is None, so that a
-    ``%r``/``%s`` template writes it as ``json`` would; else a :class:`ValueError` naming it."""
+    ``%``-format template writes it as ``json`` would; else a :class:`ValueError` naming it."""
     import numpy as np
 
     floats = typecode == "d"
@@ -387,46 +387,6 @@ def _writable(name: str, column, ndim: int, rows: int, typecode: str, values) ->
     return a
 
 
-#: the ends of majority report lines after the digits of ``t``, unlabeled and
-#: labeled, by ``(prediction > 0) + 2 * (truth > 0)``, padded with ``_PAD``
-_MAJORITY_ENDS = tuple(
-    "".join(end.ljust(max(map(len, ends)), chr(_PAD)) for end in ends).encode()
-    for ends in (
-        [', "prediction": %d}\n' % p for p in (-1, 1)],
-        [', "prediction": %d, "truth": %d, "correct": %s}\n' % (p, t, json.dumps(p == t))
-         for t in (-1, 1) for p in (-1, 1)],
-    )
-)
-
-
-def _majority_lines(start: int, prediction: np.ndarray, truth: np.ndarray | None) -> np.ndarray:
-    """The uint8 bytes of the report lines of steps ``start, start + 1,
-    ...`` of a run whose only columns are ``prediction`` and ``truth``
-    (values -1 or 1), as ``json.dumps`` spells them:
-    ``{"t": 12, "prediction": -1, "truth": 1, "correct": false}``, or
-    ``{"t": 12, "prediction": -1}`` when ``truth`` is None.
-
-    Every line is first one row of a grid: ``{"t": ``, a slot for each
-    digit of the largest ``t`` (``_PAD`` before a shorter ``t``) and its
-    end of :data:`_MAJORITY_ENDS`.
-    """
-    import numpy as np
-
-    rows, labeled = len(prediction), truth is not None
-    ends = np.frombuffer(_MAJORITY_ENDS[labeled], dtype=np.uint8).reshape(2 + 2 * labeled, -1)
-    key = np.frombuffer(b'{"t": ', dtype=np.uint8)
-    digits = len(str(start + rows - 1))
-    at = len(key) + digits
-    grid = np.empty((rows, at + ends.shape[1]), dtype=np.uint8)
-    grid[:, :len(key)] = key
-    t = np.arange(start, start + rows)
-    for power in range(digits):  # the digit of 10**power, then a column, fill t's slots
-        grid[:, at - 1 - power] = np.where(t >= 10**power, t // 10**power % 10 + _ZERO, _PAD)
-    # an integer index: a boolean one would be a mask
-    grid[:, at:] = ends[(prediction > 0) + (2 * (truth > 0) if labeled else 0)]
-    return _compact(grid)
-
-
 def write_reports(path, reports: Reports) -> None:
     """Write :class:`Reports` as JSONL, one line per step: ``t`` = 1..T and
     the present columns in :data:`~driftvote.core.REPORT_COLUMNS` order,
@@ -436,38 +396,42 @@ def write_reports(path, reports: Reports) -> None:
     that its table entry gives it: windows positive, predictions and
     labels -1 or 1, ``p_hat``/``weights`` finite and stop reasons codes of
     ``STOPS``, so that :func:`read_reports` reads back what is written;
-    anything else raises :class:`ValueError` naming the column.  Reports
-    with no column but ``prediction`` and ``truth`` are written by
-    :func:`_majority_lines`, all others from one ``%``-format template.
+    anything else raises :class:`ValueError` naming the column.  One
+    ``%``-format template writes every line; its last slot takes the
+    line's end, the columns with a value set (the table's last), spelled
+    once for each combination of their values and picked by a row code.
     """
+    import numpy as np
+
     rows = len(reports)
     columns = {}
     for name, (typecode, ndim, values, _) in REPORT_COLUMNS.items():
         if (column := getattr(reports, name)) is not None:
             columns[name] = _writable(name, column, ndim, rows, typecode, values)
-    prediction, truth = columns["prediction"], columns.get("truth")
-    if columns.keys() <= {"prediction", "truth"}:
-        with open(path, "wb") as fh:
-            for start in range(0, rows, _WRITE_ROWS):
-                block = slice(start, start + _WRITE_ROWS)
-                labels = None if truth is None else truth[block]
-                fh.write(_majority_lines(start + 1, prediction[block], labels))
-        return
-    fields, cells = ['"t": %d'], [range(1, rows + 1)]
+    fields, cells, coded = ['"t": %d'], [range(1, rows + 1)], {}
     for name, column in columns.items():
-        if column.ndim == 2:
+        if (values := REPORT_COLUMNS[name][2]) is not None:
+            coded[name] = values
+        elif column.ndim == 2:
             fields.append(f'"{name}": [' + ", ".join(["%r"] * column.shape[1]) + "]")
             cells += column.T.tolist()
-            continue
-        fields.append(f'"{name}": %s')
-        values, names = column.tolist(), REPORT_COLUMNS[name][2]
-        if names and type(names[0]) is str:  # the index of a name is stored: spell the name
-            values = list(map(tuple(map(json.dumps, names)).__getitem__, values))
-        cells.append(values)
-        if name == "truth":
-            fields.append('"correct": %s')
-            cells.append(list(map(("false", "true").__getitem__, (prediction == truth).tolist())))
-    template = "{" + ", ".join(fields) + "}\n"
+        else:
+            fields.append(f'"{name}": %d')
+            cells.append(column.tolist())
+    code = np.zeros(rows, dtype=np.intp)
+    for name, values in coded.items():  # a name column stores its index already
+        index = columns[name] if type(values[0]) is str else np.searchsorted(values, columns[name])
+        code = code * len(values) + index
+    ends = []
+    for combination in product(*coded.values()):
+        end = {}
+        for name, value in zip(coded, combination):
+            end[name] = value
+            if name == "truth":
+                end["correct"] = end["prediction"] == value
+        ends.append(", " + json.dumps(end)[1:] + "\n")
+    cells.append(list(map(ends.__getitem__, code.tolist())))
+    template = "{" + ", ".join(fields) + "%s"
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(map(template.__mod__, zip(*cells)))
 

@@ -297,6 +297,14 @@ def test_adaptive_report_keys_follow_the_table(tmp_path, labeled_votes):
     assert all(list(json.loads(line)) == ["t", *names] for line in path.read_text().splitlines())
 
 
+def test_report_columns_with_value_sets_come_last():
+    """Each report line ends with the columns that have a value set, so
+    ``write_reports`` spells those ends once; a column with no value set
+    after them would have to be written out of table order."""
+    coded = [values is not None for _, _, values, _ in core.REPORT_COLUMNS.values()]
+    assert coded == sorted(coded) and coded[-1], coded
+
+
 def test_majority_reports_omit_fields(tmp_path, labeled_votes):
     votes, _ = labeled_votes
     reports = run_strategy(votes, "majority")
@@ -608,18 +616,20 @@ def test_write_stream_rejects_a_stream_of_no_labelers(tmp_path):
 def test_write_stream_rejects_labelers_with_no_steps(tmp_path):
     """A (0, n) stream once wrote an empty JSONL file or a CSV header that
     read back as shape (0, 0), so it is refused before its file is opened;
-    a (0, 0) stream still writes a file that reads back as (0, 0): an empty
-    JSONL file, and a CSV file of one blank header line."""
+    a (0, 0) stream, labeled or not, writes an empty file in both formats,
+    which reads back as (0, 0) (a CSV header of ``label`` alone, or of
+    nothing, would not)."""
     path = tmp_path / "stream.txt"
     for fmt, truth in itertools.product(("jsonl", "csv"), (None, np.empty(0, dtype=np.int8))):
         stream = Stream(votes=np.empty((0, 3), dtype=np.int8), truth=truth)
         with pytest.raises(ValueError, match=r"'votes' must have a step when it has labelers, got shape \(0, 3\)"):
             write_stream(path, stream, fmt=fmt)
         assert not path.exists()
-    for fmt in ("jsonl", "csv"):
-        write_stream(path, Stream(votes=np.empty((0, 0), dtype=np.int8)), fmt=fmt)
-        assert path.read_bytes() == {"jsonl": b"", "csv": b"\r\n"}[fmt]
-        assert read_stream(path).votes.shape == (0, 0)
+    for fmt, truth in itertools.product(("jsonl", "csv"), (None, np.empty(0, dtype=np.int8))):
+        write_stream(path, Stream(votes=np.empty((0, 0), dtype=np.int8), truth=truth), fmt=fmt)
+        assert path.read_bytes() == b""
+        back = read_stream(path)
+        assert back.votes.shape == (0, 0) and back.truth is None
         path.unlink()
 
 

@@ -5,7 +5,7 @@ Run:  python3 tools/digests.py [ROOT]
 
 ROOT is the checkout whose ``src/`` and ``demos/`` are run (default: the
 checkout holding this script), so one script lists any two checkouts, and
-``diff`` of the two listings is the check.  The 50 outputs:
+``diff`` of the two listings is the check.  The 55 outputs:
 
 * ``simulate`` of the block-drift preset (block length 400, JSONL) and of
   two-block streams at n = 8 (JSONL) and n = 32 (CSV), and the columns
@@ -25,6 +25,9 @@ checkout holding this script), so one script lists any two checkouts, and
   and ``read_reports`` of each report file, and ``eval`` of each report
   file (its exit code and stderr where it fails) with its ``--series-dir``
   CSVs (none for the unlabeled one);
+* an unlabeled copy of the block-drift stream (``write_stream`` of its
+  votes alone), ``run`` adaptive and ``fixed:64`` on it and ``eval`` of
+  each report file, so that every kind of report line end is listed;
 * ``bound`` with a margin and a beta sweep, and with the drift terms of
   the block-drift preset (block length 400) at step 900;
 * the stdout of the four narrative demos (``engine_scaling`` prints
@@ -156,6 +159,26 @@ def cli_outputs(work: Path) -> dict[str, str]:
         cli("bound", *flags, "--out", str(path))
         out[f"bound/{name}.json"] = sha(path.read_bytes())
     out.update(long_majority_outputs(cli, work))
+    out.update(unlabeled_outputs(cli, work))
+    return out
+
+
+def unlabeled_outputs(cli, work: Path) -> dict[str, str]:
+    """Digests of an unlabeled copy of the block-drift stream, of its
+    adaptive and ``fixed:64`` report files and of ``eval`` of each."""
+    from driftvote import Stream
+    from driftvote.io import read_stream, write_stream
+
+    stream = work / "bd-unlabeled.jsonl"
+    write_stream(stream, Stream(votes=read_stream(work / "bd.jsonl").votes, truth=None))
+    out = {f"write/{stream.name}": sha(stream.read_bytes())}
+    for strategy in ("adaptive", "fixed64"):
+        reports = work / f"{stream.stem}-{strategy}.jsonl"
+        summary = work / f"eval-{reports.stem}.json"
+        cli("run", "--input", str(stream), *STRATEGIES[strategy][0], "--out", str(reports))
+        cli("eval", "--reports", str(reports), "--out", str(summary))
+        out[f"run/{reports.name}"] = sha(reports.read_bytes())
+        out[f"eval/{reports.stem}.json"] = sha(summary.read_bytes())
     return out
 
 
