@@ -35,10 +35,11 @@ shortest repr, and raises a :class:`ValueError` naming the column.
 
 JSONL files are read in blocks of lines (:func:`_jsonl_lines`,
 :func:`_jsonl_decode`) and written byte for byte as ``json.dumps`` of
-each line gives them: streams from byte grids by :func:`_stream_lines`,
-which also reads canonical stream blocks back, and reports from one
-``%``-format template per file, each line closed by one of the line ends
-spelled once for every combination of the values of its last columns.
+each line gives them, ``_WRITE_ROWS`` lines at a time: streams from byte
+grids by :func:`_stream_lines`, which also reads canonical stream blocks
+back, and reports from one ``%`` template per file, each line closed by
+one of the line ends spelled once for every combination of its last
+columns' values.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ _LABEL_VALUES = (-1, 1)
 
 #: JSONL lines read, decoded and checked together
 _BLOCK = 4096
-#: rows the stream encoder writes together: its byte grids then stay under
-#: glibc's 128 KiB mmap threshold, so writing reuses freed heap memory and
-#: adds no peak RSS (4096 rows added about 0.45 MB to ``run``)
+#: rows each writer formats together: its byte grids and lists then stay under
+#: glibc's 128 KiB mmap threshold, so writing reuses freed heap memory and adds
+#: no peak RSS (4096-row grids, or whole-file lists, added about 0.4 MB to ``run``)
 _WRITE_ROWS = 1024
 #: an object closed and followed by a comma within one line
 _OBJECT_THEN_COMMA = re.compile(r"\}[ \t\r]*,")
@@ -396,32 +397,25 @@ def write_reports(path, reports: Reports) -> None:
     that its table entry gives it: windows positive, predictions and
     labels -1 or 1, ``p_hat``/``weights`` finite and stop reasons codes of
     ``STOPS``, so that :func:`read_reports` reads back what is written;
-    anything else raises :class:`ValueError` naming the column.  One
-    ``%``-format template writes every line; its last slot takes the
-    line's end, the columns with a value set (the table's last), spelled
-    once for each combination of their values and picked by a row code.
+    anything else raises :class:`ValueError` naming the column.  One ``%``
+    template writes every line; its last slot takes the line's end, the
+    columns with a value set, spelled once per combination of their values.
     """
     import numpy as np
 
-    rows = len(reports)
     columns = {}
     for name, (typecode, ndim, values, _) in REPORT_COLUMNS.items():
         if (column := getattr(reports, name)) is not None:
-            columns[name] = _writable(name, column, ndim, rows, typecode, values)
-    fields, cells, coded = ['"t": %d'], [range(1, rows + 1)], {}
+            columns[name] = _writable(name, column, ndim, len(reports), typecode, values)
+    fields, coded = ['"t": %d'], {}
     for name, column in columns.items():
         if (values := REPORT_COLUMNS[name][2]) is not None:
             coded[name] = values
         elif column.ndim == 2:
             fields.append(f'"{name}": [' + ", ".join(["%r"] * column.shape[1]) + "]")
-            cells += column.T.tolist()
         else:
             fields.append(f'"{name}": %d')
-            cells.append(column.tolist())
-    code = np.zeros(rows, dtype=np.intp)
-    for name, values in coded.items():  # a name column stores its index already
-        index = columns[name] if type(values[0]) is str else np.searchsorted(values, columns[name])
-        code = code * len(values) + index
+    planes = [np.atleast_2d(column.T) for name, column in columns.items() if name not in coded]
     ends = []
     for combination in product(*coded.values()):
         end = {}
@@ -430,10 +424,17 @@ def write_reports(path, reports: Reports) -> None:
             if name == "truth":
                 end["correct"] = end["prediction"] == value
         ends.append(", " + json.dumps(end)[1:] + "\n")
-    cells.append(list(map(ends.__getitem__, code.tolist())))
-    template = "{" + ", ".join(fields) + "%s"
+    template, steps = "{" + ", ".join(fields) + "%s", range(1, len(reports) + 1)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(template.__mod__, zip(*cells)))
+        for start in range(0, len(steps), _WRITE_ROWS):
+            block = slice(start, start + _WRITE_ROWS)
+            cells = [steps[block]] + [row for plane in planes for row in plane[:, block].tolist()]
+            code = np.zeros(len(cells[0]), dtype=np.intp)  # each row's index into ``ends``
+            for name, values in coded.items():  # a name column stores its index already
+                idx = columns[name][block]
+                code = code * len(values) + (idx if type(values[0]) is str else np.searchsorted(values, idx))
+            cells.append(list(map(ends.__getitem__, code.tolist())))
+            fh.write("".join(map(template.__mod__, zip(*cells))))
 
 
 def _report_values(name: str, values: list, width: int | None):

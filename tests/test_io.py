@@ -590,8 +590,11 @@ def strategy_reports(draw):
 @given(reports=strategy_reports())
 def test_write_reports_bytes_match_json_dumps(tmp_path_factory, reports):
     path = tmp_path_factory.mktemp("bytes") / "reports.jsonl"
-    write_reports(path, reports)
-    assert path.read_text() == dumps_reports(reports)
+    for rows in (dio._WRITE_ROWS, 7):  # 7: write block edges inside the reports
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dio, "_WRITE_ROWS", rows)
+            write_reports(path, reports)
+        assert path.read_text() == dumps_reports(reports)
 
 
 @settings(max_examples=60, deadline=None)
