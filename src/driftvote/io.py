@@ -67,9 +67,9 @@ _LABEL_VALUES = (-1, 1)
 
 #: JSONL lines read, decoded and checked together
 _BLOCK = 4096
-#: rows each writer formats together: its byte grids and lists then stay under
-#: glibc's 128 KiB mmap threshold, so writing reuses freed heap memory and adds
-#: no peak RSS (4096-row grids, or whole-file lists, added about 0.4 MB to ``run``)
+#: rows each writer formats together, so that no grid, list or string it builds
+#: passes glibc's 128 KiB mmap threshold and writing adds no peak RSS (4096-row
+#: grids, whole-file lists or joined 1024-line reports added 0.27-0.45 MB to ``run``)
 _WRITE_ROWS = 1024
 #: an object closed and followed by a comma within one line
 _OBJECT_THEN_COMMA = re.compile(r"\}[ \t\r]*,")
@@ -434,7 +434,7 @@ def write_reports(path, reports: Reports) -> None:
                 idx = columns[name][block]
                 code = code * len(values) + (idx if type(values[0]) is str else np.searchsorted(values, idx))
             cells.append(list(map(ends.__getitem__, code.tolist())))
-            fh.write("".join(map(template.__mod__, zip(*cells))))
+            fh.writelines(map(template.__mod__, zip(*cells)))
 
 
 def _report_values(name: str, values: list, width: int | None):

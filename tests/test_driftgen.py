@@ -152,7 +152,9 @@ def test_resolve_abstentions_accepts_vector_and_rejects_junk():
         resolve_abstentions([1, 2, -1], 0)
 
 
-@pytest.mark.parametrize("votes", [np.array([1 + 0j, 0, -1]), np.array([[1j, 1], [0, -1]])], ids=["real", "imaginary"])
+@pytest.mark.parametrize(
+    "votes", [np.array([1 + 0j, 0, -1]), np.array([[1j, 1], [0, -1]])], ids=["real", "imaginary"]
+)
 def test_resolve_abstentions_rejects_complex_votes(votes):
     # ``np.isin`` finds ``1+0j`` among -1, 0, 1, and the int8 cast would
     # warn and drop the imaginary part, so a complex array is refused
