@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import STOP_HORIZON, STOP_SCHEDULE, STOP_THRESHOLD, STOPS, AdaptiveConfig
+from .core import STOP_HORIZON, STOP_SCHEDULE, STOP_THRESHOLD, STOPS, AdaptiveConfig, _record
 from .corrwin import CorrelationBank
 
 
@@ -43,6 +43,11 @@ class WindowDecision:
     and ``horizon_reached`` when the next candidate window would be longer
     than the stream seen so far.  ``window`` never exceeds
     ``min(t, max ladder size)``.
+
+    A decision from :func:`select_window` builds its ``probes`` on first
+    read, from the gaps its walk captured, never from the bank as it is
+    later; from then on it holds exactly its four fields, as one built
+    by the constructor does.
     """
 
     chosen_index: int
@@ -50,23 +55,40 @@ class WindowDecision:
     stop_reason: str
     probes: tuple[GapProbe, ...]
 
+    def __getattr__(self, name: str):
+        # reached only for a name missing from the instance: the probes of
+        # an unread decision, which holds the walk's (gaps, sizes, thresholds)
+        walk = self.__dict__.get("_walk") if name == "probes" else None
+        if walk is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        gaps, sizes, thresholds = walk
+        # tuple.__new__ is what GapProbe(...) calls, without a Python frame per probe
+        fields = zip(count(1), sizes, sizes[1:], gaps, thresholds)
+        probes = self.__dict__["probes"] = tuple(map(tuple.__new__, repeat(GapProbe), fields))
+        self.__dict__.pop("_walk", None)
+        return probes
+
 
 def select_window(bank: CorrelationBank, config: AdaptiveConfig) -> WindowDecision:
     """Walk the ladder over ``bank``'s current state and pick a window.
 
-    The bank must track exactly ``config.schedule``'s sizes and must have
-    seen at least ``schedule.sizes[0]`` votes.  The ``reach`` rungs within
-    the horizon ``r <= t`` get their correlations from one division and
-    their gaps from one array operation; the walk builds a
-    :class:`GapProbe` per comparison up to the first that fails, which
+    The bank must track exactly ``config.schedule``'s sizes for
+    ``config.n`` labelers and must have seen at least ``schedule.sizes[0]``
+    votes.  The ``reach`` rungs within the horizon ``r <= t`` get their
+    correlations from one division and their gaps from one array
+    operation; the walk compares them up to the first that fails, which
     stops it at ``threshold_exceeded``.  Otherwise it stops at
     ``schedule_exhausted`` when every rung is within reach and at
-    ``horizon_reached`` when not.  :func:`_walk` is the same rule over many
-    steps at once.
+    ``horizon_reached`` when not.  The decision keeps the compared gaps
+    and builds their :class:`GapProbe` tuple on first read of its
+    ``probes``, so a caller that reads only ``window`` pays for none.
+    :func:`_walk` is the same rule over many steps at once.
     """
     sizes = config.schedule.sizes
     if bank.sizes != sizes:
         raise ValueError(f"bank tracks windows {list(bank.sizes)}, the schedule {list(sizes)}")
+    if bank.n != config.n:
+        raise ValueError(f"config expects {config.n} labelers, bank has {bank.n}")
     t = bank.t
     if t < sizes[0]:
         raise ValueError(f"need at least {sizes[0]} votes before selecting, have {t}")
@@ -83,10 +105,12 @@ def select_window(bank: CorrelationBank, config: AdaptiveConfig) -> WindowDecisi
             break
     else:
         chosen, stop = reach, STOP_SCHEDULE if reach == len(sizes) else STOP_HORIZON
-    # tuple.__new__ is what GapProbe(...) calls, without a Python frame per probe
-    fields = zip(range(1, reach), sizes, sizes[1:], gaps[:chosen], thresholds)
-    probes = tuple(map(tuple.__new__, repeat(GapProbe), fields))
-    return WindowDecision(chosen, sizes[chosen - 1], stop, probes)
+    # the executed comparisons' gaps, for WindowDecision.__getattr__ to build probes from
+    walk = tuple(gaps[:chosen]), sizes, thresholds
+    return _record(
+        WindowDecision,
+        {"chosen_index": chosen, "window": sizes[chosen - 1], "stop_reason": stop, "_walk": walk},
+    )
 
 
 _THRESHOLD, _HORIZON, _SCHEDULE = map(STOPS.index, (STOP_THRESHOLD, STOP_HORIZON, STOP_SCHEDULE))

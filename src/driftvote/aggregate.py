@@ -35,7 +35,7 @@ import numpy as np
 from .adaptive import _walk
 from .core import AdaptiveConfig, Reports
 from .corrwin import CorrelationBank, _all_plus_minus_one, as_vote_matrix
-from .triplet import _recover_raw
+from .triplet import _float_array, _recover_raw, _witness_table
 
 STRATEGY_ADAPTIVE = "adaptive"
 STRATEGY_MAJORITY = "majority"
@@ -43,8 +43,8 @@ STRATEGY_FIXED = "fixed"
 
 
 def log_odds_weights(p) -> np.ndarray:
-    """Per-labeler weights ``ln(p / (1 - p))``; requires 0 < p < 1."""
-    acc = np.asarray(p, dtype=float)
+    """Per-labeler weights ``ln(p / (1 - p))``; requires real 0 < p < 1."""
+    acc = _float_array(p, "accuracies")
     if not all(0.0 < x < 1.0 for x in acc.ravel().tolist()):  # NaN fails
         raise ValueError("accuracies must lie strictly inside (0, 1); clip estimates first")
     return np.log(acc / (1.0 - acc))
@@ -52,9 +52,10 @@ def log_odds_weights(p) -> np.ndarray:
 
 def weighted_vote(votes, weights) -> int:
     """Sign of the weighted vote sum; an exact tie predicts +1, and a NaN
-    sum (a NaN vote or weight, or opposite infinite terms) raises."""
-    v = np.asarray(votes, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    sum (a NaN vote or weight, or opposite infinite terms) or a complex
+    vote or weight raises."""
+    v = _float_array(votes, "votes")
+    w = _float_array(weights, "weights")
     if v.shape != w.shape:
         raise ValueError(f"votes {v.shape} and weights {w.shape} must align")
     # a finite sum of |products| bounds every partial sum of the dot product,
@@ -147,7 +148,7 @@ def _estimate(pairs: np.ndarray, n: int, config: AdaptiveConfig) -> tuple[np.nda
     symmetric with a unit diagonal, and ``AdaptiveConfig`` has already
     checked the clip band.
     """
-    p = np.clip(_recover_raw(pairs, n), config.clip_lo, config.clip_hi)
+    p = np.clip(_recover_raw(np.abs(pairs), _witness_table(n)), config.clip_lo, config.clip_hi)
     return p, np.log(p / (1.0 - p))
 
 

@@ -48,6 +48,16 @@ STOP_HORIZON = "horizon_reached"
 STOPS = (STOP_THRESHOLD, STOP_HORIZON, STOP_SCHEDULE)
 
 
+def _record(cls, fields: dict):
+    """A ``cls`` instance holding ``fields``, built without ``__init__``: a
+    frozen dataclass's sets each field through ``object.__setattr__``,
+    which the per-step calls would pay on every record.  The caller passes
+    every field, already checked."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 def integer(value, what: str) -> int:
     """``value`` as a Python int if it is a Python or numpy integer (not a
     bool; a numpy bool has no index), else a :class:`ValueError` naming ``what``."""

@@ -25,6 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core import _record
+
 #: below this magnitude a witness correlation is treated as exactly zero
 ZERO_TOL = 1e-15
 
@@ -61,6 +63,20 @@ def _witness_table(n: int) -> tuple[np.ndarray, ...]:
     return table
 
 
+_FLOAT64 = np.dtype(float)
+
+
+def _float_array(values, what: str) -> np.ndarray:
+    """``np.asarray(values, dtype=float)``, errors and messages included,
+    except that complex values raise: their float cast would warn, drop
+    the imaginary part and go on."""
+    a = np.asarray(values)
+    if a.dtype.kind == "c":
+        raise ValueError(f"{what} must be real, got complex values")
+    # the float64 arrays of a step pass an identity test, cheaper than a second asarray
+    return a if a.dtype is _FLOAT64 else np.asarray(values, dtype=float)
+
+
 def correlation_from_accuracies(p) -> np.ndarray:
     """Exact correlation matrix implied by accuracies ``p`` (unit diagonal)."""
     acc = np.asarray(p, dtype=float)
@@ -74,16 +90,17 @@ def correlation_from_accuracies(p) -> np.ndarray:
     return corr
 
 
-def _recover_raw(pairs: np.ndarray, n: int) -> np.ndarray:
-    """(B, n) raw accuracies from (B, P) upper-triangle correlations."""
-    _, cap, witness, offset = _witness_table(n)
-    batch, size = pairs.shape
+def _recover_raw(mag: np.ndarray, table: tuple[np.ndarray, ...]) -> np.ndarray:
+    """(B, n) raw accuracies from (B, P) upper-triangle correlation
+    magnitudes |C| of n labelers, whose :func:`_witness_table` is ``table``.
+    The map needs only |C| (the gather below), so a caller takes it once."""
+    _, cap, witness, offset = table
+    batch, size = mag.shape
     # all h at once: fmin puts the pairs touching h at -inf, a NaN too, and
     # a candidate's NaN at +inf, where argmax on |C| would pick it; C order
     # so that argmax runs along memory and takes the first max in triu order
-    mag = np.abs(pairs)
     pick = np.fmin(mag[:, None], cap, order="C").argmax(axis=2) + offset
-    # the flat indices in ``pairs`` of each pick's (i, j), (i, h) and (h, j);
+    # the flat indices in ``mag`` of each pick's (i, j), (i, h) and (h, j);
     # the first row's are its pair indices, a later row's are offset by its start
     at = witness.take(pick, axis=1)
     if batch > 1:
@@ -116,7 +133,7 @@ def recover_accuracies(
         Sample count behind ``corr``: a nonnegative Python or numpy
         integer, not a bool; carried through for reporting.
     """
-    c = np.asarray(corr, dtype=float)
+    c = _float_array(corr, "correlation matrix")
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"correlation matrix must be square, got shape {c.shape}")
     n = c.shape[0]
@@ -124,7 +141,8 @@ def recover_accuracies(
         raise ValueError(f"recovery needs at least 3 labelers, got {n}")
     # the bound fails on NaN and +/-inf too, before inf - inf can warn
     # c - c.T is antisymmetric to the bit, so its max is its largest |entry|
-    if (not np.maximum.reduce(np.abs(c), axis=None) <= 1.0 + _SYM_TOL
+    mag = np.abs(c)  # also the recovery's input
+    if (not np.maximum.reduce(mag, axis=None) <= 1.0 + _SYM_TOL
             or not np.maximum.reduce(c - c.T, axis=None) <= _SYM_TOL):
         raise ValueError("correlation matrix must be symmetric with entries in [-1, 1]")
     if not all(abs(x - 1.0) <= _SYM_TOL for x in c.diagonal().tolist()):
@@ -133,5 +151,9 @@ def recover_accuracies(
         raise ValueError(f"clip band must satisfy 0 < lo < 0.5 < hi < 1, got [{clip_lo}, {clip_hi}]")
     if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 0:
         raise ValueError(f"window must be a nonnegative integer, got {window!r}")
-    raw = _recover_raw(c.take(_witness_table(n)[0])[None], n)[0]
-    return AccuracyEstimate(raw=raw, accuracies=raw.clip(clip_lo, clip_hi), window=int(window))
+    table = _witness_table(n)
+    raw = _recover_raw(mag.take(table[0])[None], table)[0]
+    return _record(
+        AccuracyEstimate,
+        {"raw": raw, "accuracies": raw.clip(clip_lo, clip_hi), "window": int(window)},
+    )

@@ -183,6 +183,18 @@ def test_select_window_rejects_mismatched_bank():
             select_window(bank, cfg)
 
 
+def test_select_window_rejects_a_config_for_another_labeler_count():
+    # the ladders match, so only the count tells them apart: an n = 8
+    # config would walk an n = 3 bank with its own, larger thresholds
+    cfg = AdaptiveConfig(n=8, schedule=WindowSchedule((1, 2, 4, 8)))
+    assert cfg.thresholds[0] > AdaptiveConfig(n=3, schedule=cfg.schedule).thresholds[0]
+    bank = CorrelationBank(3, cfg.schedule.sizes)
+    for row in agreeing_votes(8):
+        bank.push(row)
+    with pytest.raises(ValueError, match="config expects 8 labelers, bank has 3"):
+        select_window(bank, cfg)
+
+
 def reference_walk(bank, config):
     """The per-rung walk that ``select_window`` replaced, kept as its
     oracle: one ``bank.correlation`` and one gap per comparison, over a

@@ -9,7 +9,10 @@ returns, bit for bit, or raise the same exception type with the same
 message, and it must not warn where its reference warned first.
 """
 
+import copy
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -175,6 +178,24 @@ def test_majority_vote_rejects_complex_votes(votes):
         warnings.simplefilter("error")
         with pytest.raises(TypeError, match="complex"):
             majority_vote(votes)
+
+
+@pytest.mark.parametrize("bad", [1j, 1 + 0j, 0.5 + 0.9j])
+def test_float_calls_reject_complex_input(bad):
+    # a float cast would warn, drop the imaginary part and go on: a 0.5+0.9j
+    # correlation recovered 0.854 and [1+9j, -1] against [0.1, 2.0] voted -1
+    corr = correlation_from_accuracies([0.8, 0.7, 0.6]).astype(complex)
+    corr[0, 1] = corr[1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning from a cast
+        with pytest.raises(ValueError, match="correlation matrix must be real"):
+            recover_accuracies(corr)
+        with pytest.raises(ValueError, match="accuracies must be real"):
+            log_odds_weights([0.7, bad, 0.6])
+        with pytest.raises(ValueError, match="votes must be real"):
+            weighted_vote([1, bad, -1], [0.1, 2.0, 0.3])
+        with pytest.raises(ValueError, match="weights must be real"):
+            weighted_vote([1, -1, 1], [0.1, bad, 0.3])
 
 
 LOG_ODDS_CASES = {
@@ -364,3 +385,64 @@ def test_one_pushed_bank_gives_the_engine_columns(n, schedule):
     assert want.weights.tobytes() == np.array(weights).tobytes()
     assert want.prediction.tolist() == prediction
     assert len(set(stop)) > 1  # threshold stops on the default ladder, the schedule's end on the short one
+
+
+def _unread_copies(bank, config):
+    """Pairs of an unread decision and a copy of it, made before either is read."""
+    for make in (copy.copy, copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))):
+        decision = select_window(bank, config)
+        yield decision, make(decision)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_copies_of_an_unread_decision_are_whole(n):
+    """A decision builds its probes on first read; a copy made before then
+    builds its own, whichever of the two is read first."""
+    for bank, config in _walk_cases(n):
+        want = repr(ref_select_window(bank, config))
+        for first_original in (True, False):
+            for decision, twin in _unread_copies(bank, config):
+                pair = (decision, twin) if first_original else (twin, decision)
+                assert [repr(d) for d in pair] == [want, want]
+                assert all(type(p) is GapProbe for d in pair for p in d.probes)
+        # replace reads the original's fields, the probes too, and builds an eager record
+        decision = select_window(bank, config)
+        assert [repr(dataclasses.replace(decision)), repr(decision)] == [want, want]
+        if not any(math.isnan(p.gap) for p in decision.probes):
+            twin = copy.copy(select_window(bank, config))
+            assert twin == decision and hash(twin) == hash(decision)
+        else:  # a NaN gap still stops the walk
+            assert decision.stop_reason == STOP_THRESHOLD and math.isnan(decision.probes[-1].gap)
+
+
+def test_probes_read_late_are_the_walks_at_decision_time():
+    """The probes come from the gaps the walk saw, not from the bank after
+    later pushes, even when the later bank would walk otherwise."""
+    config = AdaptiveConfig(n=3, schedule=WindowSchedule.doubling(8))
+    steady, flipped = np.full(3, 0.9), np.array([0.1, 0.9, 0.9])
+    bank = _walk_bank(3, config.schedule.sizes, steady, flipped, 200, 150)
+    decided = [(select_window(bank, config), ref_select_window(bank, config))]
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        bank.push(rng.choice(np.array([-1, 1], dtype=np.int8), size=3))
+        decided.append((select_window(bank, config), ref_select_window(bank, config)))
+    assert decided[0][1].probes != ref_select_window(bank, config).probes
+    for decision, want in decided:
+        assert decision == want and decision.probes == want.probes
+
+
+def test_a_read_decision_holds_its_four_fields():
+    for bank, config in _walk_cases(3):
+        decision, want = select_window(bank, config), ref_select_window(bank, config)
+        assert vars(decision) != vars(want)  # unread: the walk's gaps, no probes
+        decision.probes
+        assert list(vars(decision)) == list(vars(want)) == [f.name for f in dataclasses.fields(want)]
+        assert repr(vars(decision)) == repr(vars(want))
+        with pytest.raises(AttributeError, match="no attribute 'gaps'"):
+            decision.gaps
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decision.probes = ()
+    est = recover_accuracies(correlation_from_accuracies([0.8, 0.7, 0.6]), window=5)
+    assert list(vars(est)) == ["raw", "accuracies", "window"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        est.window = 3

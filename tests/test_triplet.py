@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftvote import correlation_from_accuracies, recover_accuracies
-from driftvote.triplet import ZERO_TOL, _recover_raw
+from driftvote.triplet import ZERO_TOL, _recover_raw, _witness_table
 
 
 def test_correlation_from_accuracies_frozen_example():
@@ -175,6 +175,11 @@ def witness_masks(n):
     return masks
 
 
+def recover_raw(pairs, n):
+    """``_recover_raw`` of signed (B, P) pairs of n labelers; it takes |C|."""
+    return _recover_raw(np.abs(pairs), _witness_table(n))
+
+
 def per_labeler_recover_raw(mats):
     """The per-h loop over full (B, n, n) matrices that the batched
     ``_recover_raw`` replaced, kept as its oracle: one masked argmax over
@@ -228,7 +233,7 @@ def test_batched_recovery_matches_per_labeler_loop(n):
     mats[8:12] = [correlation_from_accuracies(rng.uniform(0.55, 0.95, n)) for _ in range(4)]
     iu, ju = np.triu_indices(n, 1)
     want = per_labeler_recover_raw(mats)
-    got = _recover_raw(mats[:, iu, ju], n)
+    got = recover_raw(mats[:, iu, ju], n)
     assert_same_bits(got, want)
     assert np.isnan(got[6]).any() and np.all(got[5] == 0.5)
 
@@ -267,7 +272,7 @@ def _wide_case(n=32, batch=6):
 @example(_wide_case())
 def test_pair_recovery_matches_the_full_matrix_loop(case):
     n, pairs = case
-    assert_same_bits(_recover_raw(pairs, n), per_labeler_recover_raw(full_matrices(pairs, n)))
+    assert_same_bits(recover_raw(pairs, n), per_labeler_recover_raw(full_matrices(pairs, n)))
 
 
 def test_recover_accuracies_reads_the_upper_triangle():
