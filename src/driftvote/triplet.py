@@ -79,7 +79,7 @@ def _float_array(values, what: str) -> np.ndarray:
 
 def correlation_from_accuracies(p) -> np.ndarray:
     """Exact correlation matrix implied by accuracies ``p`` (unit diagonal)."""
-    acc = np.asarray(p, dtype=float)
+    acc = _float_array(p, "accuracies")
     if acc.ndim != 1 or acc.size < 2:
         raise ValueError(f"need a vector of at least 2 accuracies, got shape {acc.shape}")
     if np.any(acc < 0.0) or np.any(acc > 1.0):

@@ -188,6 +188,8 @@ def test_float_calls_reject_complex_input(bad):
     corr[0, 1] = corr[1, 0] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no ComplexWarning from a cast
+        with pytest.raises(ValueError, match="accuracies must be real"):
+            correlation_from_accuracies(np.array([0.8, bad, 0.6]))
         with pytest.raises(ValueError, match="correlation matrix must be real"):
             recover_accuracies(corr)
         with pytest.raises(ValueError, match="accuracies must be real"):
