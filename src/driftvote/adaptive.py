@@ -98,7 +98,7 @@ def select_window(bank: CorrelationBank, config: AdaptiveConfig) -> WindowDecisi
     # a rung r <= t holds exactly r votes, so its own size is its divisor
     corr = bank._sums[:reach] / bank._divisors[:reach]
     diff = corr[1:] - corr[:-1]
-    gaps = np.maximum.reduce(np.abs(diff, out=diff), axis=(1, 2)).tolist()
+    gaps = np.maximum.reduce(np.abs(diff, out=diff), axis=1).tolist()
     for k, gap in enumerate(gaps):
         if not gap <= thresholds[k]:  # NaN fails
             chosen, stop = k + 1, STOP_THRESHOLD

@@ -221,6 +221,8 @@ def cmd_bound(args) -> int:
         doc["oracle_correlation_error"] = min(
             v["correlation_error"] for v in per_window.values()
         )
+    elif args.at is not None:
+        raise ValueError("--at needs the drift stream of --preset or --blocks")
     if args.beta_sweep:
         doc["beta_sweep"] = [
             {"beta": b, "overhead": selection_overhead(config.schedule, b)}

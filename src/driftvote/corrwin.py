@@ -6,15 +6,15 @@ pairwise correlation of the last ``min(t, r)`` vote vectors,
     corr[r]_{ij} = mean over the window of  v_i * v_j ,
 
 where votes are +/-1, so each pairwise product is +/-1 and the window sum
-is an exact integer.  The sums are held as float64: each is bounded by the
-number of votes pushed, which no bank takes past 2**53, so every sum is
-exactly an integer, and dividing it gives the same bits as dividing the
-int64 sum would.  One push costs O(K n^2) for K windows: the outer
-product of the vector falling out of each window already at capacity is
-subtracted from its accumulator, and the new outer product is added to
-every accumulator.  Sizes are increasing, so the windows at capacity are
-always a prefix of the ladder, and both updates are one in-place array
-operation each.  Only the newest ``max(sizes)`` vote vectors are retained.
+is an exact integer.  A window's sums are one float64 vector, laid out as
+the (n, n) matrix only by ``correlation`` and ``pair_sums``: those of the
+P = n(n - 1)/2 pairs i < j in ``np.triu_indices(n, 1)`` order, then that
+of v_0 v_0, the vote count min(t, r).  Each is an integer below 2**53, the
+most votes a bank takes, so it is exact and divides to the bits the int64
+sum would.  A push costs O(K P) for K windows: it subtracts the pair
+products of the vectors falling out of the windows at capacity, a prefix
+of the increasing ladder, and adds the new vector's to every window, one
+in-place array operation each.  The newest ``max(sizes)`` vectors are kept.
 
 The offline engine extends a bank by a chunk of rows at once: a window's
 sums after each row are its carried sums plus the cumsum of the chunk's
@@ -46,7 +46,7 @@ class CorrelationBank:
         rule (:func:`.core.window_sizes`) and within int64.  They are kept as
         the ``sizes`` tuple and the int64 ``_sizes`` array the engine indexes;
         a lookup takes a tracked size as a Python or numpy integer.  Each
-        window's sums are float64 holding exact integers (module docstring).
+        window's sums are one float64 vector of exact integers (module docstring).
     """
 
     def __init__(self, n: int, sizes) -> None:
@@ -58,11 +58,15 @@ class CorrelationBank:
             raise ValueError("window sizes must fit in int64")
         self._sizes = np.array(self.sizes, dtype=np.int64)
         self._ring = np.zeros((self.max_size, self.n), dtype=np.int8)
-        shape = (len(self._sizes), self.n, self.n)
-        # exact integers in float64 (module docstring), divided by the walk
-        # as one same-dtype, same-shape call by each rung's size
+        iu, ju = np.triu_indices(self.n, 1)
+        # the pairs, then the count as v_0 v_0; ``_square`` lays them out as (n, n)
+        self._pi, self._pj = np.append(iu, 0), np.append(ju, 0)
+        self._square = np.full((self.n, self.n), len(iu))
+        self._square[iu, ju] = self._square[ju, iu] = np.arange(len(iu))
+        shape = (len(self._sizes), len(self._pi))
+        # exact integers (module docstring); the walk divides by rung size in one same-shape call
         self._sums = np.zeros(shape)
-        self._divisors = np.broadcast_to(self._sizes[:, None, None], shape).astype(float)
+        self._divisors = np.broadcast_to(self._sizes[:, None], shape).astype(float)
         self._t = 0
 
     @classmethod
@@ -79,7 +83,7 @@ class CorrelationBank:
         bank._ring[idx % bank.max_size] = v[idx]
         for k, r in enumerate(bank.sizes):
             tail = v[max(0, t - r):].astype(np.int64)
-            bank._sums[k] = tail.T @ tail
+            bank._sums[k] = (tail.T @ tail)[bank._pi, bank._pj]
         bank._t = t
         return bank
 
@@ -109,24 +113,24 @@ class CorrelationBank:
         if v.dtype.kind == "c" or not set(v.tolist()) <= _PLUS_MINUS_ONE:
             raise ValueError("votes must be +/-1; resolve abstentions before pushing")
         v8 = v if v.dtype == np.int8 else v.astype(np.int8)
-        t = self._t
+        t, pi, pj = self._t, self._pi, self._pj
         full = bisect_right(self.sizes, t)  # windows r <= t evict a vector
         if full:
             # read the evicted vectors before the ring slot for step t is
             # overwritten: for r == max_size they are the same slot.
             ev = self._ring.take(t - self._sizes[:full], axis=0, mode="wrap")
-            self._sums[:full] -= ev[:, None, :] * ev[:, :, None]
-        self._sums += v8[:, None] * v8
+            self._sums[:full] -= ev.take(pi, axis=1) * ev.take(pj, axis=1)
+        self._sums += v8[pi] * v8[pj]
         self._ring[t % self.max_size] = v8
         self._t = t + 1
 
     def _extend(self, rows: np.ndarray) -> np.ndarray:
         """Push a checked (c, n) int8 chunk, c >= 1, as ``c`` pushes would;
-        return (c, K, P) float64 upper-triangle correlations after each row."""
-        c, n, t0, sizes = len(rows), self.n, self._t, self._sizes
-        iu, ju = np.triu_indices(n, 1)
-        step = np.cumsum(rows[:, iu] * rows[:, ju], axis=0, dtype=float)
-        sums = self._sums[:, iu, ju] + step[:, None, :]
+        return (c, K, P) float64 pair correlations after each row, every
+        window's pair sums over its count."""
+        c, t0, sizes, pi, pj = len(rows), self._t, self._sizes, self._pi, self._pj
+        step = np.cumsum(rows[:, pi] * rows[:, pj], axis=0, dtype=float)
+        sums = self._sums + step[:, None, :]
         live = bisect_left(self.sizes, t0 + c)  # windows r < t0 + c evict
         if live:
             gone = np.arange(t0, t0 + c)[:, None] - sizes[:live]
@@ -134,12 +138,11 @@ class CorrelationBank:
             old = self._ring.take(gone, axis=0, mode="wrap")
             fresh = gone >= t0
             old[fresh] = rows[gone[fresh] - t0]
-            sums[:, :live] -= np.cumsum(old[..., iu] * old[..., ju], axis=0, dtype=float)
-        self._sums[:, iu, ju] = self._sums[:, ju, iu] = sums[-1]
-        self._sums[:, range(n), range(n)] = np.minimum(sizes, t0 + c)[:, None]
+            sums[:, :live] -= np.cumsum(old[..., pi] * old[..., pj], axis=0, dtype=float)
+        self._sums[:] = sums[-1]
         self._ring[np.arange(t0, t0 + c)[-self.max_size:] % self.max_size] = rows[-self.max_size:]
         self._t = t0 + c
-        return sums / np.minimum(np.arange(t0 + 1, t0 + c + 1)[:, None], sizes)[..., None]
+        return sums[..., :-1] / sums[..., -1:]
 
     def _key(self, r: int) -> int:
         try:
@@ -149,14 +152,14 @@ class CorrelationBank:
 
     def pair_sums(self, r: int) -> np.ndarray:
         """Integer sums of pairwise vote products over the last min(t, r) steps, as int64."""
-        return self._sums[self._key(r)].astype(np.int64)
+        return self._sums[self._key(r)].take(self._square).astype(np.int64)
 
     def correlation(self, r: int) -> np.ndarray:
         """Empirical correlation matrix over the last min(t, r) votes."""
         k = self._key(r)
         if self._t == 0:
             raise ValueError("no votes pushed yet")
-        return self._sums[k] / min(self._t, self.sizes[k])
+        return (self._sums[k] / min(self._t, self.sizes[k])).take(self._square)
 
 
 def as_vote_matrix(votes, n: int) -> np.ndarray:

@@ -143,9 +143,9 @@ def true_drift_error(config: SyntheticStreamConfig, r: int, t: int) -> float:
     """Ground-truth drift inside the window of size ``r`` ending at ``t``:
     the sum of sup-norm accuracy jumps between consecutive steps
     ``t - r + 1 .. t`` (1-based).  Zero iff the window sits in one block."""
-    if r < 1:
+    if integer(r, "window size") < 1:
         raise ValueError(f"window size must be positive, got {r}")
-    if not 1 <= t <= config.length:
+    if not 1 <= integer(t, "step t") <= config.length:
         raise ValueError(f"step t={t} outside stream of length {config.length}")
     total = 0.0
     edge = 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import eq, sub, truediv
 
-from .core import ROLLING_LOOKAHEAD, Reports
+from .core import ROLLING_LOOKAHEAD, Reports, integer
 
 
 def _truth_pairs(reports: Reports) -> tuple[list, list]:
@@ -25,7 +25,7 @@ def _truth_pairs(reports: Reports) -> tuple[list, list]:
 
 
 def _check_lookahead(lookahead: int) -> None:
-    if lookahead < 1:
+    if integer(lookahead, "lookahead") < 1:
         raise ValueError(f"lookahead must be positive, got {lookahead}")
 
 

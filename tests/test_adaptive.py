@@ -296,7 +296,7 @@ def test_nan_gap_fails_the_walk():
     for row in agreeing_votes(40):
         bank.push(row)
     sums = bank._sums.astype(float)
-    sums[3, 0, 1] = sums[3, 1, 0] = np.nan  # the window of 8
+    sums[3, 0] = np.nan  # pair (0, 1) of the window of 8
     with mock.patch.object(bank, "_sums", sums):
         decision = select_window(bank, cfg)
         want = reference_walk(bank, cfg)
@@ -327,11 +327,10 @@ def test_batched_walk_cases(t, rungs, k, stop):
     assert code.dtype == np.int8  # the dtype of Reports.stop_reason
     # the online walk over a bank in the same state
     bank = CorrelationBank.from_history(3, agreeing_votes(t), WALK_SIZES)
-    mats = np.ones((len(WALK_SIZES), 3, 3))
-    iu, ju = np.triu_indices(3, 1)
-    mats[:, iu, ju] = mats[:, ju, iu] = pairs
-    # window sums that divide to ``mats`` on every rung within the horizon
-    with mock.patch.object(bank, "_sums", mats * np.array(WALK_SIZES)[:, None, None]):
+    # window sums that divide to ``pairs`` on every rung within the horizon:
+    # each rung's pair sums, then its size in the count slot
+    counted = np.append(pairs, np.ones((len(WALK_SIZES), 1)), axis=1)
+    with mock.patch.object(bank, "_sums", counted * np.array(WALK_SIZES)[:, None]):
         decision = select_window(bank, cfg)
     assert (decision.chosen_index - 1, decision.stop_reason) == (k, stop)
 

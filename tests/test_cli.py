@@ -240,6 +240,8 @@ def test_bound_rejects_non_finite_beta(capsys, flags):
         (["bound", "--n", "3", "--sizes", f"1,{2**1100}"], "largest float"),
         # a negative seed is rejected with its flag before numpy sees it
         (["simulate", "--blocks", "30:0.9,0.8,0.7", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+        # the drift terms' position without a drift stream to place them in
+        (["bound", "--n", "3", "--m", "4", "--at", "5"], "--at needs the drift stream of --preset or --blocks"),
     ],
 )
 def test_out_of_range_flags_exit_2_with_one_line(tmp_path, capsys, argv, message):

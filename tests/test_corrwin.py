@@ -257,6 +257,7 @@ def test_sums_equal_naive_int64_sums_by_every_route():
     rng = np.random.default_rng(19)
     n, sizes = 5, (1, 3, 8, 20)
     votes = random_votes(rng, 90, n)
+    iu, ju = np.triu_indices(n, 1)
     pushed, extended = CorrelationBank(n, sizes), CorrelationBank(n, sizes)
     for step in (1, 7, 19, 20, 21, 64, 90):  # each route up to ``step`` votes
         for row in votes[pushed.t:step]:
@@ -269,4 +270,30 @@ def test_sums_equal_naive_int64_sums_by_every_route():
                 want = naive_pair_sums(list(votes[:step]), r)
                 got = bank.pair_sums(r)
                 assert got.dtype == np.int64 and np.array_equal(got, want)
-                assert np.array_equal(bank._sums[k], want)
+                assert np.array_equal(bank._sums[k], np.append(want[iu, ju], want[0, 0]))
+
+
+@pytest.mark.parametrize("sizes", [(1, 3, 8, 20), (4,)], ids=["ladder", "one-size"])
+def test_stored_vector_is_pair_sums_then_count_by_every_route(sizes):
+    """Each window stores one vector: the naive int64 sums of its pairs
+    i < j in ``np.triu_indices`` order, then its vote count min(t, r), after
+    ``push``, after ``_extend`` chunks that end on and across the windows'
+    and the ring's edges, and after ``from_history``."""
+    rng = np.random.default_rng(20)
+    n, cap = 4, sizes[-1]
+    iu, ju = np.triu_indices(n, 1)
+    votes = random_votes(rng, 6 * cap + 11, n)
+    pushed, extended = CorrelationBank(n, sizes), CorrelationBank(n, sizes)
+    ends = sorted({1, 2, 3, 4, 8, 9, cap - 1, cap, cap + 1, 2 * cap, 2 * cap + 3,
+                   5 * cap + 2, len(votes)})
+    for step in ends:
+        for row in votes[pushed.t:step]:
+            pushed.push(row)
+        extended._extend(votes[extended.t:step])
+        loaded = CorrelationBank.from_history(n, votes[:step], sizes)
+        for bank in (pushed, extended, loaded):
+            assert bank._sums.shape == (len(sizes), len(iu) + 1)
+            for k, r in enumerate(sizes):
+                naive = naive_pair_sums(list(votes[:step]), r)
+                assert bank._sums[k, -1] == min(step, r) == naive[0, 0]
+                assert np.array_equal(bank._sums[k, :-1], naive[iu, ju])

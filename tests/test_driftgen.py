@@ -258,6 +258,15 @@ def test_true_drift_error_single_boundary():
     assert true_drift_error(cfg, 200, 150) == pytest.approx(0.3)
 
 
+@pytest.mark.parametrize(
+    "r, t, what", [(2.5, 15, "window size"), (3, 15.5, "step t"), (True, 15, "window size")],
+    ids=["float-window", "float-step", "bool-window"],
+)
+def test_true_drift_error_rejects_non_integer_counts(r, t, what):
+    with pytest.raises(ValueError, match=f"{what} must be an integer"):
+        true_drift_error(two_block_config(), r, t)
+
+
 def test_true_drift_error_accumulates_boundaries():
     cfg = SyntheticStreamConfig(
         blocks=(

@@ -96,6 +96,16 @@ def test_rolling_accuracy_truncates_at_the_end():
         rolling_accuracy(reports, lookahead=0)
 
 
+@pytest.mark.parametrize("lookahead", [2.5, True, np.float64(2.0)], ids=["float", "bool", "numpy-float"])
+def test_lookahead_must_be_an_integer(lookahead):
+    reports = make_reports([1, -1, 1, 1], [1, 1, 1, 1])
+    for call in (rolling_accuracy, summarize):
+        with pytest.raises(ValueError, match="lookahead must be an integer"):
+            call(reports, lookahead=lookahead)
+    # a numpy integer is an integer
+    assert rolling_accuracy(reports, lookahead=np.int64(2)).tolist() == [0.5, 0.5, 1.0, 1.0]
+
+
 def test_rolling_matches_naive_loop():
     rng = np.random.default_rng(0)
     preds = (2 * rng.integers(0, 2, 500) - 1).tolist()

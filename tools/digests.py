@@ -5,7 +5,7 @@ Run:  python3 tools/digests.py [ROOT]
 
 ROOT is the checkout whose ``src/`` and ``demos/`` are run (default: the
 checkout holding this script), so one script lists any two checkouts, and
-``diff`` of the two listings is the check.  The 55 outputs:
+``diff`` of the two listings is the check.  The 56 outputs:
 
 * ``simulate`` of the block-drift preset (block length 400, JSONL) and of
   two-block streams at n = 8 (JSONL) and n = 32 (CSV), and the columns
@@ -41,7 +41,11 @@ checkout holding this script), so one script lists any two checkouts, and
 * every online step's outputs of a one-rung ``(64,)`` bank over the same
   streams (the window length, the raw and clipped accuracies, the weights
   and the vote), looked up by the fixed window as the benchmark's
-  ``fixed:R`` online pass looks them up.
+  ``fixed:R`` online pass looks them up;
+* the bank's public lookups, ``pair_sums`` and ``correlation`` of every
+  rung (dtype, shape and bytes), of a default-ladder bank pushed with the
+  same streams, every 61st step and at the end, and of ``from_history``
+  of each whole stream.
 """
 
 from __future__ import annotations
@@ -308,6 +312,27 @@ def fixed_online_steps(fixed: int = 64) -> str:
     return h.hexdigest()
 
 
+def lookups(bank) -> bytes:
+    """The digest of ``pair_sums`` and ``correlation`` of every rung of ``bank``."""
+    return columns(*(get(r) for r in bank.sizes for get in (bank.pair_sums, bank.correlation))).encode()
+
+
+def bank_lookups(every: int = 61) -> str:
+    from driftvote import AdaptiveConfig, CorrelationBank
+
+    h = hashlib.sha256()
+    for n in STEPS:
+        votes, _ = two_block_votes(n)
+        sizes = AdaptiveConfig(n).schedule.sizes
+        bank = CorrelationBank(n, sizes)
+        for step, row in enumerate(votes, start=1):
+            bank.push(row)
+            if step % every == 0 or step == len(votes):
+                h.update(lookups(bank))
+        h.update(lookups(CorrelationBank.from_history(n, votes, sizes)))
+    return h.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
     if not (root / "src" / "driftvote" / "__init__.py").is_file():
@@ -321,6 +346,7 @@ def main(argv: list[str]) -> int:
     digests["engine/run_strategy-columns"] = engine_columns()
     digests["online/step-outputs"] = online_steps()
     digests["online/fixed-step-outputs"] = fixed_online_steps()
+    digests["bank/lookups"] = bank_lookups()
     for name, digest in digests.items():
         print(f"{digest}  {name}")
     return 0
