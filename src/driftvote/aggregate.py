@@ -13,16 +13,18 @@ labeler errors are independent given the truth.  Exact ties go to +1.
 * ``majority``   - unweighted majority vote (equivalent to ``fixed:1``,
   where every recovered accuracy clips to the same constant).
 
-``adaptive`` and ``fixed:R`` run on one offline engine, :func:`_feed`,
-which decides a chunk of steps at once: the chunk extends one
-:class:`.CorrelationBank`, which gives every window's exact sums; the
-chunk's ladder walks are one :func:`.adaptive._walk` over a table of gaps,
-recovery one batch and the vote one dot product per step.  The bank is the
-engine's only state, so chunks fed in turn give the columns of one call.
-Its outputs are bit-identical to pushing each step into a bank and calling
-:func:`.adaptive.select_window`, :func:`.triplet.recover_accuracies`,
-:func:`log_odds_weights` and :func:`weighted_vote`; that per-step online
-API stays the engine's oracle.
+A run's engine is one chunk function, :func:`_decider`, which
+:func:`run_strategy` calls on the whole matrix and ``driftvote run`` on
+each block of a stream file.  ``adaptive`` and ``fixed:R`` run on one
+offline engine, :func:`_feed`, which decides a chunk of steps at once: the
+chunk extends one :class:`.CorrelationBank`, which gives every window's
+exact sums; the chunk's ladder walks are one :func:`.adaptive._walk` over
+a table of gaps, recovery one batch and the vote one dot product per step.
+The bank is the engine's only state, so chunks fed in turn give the
+columns of one call.  Its outputs are bit-identical to pushing each step
+into a bank and calling :func:`.adaptive.select_window`,
+:func:`.triplet.recover_accuracies`, :func:`log_odds_weights` and
+:func:`weighted_vote`; that per-step online API stays the engine's oracle.
 """
 
 from __future__ import annotations
@@ -187,13 +189,46 @@ def _feed(bank: CorrelationBank, rows: np.ndarray, config: AdaptiveConfig):
     return columns if stop_reason is None else {**columns, "stop_reason": stop_reason}
 
 
+def _decider(strategy: str, config: AdaptiveConfig | None, n: int):
+    """The engine of one run of ``strategy`` over n labelers: a function
+    that takes a checked (c, n) int8 chunk of +/-1 votes, the steps after
+    those of its earlier calls, and returns their report columns by name,
+    in the dtypes of :class:`.Reports`.
+
+    ``majority`` takes exact integer row sums.  ``adaptive`` and
+    ``fixed:R`` (``config`` defaults to ``AdaptiveConfig(n)``) push each
+    chunk through one :class:`.CorrelationBank` by :func:`_feed`, in
+    pieces that keep its tables small; the bank is their only state.
+    """
+    if parse_strategy(strategy)[0] == STRATEGY_MAJORITY:
+        # exact integer row sums, the same sign as majority_vote per row
+        return lambda rows: {"prediction": np.where(rows.sum(axis=1) >= 0, 1, -1).astype(np.int8)}
+    if config is None:
+        config = AdaptiveConfig(n=n)
+    kind, fixed_r = _checked_strategy(strategy, config)
+    bank = CorrelationBank(n, (fixed_r,) if kind == STRATEGY_FIXED else config.schedule.sizes)
+    piece = max(_CHUNK_MIN_ROWS, _CHUNK_BUDGET // (len(bank.sizes) * n * (n - 1) // 2))
+
+    def decide(rows: np.ndarray) -> dict[str, np.ndarray]:
+        columns = {}
+        for start in range(0, len(rows), piece):
+            for name, values in _feed(bank, rows[start:start + piece], config).items():
+                if not start:  # each column takes the dtype and row shape of its first piece
+                    columns[name] = np.empty((len(rows), *values.shape[1:]), dtype=values.dtype)
+                columns[name][start:start + piece] = values
+        return columns
+
+    return decide
+
+
 def run_strategy(
     votes,
     strategy: str,
     config: AdaptiveConfig | None = None,
     truths=None,
 ) -> Reports:
-    """Run one aggregation strategy over a resolved +/-1 vote stream.
+    """Run one aggregation strategy over a resolved +/-1 vote stream: the
+    engine of :func:`_decider` over the whole matrix.
 
     Parameters
     ----------
@@ -211,21 +246,5 @@ def run_strategy(
         True labels; fills ``truth`` (and so ``correct``) in the reports.
     """
     v = _checked_votes(votes, config)
-    steps, n = v.shape
-    truth = _check_truths(truths, steps)
-    if parse_strategy(strategy)[0] == STRATEGY_MAJORITY:
-        # exact integer row sums, the same sign as majority_vote per row
-        return Reports(prediction=np.where(v.sum(axis=1) >= 0, 1, -1).astype(np.int8), truth=truth)
-    if config is None:
-        config = AdaptiveConfig(n=n)
-    kind, fixed_r = _checked_strategy(strategy, config)
-
-    bank = CorrelationBank(n, (fixed_r,) if kind == STRATEGY_FIXED else config.schedule.sizes)
-    chunk = max(_CHUNK_MIN_ROWS, _CHUNK_BUDGET // (len(bank.sizes) * n * (n - 1) // 2))
-    columns = {}
-    for start in range(0, steps, chunk):
-        for name, values in _feed(bank, v[start:start + chunk], config).items():
-            if not start:  # each column takes the dtype and row shape of its first chunk
-                columns[name] = np.empty((steps, *values.shape[1:]), dtype=values.dtype)
-            columns[name][start:start + chunk] = values
-    return Reports(truth=truth, **columns)
+    truth = _check_truths(truths, v.shape[0])
+    return Reports(truth=truth, **_decider(strategy, config, v.shape[1])(v))

@@ -19,7 +19,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
+from contextlib import contextmanager
+from itertools import count
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -131,11 +135,52 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@contextmanager
+def _replacing(path):
+    """A text file to write ``path``'s new content into, which takes the
+    place of ``path`` only when the block exits without an error; on an
+    error ``path`` is left as it was.
+
+    When ``path`` is a regular file, or names none, the file is a sibling
+    that is renamed over it (a symlink's target is what is replaced).  A
+    device or FIFO is never renamed over: the file is then a temporary
+    one, copied into ``path`` at the end.
+    """
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        import shutil
+        import tempfile
+
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as fh:
+            yield fh
+            fh.seek(0)
+            with open(target, "w", encoding="utf-8") as out:
+                shutil.copyfileobj(fh, out)
+        return
+    mode = os.stat(target).st_mode if target.exists() else None
+    for k in count():
+        sibling = target.with_name(f".{target.name}.{os.getpid()}-{k}.tmp")
+        try:
+            fd = os.open(sibling, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        if mode is not None:
+            os.fchmod(fd, stat.S_IMODE(mode))
+        with open(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(sibling, target)
+    except BaseException:
+        os.unlink(sibling)
+        raise
+
+
 def cmd_run(args) -> int:
     from dataclasses import replace
 
     from . import io as dio
-    from .aggregate import STRATEGY_MAJORITY, _checked_strategy, run_strategy
+    from .aggregate import STRATEGY_MAJORITY, _checked_strategy, _decider
     from .driftgen import resolve_abstentions
 
     # check the whole run configuration before any file work, for every
@@ -146,14 +191,44 @@ def cmd_run(args) -> int:
     kind, _ = _checked_strategy(args.strategy, config)
     if args.abstain_seed < 0:
         raise ValueError(f"--abstain-seed must be nonnegative, got {args.abstain_seed}")
-    stream = dio.read_stream(args.input)
-    if len(stream) == 0:
-        raise ValueError(f"{args.input}: stream file is empty")
-    votes = resolve_abstentions(stream.votes, args.abstain_seed)
-    # a majority vote needs no config, so it takes a stream of any width
-    config = None if kind == STRATEGY_MAJORITY else replace(config, n=votes.shape[1])
-    reports = run_strategy(votes, args.strategy, config, truths=stream.truth)
-    dio.write_reports(args.out, reports)
+
+    def run_pass(fh, labels: bool) -> bool:
+        """One pass over the stream file, a block of rows at a time: resolve
+        its abstentions, decide its steps and write their report lines to
+        ``fh``.  Labels are kept when ``labels`` and the first block has
+        them; then a later block without them stops the pass and gives
+        False.  Memory holds one block, the engine's bank and the generator."""
+        decide = rng = None
+        lines = dio._ReportLines()
+        for votes, truth in dio._stream_blocks(args.input):
+            if decide is None:
+                n, labels = votes.shape[1], labels and truth is not None
+                # a majority vote needs no config, so it takes a stream of any width
+                decide = _decider(args.strategy, None if kind == STRATEGY_MAJORITY else replace(config, n=n), n)
+            elif labels and truth is None:
+                return False
+            # one generator resolves every block with an abstention, made at
+            # the first, so that a stream with none never imports numpy.random
+            if not votes.all():
+                if rng is None:
+                    import numpy as np
+
+                    rng = np.random.default_rng(args.abstain_seed)
+                votes = resolve_abstentions(votes, rng)
+            reports = Reports(truth=truth if labels else None, **decide(votes))
+            for block in lines(reports):
+                fh.writelines(block)
+        if decide is None:
+            raise ValueError(f"{args.input}: stream file is empty")
+        return True
+
+    with _replacing(args.out) as fh:
+        # labels are kept only when every line has one, so a pass that
+        # meets a block without them after blocks with them starts over
+        if not run_pass(fh, labels=True):
+            fh.seek(0)
+            fh.truncate()
+            run_pass(fh, labels=False)
     return 0
 
 

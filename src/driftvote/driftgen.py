@@ -103,11 +103,12 @@ def resolve_abstentions(votes, seed_or_rng) -> np.ndarray:
 
     Deterministic in (matrix, seed): zeros are filled in row-major order
     from a single pass of the generator, so the same inputs always resolve
-    identically.  Accepts a (n,) vector or (T, n) matrix.
+    identically, and row chunks resolved in turn from one generator
+    resolve as the whole matrix does.  Accepts a (n,) vector or (T, n) matrix.
     """
     v = np.asarray(votes)
     # a complex array fails even where ``1+0j == 1``: its int8 cast would drop the imaginary part
-    if v.dtype.kind == "c" or not np.all(np.isin(v, (-1, 0, 1))):
+    if v.dtype.kind == "c" or not np.all((v == -1) | (v == 0) | (v == 1)):
         raise ValueError("votes must be -1, 0 (abstain), or +1")
     out = v.astype(np.int8)  # astype copies: the input is left as it was
     gaps = out == 0

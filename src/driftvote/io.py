@@ -33,13 +33,16 @@ included, "'<column>' values must be ...".  :func:`write_reports` writes
 only what :func:`read_reports` reads back, floats exactly in their
 shortest repr, and raises a :class:`ValueError` naming the column.
 
-JSONL files are read in blocks of lines (:func:`_jsonl_lines`,
-:func:`_jsonl_decode`) and written byte for byte as ``json.dumps`` of
-each line gives them, ``_WRITE_ROWS`` lines at a time: streams from byte
-grids by :func:`_stream_lines`, which also reads canonical stream blocks
-back, and reports from one ``%`` template per file, each line closed by
-one of the line ends spelled once for every combination of its last
-columns' values.
+Files are read, and written byte for byte as ``json.dumps`` of each
+line gives them, ``_BLOCK`` rows at a time.  Stream files are read by
+one block reader, :func:`_stream_blocks` (JSONL by :func:`_jsonl_lines`
+and :func:`_jsonl_block`, CSV rows batched), which ``read_stream``
+concatenates and ``run`` decides and writes block by block; streams are
+written from byte grids by :func:`_stream_lines`, which also reads
+canonical stream blocks back.  Reports are written by
+:class:`_ReportLines` from one ``%`` template per file, each line closed
+by one of the line ends spelled once for every combination of its last
+columns' values, ``t`` going on from one block of reports to the next.
 """
 
 from __future__ import annotations
@@ -65,12 +68,12 @@ class StreamFormatError(ValueError):
 _VOTE_VALUES = (-1, 0, 1)
 _LABEL_VALUES = (-1, 1)
 
-#: JSONL lines read, decoded and checked together
-_BLOCK = 4096
-#: rows each writer formats together, so that no grid, list or string it builds
-#: passes glibc's 128 KiB mmap threshold and writing adds no peak RSS (4096-row
-#: grids, whole-file lists or joined 1024-line reports added 0.27-0.45 MB to ``run``)
-_WRITE_ROWS = 1024
+#: lines read, decoded and checked, rows resolved and decided by ``run``, and
+#: rows each writer formats, together: so that no grid, list or string built
+#: for a block passes glibc's 128 KiB mmap threshold and a block adds no peak
+#: RSS (4096-row grids, whole-file lists or joined 1024-line reports added
+#: 0.27-0.45 MB to ``run``)
+_BLOCK = 1024
 #: an object closed and followed by a comma within one line
 _OBJECT_THEN_COMMA = re.compile(r"\}[ \t\r]*,")
 _MINUS, _ZERO = ord("-"), ord("0")
@@ -219,15 +222,15 @@ def _jsonl_row(obj, path, lineno: int):
 
 
 def _rows_block(rows):
-    """``(votes, truth, widths)`` of checked ``(votes, label)`` rows: int8
-    votes (None unless every row has one width), int8 labels (None unless
-    every row has one) and the set of row widths."""
+    """``(votes, truth, widths)`` of one or more checked ``(votes, label)``
+    rows: int8 votes (None unless every row has one width), int8 labels
+    (None unless every row has one) and the set of row widths."""
     import numpy as np
 
-    votes, labels = zip(*rows) if rows else ((), ())
+    votes, labels = zip(*rows)
     widths = set(map(len, votes))
     matrix = np.array(votes, dtype=np.int8) if len(widths) == 1 else None
-    truth = np.array(labels, dtype=np.int8) if rows and None not in labels else None
+    truth = np.array(labels, dtype=np.int8) if None not in labels else None
     return matrix, truth, widths
 
 
@@ -286,9 +289,37 @@ def _csv_rows(path):
             yield votes, _check_label(label, path, lineno)
 
 
+def _stream_blocks(path):
+    """Yield checked ``(votes, truth)`` for each block of up to ``_BLOCK``
+    rows of a stream file (JSONL or CSV, sniffed from the first nonblank
+    line, a UTF-8 byte-order mark skipped): int8 votes, 0 kept for an
+    abstention, and int8 labels, None unless every row of the block has
+    one.  An empty or blank file yields nothing.
+
+    Every row must have the first row's width.  At the first block that
+    breaks this, the rest of the file is read, so that a line's violation
+    anywhere wins, and then a :class:`StreamFormatError` lists every width.
+    """
+    path = Path(path)
+    with open(path, encoding="utf-8-sig") as fh:
+        head = next((line.lstrip() for line in fh if line.strip()), "")
+    if head.startswith("{"):
+        blocks = (_jsonl_block(path, *block) for block in _jsonl_lines(path, "utf-8-sig"))
+    else:
+        rows = _csv_rows(path) if head else iter(())
+        blocks = map(_rows_block, iter(lambda: list(islice(rows, _BLOCK)), []))
+    first = None
+    for votes, truth, widths in blocks:
+        first = first or widths
+        if widths != first or len(widths) > 1:
+            widths = widths.union(first, *(block_widths for _, _, block_widths in blocks))
+            raise StreamFormatError(f"{path}: inconsistent labeler counts {sorted(widths)}")
+        yield votes, truth
+
+
 def read_stream(path) -> Stream:
-    """Parse a stream file (JSONL or CSV, sniffed from the first nonblank
-    line, a UTF-8 byte-order mark skipped) into a :class:`Stream` of int8 votes, 0 kept for an abstention.
+    """Parse a stream file into a :class:`Stream`: the blocks of
+    :func:`_stream_blocks` joined.
 
     ``truth`` is set only when every line carries a label.  An empty or
     blank file reads as zero rows.  All lines must have the same number
@@ -298,21 +329,12 @@ def read_stream(path) -> Stream:
     """
     import numpy as np
 
-    path = Path(path)
-    with open(path, encoding="utf-8-sig") as fh:
-        head = next((line.lstrip() for line in fh if line.strip()), "")
-    if head.startswith("{"):
-        blocks = [_jsonl_block(path, *block) for block in _jsonl_lines(path, "utf-8-sig")]
-    else:
-        blocks = [_rows_block(list(_csv_rows(path)) if head else [])]
-    widths = set().union(*(block_widths for _, _, block_widths in blocks))
-    if len(widths) > 1:
-        raise StreamFormatError(f"{path}: inconsistent labeler counts {sorted(widths)}")
-    chunks = [votes for votes, _, _ in blocks if votes is not None]
-    truths = [truth for _, truth, _ in blocks]
-    votes = np.concatenate(chunks) if chunks else np.empty((0, 0), dtype=np.int8)
-    truth = np.concatenate(truths) if chunks and all(t is not None for t in truths) else None
-    return Stream(votes=votes, truth=truth)
+    blocks = list(_stream_blocks(path))
+    if not blocks:
+        return Stream(votes=np.empty((0, 0), dtype=np.int8))
+    votes, truths = zip(*blocks)
+    truth = np.concatenate(truths) if all(t is not None for t in truths) else None
+    return Stream(votes=np.concatenate(votes), truth=truth)
 
 
 def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
@@ -353,8 +375,8 @@ def write_stream(path, stream: Stream, fmt: str | None = None) -> None:
             writer.writerows(cells.tolist())
         return
     with open(path, "wb") as fh:
-        for start in range(0, len(cells), _WRITE_ROWS):
-            fh.write(_stream_lines(cells[start:start + _WRITE_ROWS], labeled))
+        for start in range(0, len(cells), _BLOCK):
+            fh.write(_stream_lines(cells[start:start + _BLOCK], labeled))
 
 
 #: what a report column's values are when one has the wrong shape or size
@@ -383,58 +405,85 @@ def _writable(name: str, column, ndim: int, rows: int, typecode: str, values) ->
         raise ValueError(f"{name!r} must be positive, got {a[a < 1][0]}")
     elif values is not None:
         allowed = range(len(values)) if type(values[0]) is str else values
-        if (bad := a[~np.isin(a, allowed)]).size:
-            raise ValueError(f"{name!r} must be one of {', '.join(map(str, allowed))}, got {bad[0]}")
+        bad = a != allowed[0]  # a comparison per value costs less than np.isin on a block
+        for value in allowed[1:]:
+            bad &= a != value
+        if bad.any():
+            raise ValueError(f"{name!r} must be one of {', '.join(map(str, allowed))}, got {a[bad][0]}")
     return a
 
 
+class _ReportLines:
+    """The lines of one report file, from one :class:`Reports` or more in
+    turn, ``t`` going on from the rows of the earlier ones.  One ``%``
+    template, spelled from the first one's columns, which every later one
+    must have at the same widths, writes every line; its last slot takes
+    the line's end, the columns with a value set, spelled once per
+    combination of their values."""
+
+    def __init__(self) -> None:
+        self.t, self.template = 0, None
+
+    def __call__(self, reports: Reports):
+        """Check the columns of ``reports`` as :func:`write_reports` says,
+        raising before any line is made; return an iterator of blocks of
+        up to ``_BLOCK`` of its lines."""
+        columns = {}
+        for name, (typecode, ndim, values, _) in REPORT_COLUMNS.items():
+            if (column := getattr(reports, name)) is not None:
+                columns[name] = _writable(name, column, ndim, len(reports), typecode, values)
+        if self.template is None:
+            self.coded, fields, self.ends = {}, ['"t": %d'], []
+            for name, column in columns.items():
+                if (values := REPORT_COLUMNS[name][2]) is not None:
+                    self.coded[name] = values
+                elif column.ndim == 2:
+                    fields.append(f'"{name}": [' + ", ".join(["%r"] * column.shape[1]) + "]")
+                else:
+                    fields.append(f'"{name}": %d')
+            for combination in product(*self.coded.values()):
+                end = {}
+                for name, value in zip(self.coded, combination):
+                    end[name] = value
+                    if name == "truth":
+                        end["correct"] = end["prediction"] == value
+                self.ends.append(", " + json.dumps(end)[1:] + "\n")
+            self.template = "{" + ", ".join(fields) + "%s"
+        start, self.t = self.t, self.t + len(reports)
+        return self._blocks(columns, range(start + 1, self.t + 1))
+
+    def _blocks(self, columns: dict, steps: range):
+        import numpy as np
+
+        planes = [np.atleast_2d(column.T) for name, column in columns.items() if name not in self.coded]
+        for start in range(0, len(steps), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            cells = [steps[block]] + [row for plane in planes for row in plane[:, block].tolist()]
+            code = np.zeros(len(cells[0]), dtype=np.intp)  # each row's index into ``ends``
+            for name, values in self.coded.items():  # a name column stores its index already
+                idx = columns[name][block]
+                code = code * len(values) + (idx if type(values[0]) is str else np.searchsorted(values, idx))
+            cells.append(list(map(self.ends.__getitem__, code.tolist())))
+            yield map(self.template.__mod__, zip(*cells))
+
+
 def write_reports(path, reports: Reports) -> None:
-    """Write :class:`Reports` as JSONL, one line per step: ``t`` = 1..T and
-    the present columns in :data:`~driftvote.core.REPORT_COLUMNS` order,
-    the derived ``correct`` after ``truth`` and stop reasons by name.
+    """Write :class:`Reports` as JSONL by :class:`_ReportLines`, one line per
+    step: ``t`` = 1..T and the present columns in
+    :data:`~driftvote.core.REPORT_COLUMNS` order, the derived ``correct``
+    after ``truth`` and stop reasons by name.
 
     Every column must have the dtype kind, dimension, length and values
     that its table entry gives it: windows positive, predictions and
     labels -1 or 1, ``p_hat``/``weights`` finite and stop reasons codes of
     ``STOPS``, so that :func:`read_reports` reads back what is written;
-    anything else raises :class:`ValueError` naming the column.  One ``%``
-    template writes every line; its last slot takes the line's end, the
-    columns with a value set, spelled once per combination of their values.
+    anything else raises :class:`ValueError` naming the column, before
+    the file is opened.
     """
-    import numpy as np
-
-    columns = {}
-    for name, (typecode, ndim, values, _) in REPORT_COLUMNS.items():
-        if (column := getattr(reports, name)) is not None:
-            columns[name] = _writable(name, column, ndim, len(reports), typecode, values)
-    fields, coded = ['"t": %d'], {}
-    for name, column in columns.items():
-        if (values := REPORT_COLUMNS[name][2]) is not None:
-            coded[name] = values
-        elif column.ndim == 2:
-            fields.append(f'"{name}": [' + ", ".join(["%r"] * column.shape[1]) + "]")
-        else:
-            fields.append(f'"{name}": %d')
-    planes = [np.atleast_2d(column.T) for name, column in columns.items() if name not in coded]
-    ends = []
-    for combination in product(*coded.values()):
-        end = {}
-        for name, value in zip(coded, combination):
-            end[name] = value
-            if name == "truth":
-                end["correct"] = end["prediction"] == value
-        ends.append(", " + json.dumps(end)[1:] + "\n")
-    template, steps = "{" + ", ".join(fields) + "%s", range(1, len(reports) + 1)
+    blocks = _ReportLines()(reports)
     with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(steps), _WRITE_ROWS):
-            block = slice(start, start + _WRITE_ROWS)
-            cells = [steps[block]] + [row for plane in planes for row in plane[:, block].tolist()]
-            code = np.zeros(len(cells[0]), dtype=np.intp)  # each row's index into ``ends``
-            for name, values in coded.items():  # a name column stores its index already
-                idx = columns[name][block]
-                code = code * len(values) + (idx if type(values[0]) is str else np.searchsorted(values, idx))
-            cells.append(list(map(ends.__getitem__, code.tolist())))
-            fh.writelines(map(template.__mod__, zip(*cells)))
+        for lines in blocks:
+            fh.writelines(lines)
 
 
 def _report_values(name: str, values: list, width: int | None):

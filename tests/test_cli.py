@@ -2,8 +2,10 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +17,13 @@ from driftvote import (
     WindowSchedule,
     read_reports,
     read_stream,
+    resolve_abstentions,
+    run_strategy,
     selection_overhead,
     statistical_error,
     true_drift_error,
     union_bound_constant,
+    write_reports,
     write_stream,
 )
 from driftvote.cli import main
@@ -512,3 +517,139 @@ def test_eval_of_unlabeled_reports(tmp_path, capsys):
     assert doc["comparison"][:2] == [{"run": "adaptive", "steps": 40}, {"run": "majority", "steps": 40}]
     assert set(doc["comparison"][2]) == {"run", "steps", "accuracy", "f1"}
     assert [p.name for p in series.iterdir()] == ["labeled_rolling.csv"]
+
+
+def long_stream(path, steps=3000, labeled=True):
+    """A stream of n = 3 labelers that spans three 1024-row blocks, with a
+    fifth of its votes abstentions, written by driftvote's writer."""
+    rng = np.random.default_rng(steps)
+    truth = rng.choice(np.array([-1, 1], dtype=np.int8), size=steps)
+    votes = np.where(rng.random((steps, 3)) < [0.9, 0.8, 0.7], truth[:, None], -truth[:, None]).astype(np.int8)
+    votes[rng.random((steps, 3)) < 0.2] = 0
+    write_stream(path, Stream(votes=votes, truth=truth if labeled else None))
+    return votes, truth
+
+
+@pytest.mark.parametrize("strategy", ["adaptive", "fixed:64", "majority"])
+def test_run_writes_what_the_whole_file_path_writes(tmp_path, strategy):
+    stream, out, want = tmp_path / "s.jsonl", tmp_path / "r.jsonl", tmp_path / "want.jsonl"
+    long_stream(stream)
+    assert run_cli("run", "--input", str(stream), "--strategy", strategy, "--abstain-seed", "4",
+                   "--out", str(out)) == 0
+    whole = read_stream(stream)
+    write_reports(want, run_strategy(resolve_abstentions(whole.votes, 4), strategy, truths=whole.truth))
+    assert out.read_bytes() == want.read_bytes()
+
+
+def edited(path, edit):
+    """Rewrite the stream file ``path`` with ``edit(lineno, line)`` in place of each line."""
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(edit(lineno, line) for lineno, line in enumerate(lines, start=1)))
+
+
+def narrower(lineno, line):
+    """Line ``lineno`` from line 2500 on without its first vote."""
+    if lineno < 2500:
+        return line
+    obj = json.loads(line)
+    return json.dumps({**obj, "votes": obj["votes"][1:]}) + "\n"
+
+
+@pytest.mark.parametrize("fault", [
+    lambda lineno, line: "not json\n" if lineno == 3000 else line,
+    narrower,
+], ids=["bad-line-3000", "width-from-2500"])
+@pytest.mark.parametrize("before", [None, b"an earlier report\n"], ids=["new", "existing"])
+def test_a_failure_in_a_late_block_leaves_out_as_it_was(tmp_path, capsys, fault, before):
+    stream, out = tmp_path / "s.jsonl", tmp_path / "r.jsonl"
+    long_stream(stream)
+    edited(stream, fault)
+    with pytest.raises(ValueError) as err:
+        read_stream(stream)
+    if before is not None:
+        out.write_bytes(before)
+    files = sorted(os.listdir(tmp_path))
+    assert run_cli("run", "--input", str(stream), "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {err.value}"]
+    assert sorted(os.listdir(tmp_path)) == files  # no partial report and no temporary file
+    if before is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == before
+
+
+def test_a_width_change_lists_every_width_and_a_later_bad_line_wins(tmp_path, capsys):
+    stream, out = tmp_path / "s.jsonl", tmp_path / "r.jsonl"
+    long_stream(stream)
+    widths = {2500: '{"votes": [1, 1]}\n', 2600: '{"votes": [1, 1, 1, 1]}\n'}
+    edited(stream, lambda lineno, line: widths.get(lineno, line))
+    assert run_cli("run", "--input", str(stream), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {stream}: inconsistent labeler counts [2, 3, 4]\n"
+    edited(stream, lambda lineno, line: "[\n" if lineno == 2900 else line)
+    assert run_cli("run", "--input", str(stream), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {stream}:2900: ")
+    assert not out.exists()
+
+
+def test_empty_stream_leaves_an_existing_out_as_it_was(tmp_path, capsys):
+    stream, out = tmp_path / "empty.jsonl", tmp_path / "r.jsonl"
+    stream.write_text("\n")
+    out.write_text("an earlier report\n")
+    assert run_cli("run", "--input", str(stream), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {stream}: stream file is empty\n"
+    assert out.read_text() == "an earlier report\n"
+    assert sorted(os.listdir(tmp_path)) == ["empty.jsonl", "r.jsonl"]
+
+
+def test_run_over_its_own_input(tmp_path):
+    stream, want = tmp_path / "s.jsonl", tmp_path / "want.jsonl"
+    long_stream(stream)
+    assert run_cli("run", "--input", str(stream), "--out", str(want)) == 0
+    assert run_cli("run", "--input", str(stream), "--out", str(stream)) == 0
+    assert stream.read_bytes() == want.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["s.jsonl", "want.jsonl"]
+
+
+@pytest.mark.parametrize("strategy", ["adaptive", "majority"])
+def test_labels_that_stop_in_a_late_block_are_dropped(tmp_path, strategy):
+    # the pass starts over without labels, with a new bank and generator,
+    # and so writes what a run of the unlabeled stream writes
+    labeled, unlabeled, partial = tmp_path / "l.jsonl", tmp_path / "u.jsonl", tmp_path / "p.jsonl"
+    votes, _ = long_stream(labeled)
+    write_stream(unlabeled, Stream(votes=votes))
+    head, tail = labeled.read_text().splitlines(True)[:1500], unlabeled.read_text().splitlines(True)[1500:]
+    partial.write_text("".join(head + tail))
+    assert read_stream(partial).truth is None
+    for path in (unlabeled, partial):
+        assert run_cli("run", "--input", str(path), "--strategy", strategy,
+                       "--out", str(path.with_suffix(".out"))) == 0
+    assert partial.with_suffix(".out").read_bytes() == unlabeled.with_suffix(".out").read_bytes()
+
+
+def test_run_writes_into_a_fifo_or_device_without_renaming_over_it(tmp_path):
+    stream, want, fifo = tmp_path / "s.jsonl", tmp_path / "want.jsonl", tmp_path / "fifo"
+    run_cli("simulate", "--blocks", "40:0.9,0.8,0.7", "--out", str(stream))
+    run_cli("run", "--input", str(stream), "--out", str(want))
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli("run", "--input", str(stream), "--out", str(fifo)) == 0
+    reader.join(timeout=60)
+    assert got == [want.read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert run_cli("run", "--input", str(stream), "--out", os.devnull) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_run_replaces_a_symlinks_target_and_keeps_its_mode(tmp_path):
+    stream, want = tmp_path / "s.jsonl", tmp_path / "want.jsonl"
+    target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+    run_cli("simulate", "--blocks", "40:0.9,0.8,0.7", "--out", str(stream))
+    run_cli("run", "--input", str(stream), "--out", str(want))
+    target.write_text("an earlier report\n")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert run_cli("run", "--input", str(stream), "--out", str(link)) == 0
+    assert link.is_symlink() and target.read_bytes() == want.read_bytes()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640

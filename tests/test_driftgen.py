@@ -182,6 +182,28 @@ def test_resolving_without_abstentions_leaves_numpy_random_unimported():
     assert proc.stdout.strip() == "False"
 
 
+def test_chunked_coin_draws_equal_one_draw():
+    # ``run`` resolves each block of a file from one carried generator, so
+    # its reports are those of one whole-matrix draw only while numpy's
+    # chunked draws, empty ones among them, equal one draw
+    sizes = (1, 2, 7, 999, 4096, 33, 94865)
+    assert sum(sizes) == 100003
+    rng = np.random.default_rng(0)
+    parts = []
+    for size in sizes:
+        parts += [rng.integers(0, 2, size=size), rng.integers(0, 2, size=0)]
+    assert np.array_equal(np.concatenate(parts), np.random.default_rng(0).integers(0, 2, size=100003))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1024, 5000])
+def test_resolving_row_chunks_from_one_generator_equals_one_call(rows):
+    votes = np.random.default_rng(3).integers(-1, 2, size=(3000, 8)).astype(np.int8)
+    votes[1000:2100] = np.where(votes[1000:2100] == 0, 1, votes[1000:2100])  # chunks with no abstention
+    rng = np.random.default_rng(5)
+    parts = [resolve_abstentions(votes[start:start + rows], rng) for start in range(0, len(votes), rows)]
+    assert np.array_equal(np.concatenate(parts), resolve_abstentions(votes, 5))
+
+
 def test_permute_drift_zero_prob_is_identity():
     stream = generate_synthetic(two_block_config())
     out = apply_permute_drift(stream, 0.0, 7)

@@ -78,6 +78,23 @@ def test_simulate_and_eval_load_no_engine(tmp_path):
     assert (tmp_path / "series" / "r_rolling.csv").is_file()
 
 
+def test_run_loads_numpy_random_only_for_an_abstention(tmp_path):
+    # importing numpy.random costs several MB of RSS; ``run`` makes its
+    # generator at the first block with an abstention, and a stream with
+    # none never gets one
+    stream, reports = tmp_path / "s.jsonl", tmp_path / "r.jsonl"
+    main(["simulate", "--blocks", "2500:0.9,0.8,0.7", "--out", str(stream)])
+    code = (
+        "from driftvote.cli import main\n"
+        f"assert main(['run', '--input', {str(stream)!r}, '--m', '4', '--out', {str(reports)!r}]) == 0\n"
+    )
+    assert "numpy.random" not in loaded_after(code)
+    lines = stream.read_text().splitlines(keepends=True)
+    lines[2300] = lines[2300].replace("[1, ", "[0, ", 1).replace("[-1, ", "[0, ", 1)  # in the third block
+    stream.write_text("".join(lines))
+    assert "numpy.random" in loaded_after(code)
+
+
 def test_every_public_name_resolves():
     code = (
         "import driftvote\n"

@@ -590,9 +590,9 @@ def strategy_reports(draw):
 @given(reports=strategy_reports())
 def test_write_reports_bytes_match_json_dumps(tmp_path_factory, reports):
     path = tmp_path_factory.mktemp("bytes") / "reports.jsonl"
-    for rows in (dio._WRITE_ROWS, 7):  # 7: write block edges inside the reports
+    for rows in (dio._BLOCK, 7):  # 7: write block edges inside the reports
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dio, "_WRITE_ROWS", rows)
+            patch.setattr(dio, "_BLOCK", rows)
             write_reports(path, reports)
         assert path.read_text() == dumps_reports(reports)
 
@@ -864,7 +864,6 @@ def test_written_streams_are_read_by_bytes(tmp_path, monkeypatch, n, labeled):
     written = tmp_path / "written.jsonl"
     dumped = tmp_path / "dumped.jsonl"
     # a write and a read block edge inside the stream
-    monkeypatch.setattr(dio, "_WRITE_ROWS", 4)
     monkeypatch.setattr(dio, "_BLOCK", 4)
     write_stream(written, stream)
     dumped.write_text(dumps_stream(stream))  # json.dumps per line, as bench/pipeline.py writes

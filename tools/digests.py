@@ -5,7 +5,7 @@ Run:  python3 tools/digests.py [ROOT]
 
 ROOT is the checkout whose ``src/`` and ``demos/`` are run (default: the
 checkout holding this script), so one script lists any two checkouts, and
-``diff`` of the two listings is the check.  The 56 outputs:
+``diff`` of the two listings is the check.  The 65 outputs:
 
 * ``simulate`` of the block-drift preset (block length 400, JSONL) and of
   two-block streams at n = 8 (JSONL) and n = 32 (CSV), and the columns
@@ -25,6 +25,13 @@ checkout holding this script), so one script lists any two checkouts, and
   and ``read_reports`` of each report file, and ``eval`` of each report
   file (its exit code and stderr where it fails) with its ``--series-dir``
   CSVs (none for the unlabeled one);
+* at the edges of ``run``'s blocks: a copy of the 12,500-step stream
+  with a fifth of its votes blanked by a seeded mask (``write_stream``),
+  the columns ``read_stream`` gives of it and ``run`` majority and
+  adaptive on it; a copy labeled on its first 1500 lines only, the
+  columns ``read_stream`` gives of it and ``run`` majority on it; and the
+  exit code, stderr and whether ``--out`` exists after ``run`` on a copy
+  with a bad line at line 3000 and on one whose width changes at line 2500;
 * an unlabeled copy of the block-drift stream (``write_stream`` of its
   votes alone), ``run`` adaptive and ``fixed:64`` on it and ``eval`` of
   each report file, so that every kind of report line end is listed;
@@ -163,6 +170,7 @@ def cli_outputs(work: Path) -> dict[str, str]:
         cli("bound", *flags, "--out", str(path))
         out[f"bound/{name}.json"] = sha(path.read_bytes())
     out.update(long_majority_outputs(cli, work))
+    out.update(block_edge_outputs(cli, work))
     out.update(unlabeled_outputs(cli, work))
     return out
 
@@ -218,6 +226,50 @@ def long_majority_outputs(cli, work: Path) -> dict[str, str]:
         result = summary.read_bytes() if code == 0 else f"exit {code}\n{stderr.getvalue()}".encode()
         out[f"eval/{reports.stem}.json"] = sha(result)
         out[f"series/{reports.stem}"] = series(rolling)
+    return out
+
+
+def block_edge_outputs(cli, work: Path) -> dict[str, str]:
+    """Digests of copies of the long labeled stream that ``run`` meets at
+    the edges of its blocks: with abstentions, labeled on its first 1500
+    lines only, and failing late (see the module docstring)."""
+    import contextlib
+    import io
+    import json
+
+    import numpy as np
+
+    from driftvote import Stream
+    from driftvote.cli import main
+    from driftvote.io import read_stream, write_stream
+
+    long = read_stream(work / "long.jsonl")
+    votes = long.votes.copy()
+    votes[np.random.default_rng(4).random(votes.shape) < 0.2] = 0
+    abstain, partial = work / "long-abstain.jsonl", work / "long-partial.jsonl"
+    write_stream(abstain, Stream(votes=votes, truth=long.truth))
+    lines = (work / "long.jsonl").read_text().splitlines(keepends=True)
+    partial.write_text("".join(lines[:1500] + (work / "long-unlabeled.jsonl").read_text().splitlines(True)[1500:]))
+    out = {}
+    for stream, strategies in ((abstain, ("majority", "adaptive")), (partial, ("majority",))):
+        out[f"write/{stream.name}"] = sha(stream.read_bytes())
+        out[f"read/{stream.name}"] = stream_columns(stream)
+        for strategy in strategies:
+            reports = work / f"{stream.stem}-{strategy}.jsonl"
+            cli("run", "--input", str(stream), *STRATEGIES[strategy][0], "--out", str(reports))
+            out[f"run/{reports.name}"] = sha(reports.read_bytes())
+    narrow = [json.dumps({**json.loads(line), "votes": json.loads(line)["votes"][1:]}) + "\n" for line in lines]
+    failing = {
+        "long-bad-line-3000.jsonl": lines[:2999] + ["not json\n"] + lines[3000:],
+        "long-width-2500.jsonl": lines[:2499] + narrow[2499:],
+    }
+    for name, text in failing.items():
+        stream, reports, stderr = work / name, work / f"fail-{name}", io.StringIO()
+        stream.write_text("".join(text))
+        with contextlib.redirect_stderr(stderr):
+            code = main(["run", "--input", str(stream), "--strategy", "majority", "--out", str(reports)])
+        message = stderr.getvalue().replace(str(work), "WORK")
+        out[f"fail/{name}"] = sha(f"exit {code}\n{message}out exists: {reports.exists()}\n".encode())
     return out
 
 
