@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import replace
 
 import numpy as np
 
@@ -195,27 +196,32 @@ def _decider(strategy: str, config: AdaptiveConfig | None, n: int):
     those of its earlier calls, and returns their report columns by name,
     in the dtypes of :class:`.Reports`.
 
-    ``majority`` takes exact integer row sums.  ``adaptive`` and
-    ``fixed:R`` (``config`` defaults to ``AdaptiveConfig(n)``) push each
-    chunk through one :class:`.CorrelationBank` by :func:`_feed`, in
-    pieces that keep its tables small; the bank is their only state.
+    ``majority`` takes exact integer row sums and ignores ``config``, so
+    it takes a stream of any width.  ``adaptive`` and ``fixed:R`` run on
+    ``config`` at width n (``AdaptiveConfig(n)`` when it is None): they
+    push each chunk through one :class:`.CorrelationBank` by
+    :func:`_feed`, in pieces of near-equal length that keep its tables
+    small; the bank is their only state.
     """
     if parse_strategy(strategy)[0] == STRATEGY_MAJORITY:
         # exact integer row sums, the same sign as majority_vote per row
         return lambda rows: {"prediction": np.where(rows.sum(axis=1) >= 0, 1, -1).astype(np.int8)}
-    if config is None:
-        config = AdaptiveConfig(n=n)
+    config = AdaptiveConfig(n=n) if config is None else replace(config, n=n)
     kind, fixed_r = _checked_strategy(strategy, config)
     bank = CorrelationBank(n, (fixed_r,) if kind == STRATEGY_FIXED else config.schedule.sizes)
     piece = max(_CHUNK_MIN_ROWS, _CHUNK_BUDGET // (len(bank.sizes) * n * (n - 1) // 2))
 
     def decide(rows: np.ndarray) -> dict[str, np.ndarray]:
+        # ceil(c / piece) pieces whose lengths differ by at most one, so
+        # that no piece is a short tail
+        pieces = -(-len(rows) // piece)
+        bounds = [len(rows) * k // pieces for k in range(pieces + 1)]
         columns = {}
-        for start in range(0, len(rows), piece):
-            for name, values in _feed(bank, rows[start:start + piece], config).items():
+        for start, stop in zip(bounds, bounds[1:]):
+            for name, values in _feed(bank, rows[start:stop], config).items():
                 if not start:  # each column takes the dtype and row shape of its first piece
                     columns[name] = np.empty((len(rows), *values.shape[1:]), dtype=values.dtype)
-                columns[name][start:start + piece] = values
+                columns[name][start:stop] = values
         return columns
 
     return decide

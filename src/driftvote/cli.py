@@ -91,9 +91,10 @@ def _schedule(args) -> WindowSchedule:
     return WindowSchedule.doubling(args.m)
 
 
-def _config(args, n: int) -> AdaptiveConfig:
-    """The engine config that the schedule flags describe, for n labelers."""
-    return AdaptiveConfig(n=n, schedule=_schedule(args), beta=args.beta, delta=args.delta)
+def _config(args, n: int, *clip: float) -> AdaptiveConfig:
+    """The engine config that the schedule flags describe, for n labelers,
+    with the clip band ``clip_lo, clip_hi`` when one is given."""
+    return AdaptiveConfig(n, _schedule(args), args.beta, args.delta, *clip)
 
 
 def _synthetic_config(args, seed: int) -> SyntheticStreamConfig:
@@ -144,9 +145,12 @@ def _replacing(path):
     When ``path`` is a regular file, or names none, the file is a sibling
     that is renamed over it (a symlink's target is what is replaced).  A
     device or FIFO is never renamed over: the file is then a temporary
-    one, copied into ``path`` at the end.
+    one, copied into ``path`` at the end.  A directory, or a sibling that
+    cannot be made, raises before the block runs, naming ``--out``.
     """
     target = Path(os.path.realpath(path))
+    if target.is_dir():
+        raise IsADirectoryError(f"--out {path}: Is a directory")
     if target.exists() and not target.is_file():
         import shutil
         import tempfile
@@ -157,7 +161,6 @@ def _replacing(path):
             with open(target, "w", encoding="utf-8") as out:
                 shutil.copyfileobj(fh, out)
         return
-    mode = os.stat(target).st_mode if target.exists() else None
     for k in count():
         sibling = target.with_name(f".{target.name}.{os.getpid()}-{k}.tmp")
         try:
@@ -165,9 +168,11 @@ def _replacing(path):
             break
         except FileExistsError:
             continue
+        except OSError as exc:  # a missing or unwritable directory: name --out, not the sibling
+            raise type(exc)(f"--out {path}: {exc.strerror}") from None
     try:
-        if mode is not None:
-            os.fchmod(fd, stat.S_IMODE(mode))
+        if target.exists():  # the file it replaces keeps its mode
+            os.fchmod(fd, stat.S_IMODE(target.stat().st_mode))
         with open(fd, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(sibling, target)
@@ -177,46 +182,31 @@ def _replacing(path):
 
 
 def cmd_run(args) -> int:
-    from dataclasses import replace
-
     from . import io as dio
-    from .aggregate import STRATEGY_MAJORITY, _checked_strategy, _decider
-    from .driftgen import resolve_abstentions
+    from .aggregate import _checked_strategy, _decider
+    from .driftgen import _block_resolver
 
     # check the whole run configuration before any file work, for every
-    # strategy; n=3 stands in until the stream's width is known, and
-    # replace() checks the real n of a run that needs a config
-    clip_lo, clip_hi = _parse_clip(args.clip)
-    config = replace(_config(args, n=3), clip_lo=clip_lo, clip_hi=clip_hi)
-    kind, _ = _checked_strategy(args.strategy, config)
+    # strategy; n=3 stands in until the stream's width is known, at which
+    # _decider checks the config again when the strategy needs one
+    config = _config(args, 3, *_parse_clip(args.clip))
+    _checked_strategy(args.strategy, config)
     if args.abstain_seed < 0:
         raise ValueError(f"--abstain-seed must be nonnegative, got {args.abstain_seed}")
 
     def run_pass(fh, labels: bool) -> bool:
-        """One pass over the stream file, a block of rows at a time: resolve
-        its abstentions, decide its steps and write their report lines to
-        ``fh``.  Labels are kept when ``labels`` and the first block has
-        them; then a later block without them stops the pass and gives
-        False.  Memory holds one block, the engine's bank and the generator."""
-        decide = rng = None
-        lines = dio._ReportLines()
+        """One pass over the stream file, a block of rows at a time: read,
+        resolve, decide and write the block's report lines to ``fh``.
+        Labels are kept when ``labels`` and the first block has them; then
+        a later block without them stops the pass and gives False.  Memory
+        holds one block, the engine's bank and the abstention generator."""
+        decide, resolve, lines = None, _block_resolver(args.abstain_seed), dio._ReportLines()
         for votes, truth in dio._stream_blocks(args.input):
             if decide is None:
-                n, labels = votes.shape[1], labels and truth is not None
-                # a majority vote needs no config, so it takes a stream of any width
-                decide = _decider(args.strategy, None if kind == STRATEGY_MAJORITY else replace(config, n=n), n)
+                decide, labels = _decider(args.strategy, config, votes.shape[1]), labels and truth is not None
             elif labels and truth is None:
                 return False
-            # one generator resolves every block with an abstention, made at
-            # the first, so that a stream with none never imports numpy.random
-            if not votes.all():
-                if rng is None:
-                    import numpy as np
-
-                    rng = np.random.default_rng(args.abstain_seed)
-                votes = resolve_abstentions(votes, rng)
-            reports = Reports(truth=truth if labels else None, **decide(votes))
-            for block in lines(reports):
+            for block in lines(Reports(truth=truth if labels else None, **decide(resolve(votes)))):
                 fh.writelines(block)
         if decide is None:
             raise ValueError(f"{args.input}: stream file is empty")

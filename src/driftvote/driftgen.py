@@ -16,6 +16,7 @@ matched-pair experiments stay matched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -117,6 +118,17 @@ def resolve_abstentions(votes, seed_or_rng) -> np.ndarray:
         rng = _as_rng(seed_or_rng)
         out[gaps] = (2 * rng.integers(0, 2, size=count) - 1).astype(np.int8)
     return out
+
+
+def _block_resolver(seed: int):
+    """The abstention step of one pass over a stream's checked int8 blocks:
+    a function that resolves each block with an abstention by
+    :func:`resolve_abstentions` from one generator, made from ``seed`` at
+    the first such block, and gives a block without one back as it is.
+    So blocks resolved in turn resolve as their concatenation does in one
+    call, and a pass with no abstention never imports ``numpy.random``."""
+    rng = cache(lambda: np.random.default_rng(seed))
+    return lambda votes: votes if votes.all() else resolve_abstentions(votes, rng())
 
 
 def apply_permute_drift(stream: Stream, prob: float, seed_or_rng) -> Stream:

@@ -6,7 +6,9 @@ import stat
 import subprocess
 import sys
 import threading
+from collections import defaultdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from driftvote import (
     write_reports,
     write_stream,
 )
+from driftvote import aggregate
+from driftvote import io as dio
 from driftvote.cli import main
 
 
@@ -539,6 +543,46 @@ def test_run_writes_what_the_whole_file_path_writes(tmp_path, strategy):
     whole = read_stream(stream)
     write_reports(want, run_strategy(resolve_abstentions(whole.votes, 4), strategy, truths=whole.truth))
     assert out.read_bytes() == want.read_bytes()
+
+
+def test_engine_pieces_of_a_block_differ_by_at_most_one_row(tmp_path):
+    # at n = 3 on the default ladder the engine takes at most 68 rows a
+    # piece, so a 1024-row block is 16 pieces of 64 rows, not 15 of 68 and
+    # a 4-row tail; the 952-row last block is 14 pieces of 68
+    stream, out = tmp_path / "s.jsonl", tmp_path / "r.jsonl"
+    long_stream(stream)
+    feed, pieces = aggregate._feed, defaultdict(list)
+
+    def recording(bank, rows, config):
+        pieces[bank.t // dio._BLOCK].append(len(rows))
+        return feed(bank, rows, config)
+
+    with mock.patch.object(aggregate, "_feed", recording):
+        assert run_cli("run", "--input", str(stream), "--strategy", "adaptive", "--out", str(out)) == 0
+    assert [sum(block) for block in pieces.values()] == [1024, 1024, 952]
+    assert sum(map(len, pieces.values())) == 46
+    assert all(max(block) - min(block) <= 1 for block in pieces.values()), dict(pieces)
+
+
+@pytest.mark.parametrize("out_name, reason", [
+    ("missing/r.jsonl", "No such file or directory"),
+    ("directory", "Is a directory"),
+])
+@pytest.mark.parametrize("input_exists", [True, False], ids=["input", "missing-input"])
+def test_an_out_that_cannot_be_written_fails_before_the_stream_is_read(
+    tmp_path, capsys, out_name, reason, input_exists
+):
+    # the message names --out, not a temporary file, and comes before the
+    # stream is read, so a missing --input does not win over it
+    stream, out = tmp_path / "s.jsonl", tmp_path / out_name
+    if input_exists:
+        long_stream(stream)
+    (tmp_path / "directory").mkdir()
+    files = sorted(os.listdir(tmp_path))
+    assert run_cli("run", "--input", str(stream), "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: --out {out}: {reason}"]
+    assert sorted(os.listdir(tmp_path)) == files
+    assert os.listdir(tmp_path / "directory") == []
 
 
 def edited(path, edit):

@@ -21,6 +21,7 @@ from driftvote import (
     role_rngs,
     true_drift_error,
 )
+from driftvote.driftgen import _block_resolver
 
 
 def two_block_config(seed=11):
@@ -168,8 +169,11 @@ def test_resolving_without_abstentions_leaves_numpy_random_unimported():
     code = (
         "import sys, numpy as np\n"
         "from driftvote import resolve_abstentions\n"
+        "from driftvote.driftgen import _block_resolver\n"
         "out = resolve_abstentions(np.array([[1, -1, 1], [-1, -1, 1]], dtype=np.int8), 0)\n"
         "assert out.tolist() == [[1, -1, 1], [-1, -1, 1]]\n"
+        "resolve, block = _block_resolver(0), np.ones((2, 3), dtype=np.int8)\n"
+        "assert resolve(block) is block and resolve(block) is block\n"
         "print('numpy.random' in sys.modules)\n"
     )
     env = dict(os.environ)
@@ -201,6 +205,11 @@ def test_resolving_row_chunks_from_one_generator_equals_one_call(rows):
     votes[1000:2100] = np.where(votes[1000:2100] == 0, 1, votes[1000:2100])  # chunks with no abstention
     rng = np.random.default_rng(5)
     parts = [resolve_abstentions(votes[start:start + rows], rng) for start in range(0, len(votes), rows)]
+    assert np.array_equal(np.concatenate(parts), resolve_abstentions(votes, 5))
+    # ``run``'s per-pass resolver: one generator from the seed, made at the
+    # first chunk with an abstention, and chunks without one given back as they are
+    resolve = _block_resolver(5)
+    parts = [resolve(votes[start:start + rows]) for start in range(0, len(votes), rows)]
     assert np.array_equal(np.concatenate(parts), resolve_abstentions(votes, 5))
 
 

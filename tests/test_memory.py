@@ -11,6 +11,7 @@ import numpy as np
 
 import driftvote
 from driftvote import Stream, write_stream
+from driftvote.cli import main
 
 SRC = str(Path(driftvote.__file__).resolve().parents[1])
 
@@ -35,11 +36,11 @@ def abstaining_stream(path: Path, steps: int) -> None:
     write_stream(path, Stream(votes=votes, truth=truth))
 
 
-def run_peak_rss_mb(stream: Path, out: Path) -> float:
+def run_peak_rss_mb(stream: Path, out: Path, strategy: str = "majority") -> float:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     argv = [sys.executable, "-m", "driftvote.cli", "run", "--input", str(stream),
-            "--strategy", "majority", "--out", str(out)]
+            "--strategy", strategy, "--out", str(out)]
     proc = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], capture_output=True, text=True,
                           env=env, timeout=300, check=True)
     code, peak = json.loads(proc.stdout)
@@ -53,5 +54,18 @@ def test_run_peak_rss_does_not_grow_with_the_stream(tmp_path):
     abstaining_stream(long, 200_000)
     # the least of two runs of each, with output paths of equal length
     peaks = {path.name: min(run_peak_rss_mb(path, tmp_path / f"{path.stem[0]}.out") for _ in range(2))
+             for path in (short, long)}
+    assert abs(peaks["long.jsonl"] - peaks["short.jsonl"]) <= 3.0, peaks
+
+
+def test_adaptive_run_peak_rss_does_not_grow_with_the_stream(tmp_path):
+    # the engine's bank is its only state, so an adaptive run of the
+    # block-drift preset (n = 3) holds as little at 10^5 steps as at 5k
+    short, long = tmp_path / "short.jsonl", tmp_path / "long.jsonl"
+    for path, block_len in ((short, 1250), (long, 25_000)):
+        assert main(["simulate", "--preset", "block-drift", "--block-len", str(block_len),
+                     "--out", str(path)]) == 0
+    peaks = {path.name: min(run_peak_rss_mb(path, tmp_path / f"{path.stem[0]}.out", "adaptive")
+                            for _ in range(2))
              for path in (short, long)}
     assert abs(peaks["long.jsonl"] - peaks["short.jsonl"]) <= 3.0, peaks

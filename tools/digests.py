@@ -5,7 +5,7 @@ Run:  python3 tools/digests.py [ROOT]
 
 ROOT is the checkout whose ``src/`` and ``demos/`` are run (default: the
 checkout holding this script), so one script lists any two checkouts, and
-``diff`` of the two listings is the check.  The 65 outputs:
+``diff`` of the two listings is the check.  The 68 outputs:
 
 * ``simulate`` of the block-drift preset (block length 400, JSONL) and of
   two-block streams at n = 8 (JSONL) and n = 32 (CSV), and the columns
@@ -20,8 +20,8 @@ checkout holding this script), so one script lists any two checkouts, and
   gives of the adaptive report of the block-drift stream;
 * a labeled n = 8 stream of 12,500 steps (``simulate``) and its unlabeled
   copy (``write_stream`` of its votes alone); ``run --strategy majority``
-  on each, whose report files cross the 1024-row write and 4096-line read
-  blocks and t = 10^4; the columns ``read_stream`` gives of each stream
+  on each, whose report files cross ``run``'s 1024-row blocks and
+  t = 10^4; the columns ``read_stream`` gives of each stream
   and ``read_reports`` of each report file, and ``eval`` of each report
   file (its exit code and stderr where it fails) with its ``--series-dir``
   CSVs (none for the unlabeled one);
@@ -29,9 +29,12 @@ checkout holding this script), so one script lists any two checkouts, and
   with a fifth of its votes blanked by a seeded mask (``write_stream``),
   the columns ``read_stream`` gives of it and ``run`` majority and
   adaptive on it; a copy labeled on its first 1500 lines only, the
-  columns ``read_stream`` gives of it and ``run`` majority on it; and the
-  exit code, stderr and whether ``--out`` exists after ``run`` on a copy
-  with a bad line at line 3000 and on one whose width changes at line 2500;
+  columns ``read_stream`` gives of it and ``run`` majority on it; the
+  same of the abstaining copy labeled on its first 1500 lines only, with
+  ``run`` adaptive, which starts over with a new bank and generator; and
+  the exit code, stderr and whether ``--out`` exists after ``run`` on a
+  copy with a bad line at line 3000 and on one whose width changes at
+  line 2500;
 * an unlabeled copy of the block-drift stream (``write_stream`` of its
   votes alone), ``run`` adaptive and ``fixed:64`` on it and ``eval`` of
   each report file, so that every kind of report line end is listed;
@@ -232,7 +235,8 @@ def long_majority_outputs(cli, work: Path) -> dict[str, str]:
 def block_edge_outputs(cli, work: Path) -> dict[str, str]:
     """Digests of copies of the long labeled stream that ``run`` meets at
     the edges of its blocks: with abstentions, labeled on its first 1500
-    lines only, and failing late (see the module docstring)."""
+    lines only (with and without abstentions), and failing late (see the
+    module docstring)."""
     import contextlib
     import io
     import json
@@ -243,15 +247,26 @@ def block_edge_outputs(cli, work: Path) -> dict[str, str]:
     from driftvote.cli import main
     from driftvote.io import read_stream, write_stream
 
+    def part_labeled(labeled: Path, unlabeled: Path) -> Path:
+        """A copy of ``labeled`` whose labels stop after line 1500."""
+        partial = labeled.with_name(f"{labeled.stem}-partial.jsonl")
+        partial.write_text("".join(labeled.read_text().splitlines(True)[:1500]
+                                   + unlabeled.read_text().splitlines(True)[1500:]))
+        return partial
+
     long = read_stream(work / "long.jsonl")
     votes = long.votes.copy()
     votes[np.random.default_rng(4).random(votes.shape) < 0.2] = 0
-    abstain, partial = work / "long-abstain.jsonl", work / "long-partial.jsonl"
+    abstain, abstain_unlabeled = work / "long-abstain.jsonl", work / "long-abstain-unlabeled.jsonl"
     write_stream(abstain, Stream(votes=votes, truth=long.truth))
+    write_stream(abstain_unlabeled, Stream(votes=votes, truth=None))
     lines = (work / "long.jsonl").read_text().splitlines(keepends=True)
-    partial.write_text("".join(lines[:1500] + (work / "long-unlabeled.jsonl").read_text().splitlines(True)[1500:]))
     out = {}
-    for stream, strategies in ((abstain, ("majority", "adaptive")), (partial, ("majority",))):
+    for stream, strategies in (
+        (abstain, ("majority", "adaptive")),
+        (part_labeled(work / "long.jsonl", work / "long-unlabeled.jsonl"), ("majority",)),
+        (part_labeled(abstain, abstain_unlabeled), ("adaptive",)),
+    ):
         out[f"write/{stream.name}"] = sha(stream.read_bytes())
         out[f"read/{stream.name}"] = stream_columns(stream)
         for strategy in strategies:
