@@ -200,8 +200,8 @@ def _decider(strategy: str, config: AdaptiveConfig | None, n: int):
     it takes a stream of any width.  ``adaptive`` and ``fixed:R`` run on
     ``config`` at width n (``AdaptiveConfig(n)`` when it is None): they
     push each chunk through one :class:`.CorrelationBank` by
-    :func:`_feed`, in pieces of near-equal length that keep its tables
-    small; the bank is their only state.
+    :func:`_feed`, in pieces of ``piece`` rows and a shorter last one,
+    which keep its tables small; the bank is their only state.
     """
     if parse_strategy(strategy)[0] == STRATEGY_MAJORITY:
         # exact integer row sums, the same sign as majority_vote per row
@@ -212,16 +212,12 @@ def _decider(strategy: str, config: AdaptiveConfig | None, n: int):
     piece = max(_CHUNK_MIN_ROWS, _CHUNK_BUDGET // (len(bank.sizes) * n * (n - 1) // 2))
 
     def decide(rows: np.ndarray) -> dict[str, np.ndarray]:
-        # ceil(c / piece) pieces whose lengths differ by at most one, so
-        # that no piece is a short tail
-        pieces = -(-len(rows) // piece)
-        bounds = [len(rows) * k // pieces for k in range(pieces + 1)]
         columns = {}
-        for start, stop in zip(bounds, bounds[1:]):
-            for name, values in _feed(bank, rows[start:stop], config).items():
+        for start in range(0, len(rows), piece):
+            for name, values in _feed(bank, rows[start:start + piece], config).items():
                 if not start:  # each column takes the dtype and row shape of its first piece
                     columns[name] = np.empty((len(rows), *values.shape[1:]), dtype=values.dtype)
-                columns[name][start:stop] = values
+                columns[name][start:start + piece] = values
         return columns
 
     return decide

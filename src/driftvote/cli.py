@@ -82,7 +82,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _schedule(args) -> WindowSchedule:
-    if getattr(args, "sizes", None):
+    if args.sizes is not None:
         try:
             sizes = tuple(int(x) for x in args.sizes.split(","))
         except ValueError:
@@ -288,7 +288,7 @@ def cmd_bound(args) -> int:
         )
     elif args.at is not None:
         raise ValueError("--at needs the drift stream of --preset or --blocks")
-    if args.beta_sweep:
+    if args.beta_sweep is not None:
         doc["beta_sweep"] = [
             {"beta": b, "overhead": selection_overhead(config.schedule, b)}
             for b in _parse_float_list(args.beta_sweep)

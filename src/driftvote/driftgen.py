@@ -179,8 +179,6 @@ def block_drift_preset(seed: int, block_len: int = 5000) -> SyntheticStreamConfi
     labelers at accuracy 0.9 and one at 0.6, with the weak seat rotating
     one position per block (starting at the last labeler).
     """
-    if block_len < 1:
-        raise ValueError(f"block length must be positive, got {block_len}")
     n = 3
     lengths = (block_len, 2 * block_len, block_len)
     blocks = []

@@ -1,13 +1,15 @@
 """Reading and writing vote streams and per-step reports.
 
 A stream file holds a :class:`~driftvote.core.Stream`: one line per
-step, in one of two formats, after a UTF-8 byte-order mark if any.
+step, in one of two formats, after a UTF-8 byte-order mark if any.  In
+both, a blank line (empty or whitespace-only) is skipped anywhere, and
+an error names the file and the line that ends its row.
 
 * JSONL (canonical): one object per line, ``{"votes": [...], "label": ...,
   "t": ...}`` with ``label``/``t`` optional.
-* CSV: a header row, in which ``label`` and ``t`` do not repeat; every
-  other column is a vote column, read in header order.  Written files
-  use ``votes_1..votes_n``.
+* CSV: a header row, the first nonblank one, in which ``label`` and
+  ``t`` do not repeat; every other column is a vote column, read in
+  header order.  Written files use ``votes_1..votes_n``.
 
 Votes are -1, 0 (abstain), or +1; labels are +/-1.  A read stream
 carries labels (``truth``) only when every line has one.  ``t`` is
@@ -176,18 +178,18 @@ def _jsonl_lines(path, encoding: str):
                 yield linenos, lines
 
 
-def _jsonl_decode(path, linenos, lines):
-    """``(objects, error)`` of a block of JSONL lines: the decoded value of
-    each line up to the first that does not decode, and that line's
-    :class:`StreamFormatError`, or None when every line decodes.
+def _jsonl_decode(path, linenos, lines, check):
+    """``check(value, path, lineno)`` of each line of a block of JSONL lines,
+    in line order; the first line that does not decode raises its
+    :class:`StreamFormatError`, after the checks of the lines before it.
 
     The block is decoded with one ``json.loads`` of its lines joined into
     an array.  That array is kept only when it holds one object per line
     and no line closes an object and then goes on with a comma: every
     comma between two of its values is then one of the joins, so each
     line holds exactly one object.  Any other block is decoded line by
-    line, so that a caller can check the lines before a bad one first, as
-    it would when every line is read on its own.
+    line, so that its first bad line raises, as when every line is read
+    on its own.
     """
     text = "[" + ",".join(lines) + "]"
     try:
@@ -200,14 +202,15 @@ def _jsonl_decode(path, linenos, lines):
         and set(map(type, objects)) == {dict}
         and not _OBJECT_THEN_COMMA.search(text)
     ):
-        return objects, None
-    objects = []
+        return [check(obj, path, lineno) for lineno, obj in zip(linenos, objects)]
+    checked = []
     for lineno, line in zip(linenos, lines):
         try:
-            objects.append(json.loads(line))
+            obj = json.loads(line)
         except json.JSONDecodeError as err:
-            return objects, _bad(path, lineno, f"bad JSON: {err}")
-    return objects, None
+            raise _bad(path, lineno, f"bad JSON: {err}") from None
+        checked.append(check(obj, path, lineno))
+    return checked
 
 
 def _jsonl_row(obj, path, lineno: int):
@@ -242,51 +245,46 @@ def _jsonl_block(path, linenos, lines):
     block = _canonical_block(lines)
     if block is not None:
         return block
-    objects, error = _jsonl_decode(path, linenos, lines)
-    rows = [_jsonl_row(obj, path, lineno) for lineno, obj in zip(linenos, objects)]
-    if error is not None:
-        raise error
-    return _rows_block(rows)
+    return _rows_block(_jsonl_decode(path, linenos, lines, _jsonl_row))
+
+
+def _csv_int(cell: str, path, lineno: int, what: str) -> int | None:
+    """The int in one CSV cell, None when the cell is blank."""
+    try:
+        return int(text) if (text := cell.strip()) else None
+    except ValueError:
+        raise _bad(path, lineno, f"{what} must be an int, got {cell!r}") from None
 
 
 def _csv_rows(path):
-    """Yield checked ``(votes, label or None)`` for each nonblank CSV row."""
+    """Yield checked ``(votes, label or None)`` for each nonblank CSV row
+    after the header, the first, numbered by the line that ends it."""
     import csv
 
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        # vote columns are read by position, so only these two names must be unique
-        if repeated := [name for name in ("label", "t") if header.count(name) > 1]:
-            raise _bad(path, 1, f"repeated {repeated[0]!r} column")
-        vote_cols = [i for i, name in enumerate(header) if name not in ("label", "t")]
-        label_col = header.index("label") if "label" in header else None
-        t_col = header.index("t") if "t" in header else None
-        if not vote_cols:
-            raise _bad(path, 1, "no vote columns in header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise _bad(path, lineno, f"expected {len(header)} columns, got {len(row)}")
-
-            def cell_int(i: int, what: str):
-                text = row[i].strip()
-                if text == "":
-                    return None
-                try:
-                    return int(text)
-                except ValueError:
-                    raise _bad(path, lineno, f"{what} must be an int, got {row[i]!r}") from None
-
-            raw_votes = [cell_int(i, f"vote column {header[i]!r}") for i in vote_cols]
-            if any(x is None for x in raw_votes):
-                raise _bad(path, lineno, "empty vote cell")
-            label = cell_int(label_col, "label") if label_col is not None else None
-            if t_col is not None:
-                cell_int(t_col, "t")
-            votes = _check_votes(raw_votes, path, lineno)
-            yield votes, _check_label(label, path, lineno)
+        # a blank line reads as no cell or one whitespace-only cell
+        rows = (row for row in reader if len(row) > 1 or "".join(row).strip())
+        for header in islice(rows, 1):  # a blank file has none
+            # vote columns are read by position, so only these two names must be unique
+            if repeated := [name for name in ("label", "t") if header.count(name) > 1]:
+                raise _bad(path, reader.line_num, f"repeated {repeated[0]!r} column")
+            vote_cols = [i for i, name in enumerate(header) if name not in ("label", "t")]
+            label_col = header.index("label") if "label" in header else None
+            t_col = header.index("t") if "t" in header else None
+            if not vote_cols:
+                raise _bad(path, reader.line_num, "no vote columns in header")
+            for row in rows:
+                lineno = reader.line_num
+                if len(row) != len(header):
+                    raise _bad(path, lineno, f"expected {len(header)} columns, got {len(row)}")
+                votes = [_csv_int(row[i], path, lineno, f"vote column {header[i]!r}") for i in vote_cols]
+                if None in votes:
+                    raise _bad(path, lineno, "empty vote cell")
+                label = None if label_col is None else _csv_int(row[label_col], path, lineno, "label")
+                if t_col is not None:
+                    _csv_int(row[t_col], path, lineno, "t")
+                yield _check_votes(votes, path, lineno), _check_label(label, path, lineno)
 
 
 def _stream_blocks(path):
@@ -306,7 +304,7 @@ def _stream_blocks(path):
     if head.startswith("{"):
         blocks = (_jsonl_block(path, *block) for block in _jsonl_lines(path, "utf-8-sig"))
     else:
-        rows = _csv_rows(path) if head else iter(())
+        rows = _csv_rows(path)
         blocks = map(_rows_block, iter(lambda: list(islice(rows, _BLOCK)), []))
     first = None
     for votes, truth, widths in blocks:
@@ -486,6 +484,13 @@ def write_reports(path, reports: Reports) -> None:
             fh.writelines(lines)
 
 
+def _report_line(obj, path, lineno: int) -> dict:
+    """One decoded report line, which must be an object with ``t`` and ``prediction``."""
+    if not isinstance(obj, dict) or "t" not in obj or "prediction" not in obj:
+        raise _bad(path, lineno, "expected an object with 't' and 'prediction'")
+    return obj
+
+
 def _report_values(name: str, values: list, width: int | None):
     """The ``array`` of one block of a report column's values, a 2-d
     column's rows (``width`` long) flattened; or, when one is wrong, the
@@ -527,12 +532,7 @@ def _report_columns(path) -> dict[str, tuple[array, int | None]]:
     column's wrong values, one of the wrong shape or size names the error."""
     kept, errors = None, {}
     for linenos, lines in _jsonl_lines(path, "utf-8"):  # a BOM is a JSON error here
-        objects, error = _jsonl_decode(path, linenos, lines)
-        for lineno, obj in zip(linenos, objects):
-            if not isinstance(obj, dict) or "t" not in obj or "prediction" not in obj:
-                raise _bad(path, lineno, "expected an object with 't' and 'prediction'")
-        if error is not None:
-            raise error
+        objects = _jsonl_decode(path, linenos, lines, _report_line)
         if kept is None:  # a column the first line lacks is not gathered at all
             first = objects[0]
             kept = {

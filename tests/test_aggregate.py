@@ -322,8 +322,8 @@ def assert_matches_reference(reports, reference):
 
 
 def chunked(rows):
-    """Run the engine on pieces of at most ``rows`` steps, of near-equal
-    length within each call; None keeps the sized default."""
+    """Run the engine on chunks of exactly ``rows`` steps; None keeps the
+    sized default."""
     if rows is None:
         return contextlib.nullcontext()
     return mock.patch.multiple(aggregate, _CHUNK_BUDGET=0, _CHUNK_MIN_ROWS=rows)

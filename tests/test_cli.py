@@ -209,6 +209,8 @@ def test_run_rejects_adaptive_ladder_not_starting_at_one(tmp_path, capsys):
         (["--abstain-seed", "-1"], "abstain-seed"),
         (["--beta", "nan"], "beta must be positive and finite"),
         (["--beta", "inf"], "beta must be positive and finite"),
+        (["--clip", "0.1"], "bad clip band '0.1'; expected LO:HI"),
+        (["--sizes", "1,x"], "bad window sizes '1,x'"),
     ],
 )
 def test_run_rejects_bad_config_before_reading_input(tmp_path, capsys, flags, message):
@@ -251,6 +253,14 @@ def test_bound_rejects_non_finite_beta(capsys, flags):
         (["simulate", "--blocks", "30:0.9,0.8,0.7", "--seed", "-1"], "--seed must be nonnegative, got -1"),
         # the drift terms' position without a drift stream to place them in
         (["bound", "--n", "3", "--m", "4", "--at", "5"], "--at needs the drift stream of --preset or --blocks"),
+        # an empty value is read as given, not taken for the default
+        (["run", "--input", "missing.jsonl", "--sizes", ""], "bad window sizes ''"),
+        (["bound", "--n", "3", "--sizes", ""], "bad window sizes ''"),
+        (["bound", "--n", "3", "--m", "4", "--beta-sweep", ""], "bad number list ''"),
+        (["bound", "--n", "3", "--m", "4", "--beta-sweep", "0.1,x"], "bad number list '0.1,x'"),
+        (["simulate", "--blocks", "30"], "bad block '30'; expected LEN:p1,p2,..."),
+        (["simulate", "--blocks", "x:0.9,0.8,0.7"], "bad block 'x:0.9,0.8,0.7'; expected LEN:p1,p2,..."),
+        (["simulate", "--blocks", ";"], "no blocks given"),
     ],
 )
 def test_out_of_range_flags_exit_2_with_one_line(tmp_path, capsys, argv, message):
@@ -545,10 +555,10 @@ def test_run_writes_what_the_whole_file_path_writes(tmp_path, strategy):
     assert out.read_bytes() == want.read_bytes()
 
 
-def test_engine_pieces_of_a_block_differ_by_at_most_one_row(tmp_path):
-    # at n = 3 on the default ladder the engine takes at most 68 rows a
-    # piece, so a 1024-row block is 16 pieces of 64 rows, not 15 of 68 and
-    # a 4-row tail; the 952-row last block is 14 pieces of 68
+def test_engine_pieces_are_full_but_the_last_of_each_block(tmp_path):
+    # at n = 3 on the default ladder the engine takes 68 rows a piece, so
+    # a 1024-row block is 15 pieces of 68 and a 4-row tail, and the
+    # 952-row last block is 14 pieces of 68
     stream, out = tmp_path / "s.jsonl", tmp_path / "r.jsonl"
     long_stream(stream)
     feed, pieces = aggregate._feed, defaultdict(list)
@@ -561,7 +571,19 @@ def test_engine_pieces_of_a_block_differ_by_at_most_one_row(tmp_path):
         assert run_cli("run", "--input", str(stream), "--strategy", "adaptive", "--out", str(out)) == 0
     assert [sum(block) for block in pieces.values()] == [1024, 1024, 952]
     assert sum(map(len, pieces.values())) == 46
-    assert all(max(block) - min(block) <= 1 for block in pieces.values()), dict(pieces)
+    assert all(set(block[:-1]) == {68} and block[-1] <= 68 for block in pieces.values()), dict(pieces)
+
+
+def test_run_takes_the_next_temporary_name_when_one_is_taken(tmp_path):
+    stream, out, want = tmp_path / "s.jsonl", tmp_path / "r.jsonl", tmp_path / "want.jsonl"
+    long_stream(stream, steps=40)
+    assert run_cli("run", "--input", str(stream), "--out", str(want)) == 0
+    taken = tmp_path / f".r.jsonl.{os.getpid()}-0.tmp"
+    taken.write_text("another run's report\n")
+    assert run_cli("run", "--input", str(stream), "--out", str(out)) == 0
+    assert out.read_bytes() == want.read_bytes()
+    assert taken.read_text() == "another run's report\n"
+    assert sorted(os.listdir(tmp_path)) == sorted([taken.name, "r.jsonl", "s.jsonl", "want.jsonl"])
 
 
 @pytest.mark.parametrize("out_name, reason", [

@@ -121,6 +121,8 @@ def test_construction_validation():
         CorrelationBank(3, (4, 4))
     with pytest.raises(ValueError):
         CorrelationBank(3, (8, 2))
+    with pytest.raises(ValueError, match=r"expected a \(T, 3\) vote matrix, got shape \(5, 4\)"):
+        CorrelationBank.from_history(3, np.ones((5, 4), dtype=np.int8), (1, 2))
 
 
 def test_push_and_query_validation():

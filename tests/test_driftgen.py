@@ -331,8 +331,11 @@ def test_block_drift_preset_layout():
     assert cfg.blocks[0].accuracies == (0.9, 0.9, 0.6)
     assert cfg.blocks[1].accuracies == (0.6, 0.9, 0.9)
     assert cfg.blocks[2].accuracies == (0.9, 0.6, 0.9)
-    with pytest.raises(ValueError):
+    # BlockSpec checks the length: positive, and an integer
+    with pytest.raises(ValueError, match="block length must be positive, got 0"):
         block_drift_preset(17, block_len=0)
+    with pytest.raises(ValueError, match="block length must be an integer, got '5'"):
+        block_drift_preset(17, block_len="5")
 
 
 def test_stream_without_annotations():

@@ -231,6 +231,36 @@ def test_csv_error_messages(tmp_path):
     assert read_stream(path).votes.tolist() == [[1, -1]]
 
 
+@pytest.mark.parametrize("text", [
+    "\na,b,label\n1,-1,1\n-1,0,-1\n",
+    "\ufeff\r\na,b,label\r\n1,-1,1\r\n-1,0,-1\r\n",
+    " \t\na,b,label\n1,-1,1\n-1,0,-1\n",
+    "a,b,label\n1,-1,1\n  \n\n-1,0,-1\n\t\n",
+], ids=["blank-first-line", "bom-then-blank-line", "whitespace-first-line", "whitespace-between-rows"])
+def test_csv_blank_lines_are_skipped_anywhere(tmp_path, text):
+    """A blank line, empty or whitespace-only, is skipped anywhere in a CSV
+    file, before its header too, as in a JSONL file."""
+    path = tmp_path / "s.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    stream = read_stream(path)
+    assert stream.votes.tolist() == [[1, -1], [-1, 0]]
+    assert stream.truth.tolist() == [1, -1]
+
+
+@pytest.mark.parametrize("text, message", [
+    ('"a\nb",c\n1,1\n1\n', ":4: expected 2 columns, got 1"),
+    ("\n\na,b\n1,1\n\n \n1\n", ":7: expected 2 columns, got 1"),
+    ('a,b\n"1\n",1\n1,x\n', ":4: vote column 'b' must be an int, got 'x'"),
+    ("\n\nlabel,t\n1,2\n", ":3: no vote columns in header"),
+    ("\nlabel,a,label\n1,1,1\n", ":2: repeated 'label' column"),
+], ids=["two-line-header", "blank-lines", "two-line-row", "header-after-blanks", "repeat-after-blank"])
+def test_csv_errors_name_the_line_that_ends_the_row(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(StreamFormatError, match=f"^{re.escape(str(path) + message)}$"):
+        read_stream(path)
+
+
 def test_inconsistent_widths_rejected(tmp_path):
     path = tmp_path / "ragged.jsonl"
     path.write_text('{"votes": [1, -1]}\n{"votes": [1, -1, 1]}\n')

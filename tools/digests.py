@@ -5,7 +5,7 @@ Run:  python3 tools/digests.py [ROOT]
 
 ROOT is the checkout whose ``src/`` and ``demos/`` are run (default: the
 checkout holding this script), so one script lists any two checkouts, and
-``diff`` of the two listings is the check.  The 68 outputs:
+``diff`` of the two listings is the check.  The 72 outputs:
 
 * ``simulate`` of the block-drift preset (block length 400, JSONL) and of
   two-block streams at n = 8 (JSONL) and n = 32 (CSV), and the columns
@@ -15,6 +15,10 @@ checkout holding this script), so one script lists any two checkouts, and
   the JSONL codec, and the columns ``read_stream`` gives of it;
 * ``run`` adaptive, ``fixed:64``, majority and ``--sizes 1,3,9,27,81`` on
   each of the three streams;
+* a CSV copy of the n = 8 stream with CRLF line ends, a blank line after
+  each row, a ``t`` column and ``label`` before the vote columns, the
+  columns ``read_stream`` gives of it and ``run`` majority and adaptive
+  on it;
 * ``eval`` of each strategy's three report files, and the rolling-accuracy
   CSVs it writes under ``--series-dir``; the columns ``read_reports``
   gives of the adaptive report of the block-drift stream;
@@ -175,6 +179,26 @@ def cli_outputs(work: Path) -> dict[str, str]:
     out.update(long_majority_outputs(cli, work))
     out.update(block_edge_outputs(cli, work))
     out.update(unlabeled_outputs(cli, work))
+    out.update(csv_outputs(cli, work))
+    return out
+
+
+def csv_outputs(cli, work: Path) -> dict[str, str]:
+    """Digests of a CSV copy of the n = 8 stream that goes through the CSV
+    reader's line rule (see the module docstring), of the columns
+    ``read_stream`` gives of it and of its majority and adaptive reports."""
+    import json
+
+    rows = [json.loads(line) for line in (work / "n8.jsonl").read_text().splitlines()]
+    header = ["t", "label", *(f"v{i}" for i in range(1, len(rows[0]["votes"]) + 1))]
+    lines = [header] + [[t, row["label"], *row["votes"]] for t, row in enumerate(rows, start=1)]
+    stream = work / "n8-loose.csv"
+    stream.write_bytes("".join(",".join(map(str, line)) + "\r\n\r\n" for line in lines).encode())
+    out = {f"write/{stream.name}": sha(stream.read_bytes()), f"read/{stream.name}": stream_columns(stream)}
+    for strategy in ("majority", "adaptive"):
+        reports = work / f"{stream.stem}-{strategy}.jsonl"
+        cli("run", "--input", str(stream), *STRATEGIES[strategy][0], "--out", str(reports))
+        out[f"run/{reports.name}"] = sha(reports.read_bytes())
     return out
 
 
