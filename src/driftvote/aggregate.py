@@ -77,7 +77,8 @@ def weighted_vote(votes, weights) -> int:
 
 def majority_vote(votes) -> int:
     """Unweighted majority; an exact tie predicts +1."""
-    return 1 if int(sum(np.asarray(votes).ravel().tolist())) >= 0 else -1
+    v = np.asarray(votes)  # a 1-d vector, what the online callers pass, needs no flat view
+    return 1 if int(sum(v.tolist() if v.ndim == 1 else v.ravel().tolist())) >= 0 else -1
 
 
 def parse_strategy(strategy: str) -> tuple[str, int | None]:

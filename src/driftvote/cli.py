@@ -224,7 +224,7 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import io as dio
-    from .metrics import comparison_rows, summarize
+    from .metrics import _check_lookahead, comparison_rows, summarize
 
     summaries = {}
     for path_text in args.reports:
@@ -236,7 +236,10 @@ def cmd_eval(args) -> int:
         # the checked 1-d columns as array.array, so that eval loads no numpy
         columns = dio._report_columns(path_text)
         reports = Reports(**{col: values for col, (values, width) in columns.items() if width is None})
-        summaries[name] = summarize(reports, lookahead=args.lookahead)
+        # the rolling series only for the CSVs that --series-dir asks for;
+        # --lookahead is checked after each report is read either way
+        summaries[name] = summarize(reports, lookahead=None if args.series_dir is None else args.lookahead)
+        _check_lookahead(args.lookahead)
     doc = {
         "runs": {name: s.to_json_dict() for name, s in summaries.items()},
         "comparison": comparison_rows(summaries),

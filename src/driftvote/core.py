@@ -69,6 +69,19 @@ def integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def real(value, what: str):
+    """``value`` if it is a real number, such as a Python or numpy int or
+    float (not a bool), else a :class:`ValueError` naming ``what``."""
+    if not isinstance(value, bool):
+        if isinstance(value, (int, float)):
+            return value
+        import numbers  # only for other types, so that a plain number loads nothing
+
+        if isinstance(value, numbers.Real):  # numpy registers its ints and floats
+            return value
+    raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
 def window_sizes(sizes, least: int) -> tuple[int, ...]:
     """The one window-ladder rule, of :class:`WindowSchedule` and :class:`.corrwin.CorrelationBank`:
     ``least`` or more :func:`integer` sizes, strictly increasing from 1 up to the largest float."""
@@ -227,13 +240,13 @@ class AdaptiveConfig:
     def __post_init__(self) -> None:
         if integer(self.n, "n") < 3:
             raise ValueError(f"need at least 3 labelers, got n={self.n}")
-        if not 0.0 < self.beta < math.inf:  # NaN fails
+        if not 0.0 < real(self.beta, "beta") < math.inf:  # NaN fails
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not 0.0 < self.delta < 1.0:
+        if not 0.0 < real(self.delta, "delta") < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not 0.0 < self.clip_lo < 0.5:
+        if not 0.0 < real(self.clip_lo, "clip_lo") < 0.5:
             raise ValueError(f"clip_lo must lie in (0, 0.5), got {self.clip_lo}")
-        if not 0.5 < self.clip_hi < 1.0:
+        if not 0.5 < real(self.clip_hi, "clip_hi") < 1.0:
             raise ValueError(f"clip_hi must lie in (0.5, 1), got {self.clip_hi}")
 
     @cached_property

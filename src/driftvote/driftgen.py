@@ -20,7 +20,7 @@ from functools import cache
 
 import numpy as np
 
-from .core import Stream, integer
+from .core import Stream, integer, real
 
 _ROLES = ("truth", "votes", "abstain", "permute")
 
@@ -50,7 +50,7 @@ class BlockSpec:
         if len(self.accuracies) < 1:
             raise ValueError("block needs at least one labeler accuracy")
         for p in self.accuracies:
-            if not 0.0 < p < 1.0:
+            if not 0.0 < real(p, "accuracies") < 1.0:
                 raise ValueError(f"accuracies must lie in (0, 1), got {p}")
 
 
@@ -63,6 +63,9 @@ class SyntheticStreamConfig:
     n: int
 
     def __post_init__(self) -> None:
+        integer(self.n, "n")
+        if integer(self.seed, "seed") < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not self.blocks:
             raise ValueError("need at least one block")
         for b, block in enumerate(self.blocks):

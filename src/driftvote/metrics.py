@@ -89,8 +89,9 @@ def _known(fields: dict) -> dict:
 class RunSummary:
     """Headline numbers for one run.  ``accuracy``, ``f1`` and ``rolling``
     (the full series, an ``array('d')``) are None for an unlabeled run,
-    ``histogram`` for a run without windows; the JSON view omits what is
-    None, and ``rolling`` always (series go to CSV instead)."""
+    ``rolling`` also when no lookahead was given, and ``histogram`` for a
+    run without windows; the JSON view omits what is None, and ``rolling``
+    always (series go to CSV instead)."""
 
     steps: int
     accuracy: float | None
@@ -106,20 +107,21 @@ class RunSummary:
         })
 
 
-def summarize(reports: Reports, lookahead: int = ROLLING_LOOKAHEAD) -> RunSummary:
+def summarize(reports: Reports, lookahead: int | None = ROLLING_LOOKAHEAD) -> RunSummary:
     """Bundle the step count, the window histogram (when the strategy used
     windows) and, for a labeled run, accuracy, F1 and the rolling-accuracy
-    series."""
+    series of ``lookahead``; a None ``lookahead`` builds no series."""
     if len(reports) == 0:
         raise ValueError("no reports to evaluate")
-    _check_lookahead(lookahead)
+    if lookahead is not None:
+        _check_lookahead(lookahead)
     labeled = reports.truth is not None
     return RunSummary(
         steps=len(reports),
         accuracy=prediction_accuracy(reports) if labeled else None,
         f1=f1_score(reports) if labeled else None,
         histogram=None if reports.window is None else window_histogram(reports),
-        rolling=rolling_accuracy(reports, lookahead) if labeled else None,
+        rolling=rolling_accuracy(reports, lookahead) if labeled and lookahead is not None else None,
     )
 
 

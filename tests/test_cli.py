@@ -464,6 +464,26 @@ def test_eval_writes_summary_file(tmp_path):
     assert doc["runs"]["r"]["steps"] == 40
 
 
+def test_eval_builds_the_rolling_series_only_for_its_csv(tmp_path, capsys, monkeypatch):
+    stream, reports, series = tmp_path / "s.jsonl", tmp_path / "r.jsonl", tmp_path / "series"
+    run_cli("simulate", "--blocks", "40:0.9,0.8,0.7", "--seed", "2", "--out", str(stream))
+    run_cli("run", "--input", str(stream), "--strategy", "majority", "--out", str(reports))
+    capsys.readouterr()
+    assert run_cli("eval", "--reports", str(reports), "--series-dir", str(series)) == 0
+    summary = capsys.readouterr().out
+    assert len((series / "r_rolling.csv").read_text().splitlines()) == 41
+
+    def unwritten(*args, **kwargs):
+        raise RuntimeError("a rolling series that no CSV takes")
+
+    monkeypatch.setattr(driftvote.metrics, "rolling_accuracy", unwritten)
+    assert run_cli("eval", "--reports", str(reports)) == 0
+    assert capsys.readouterr().out == summary
+    # --lookahead is still checked without --series-dir
+    assert run_cli("eval", "--reports", str(reports), "--lookahead", "0") == 2
+    assert capsys.readouterr().err == "error: lookahead must be positive, got 0\n"
+
+
 def test_eval_names_repeated_stems_apart(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_cli("simulate", "--blocks", "40:0.9,0.8,0.7", "--seed", "2", "--out", "s.jsonl")

@@ -194,6 +194,16 @@ def test_adaptive_config_validation():
         AdaptiveConfig(n=3, clip_lo=0.6)
     with pytest.raises(ValueError):
         AdaptiveConfig(n=3, clip_hi=0.4)
+    # a value that is no real number, a bool included, is named by its field
+    for name in ("beta", "delta", "clip_lo", "clip_hi"):
+        for bad in (True, np.True_, "0.1", None, 0.5 + 0j, np.complex128(0.5)):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+                AdaptiveConfig(n=3, **{name: bad})
+    # Python and numpy ints and floats are kept as given
+    values = dict(beta=1, delta=np.float64(0.1), clip_lo=np.float32(0.25), clip_hi=np.float16(0.75))
+    cfg = AdaptiveConfig(n=3, **values)
+    assert all(getattr(cfg, name) is value for name, value in values.items())
+    assert AdaptiveConfig(n=3, beta=np.int64(1)).thresholds == AdaptiveConfig(n=3, beta=1.0).thresholds
 
 
 def test_error_budget_contents():

@@ -61,6 +61,22 @@ def test_config_validation():
         SyntheticStreamConfig(blocks=(), seed=0, n=3)
     with pytest.raises(ValueError):
         SyntheticStreamConfig(blocks=(BlockSpec(5, (0.9, 0.8)),), seed=0, n=3)
+    # a value that is no number of its kind is named by its field
+    for bad in ("a", None, 1j, True, np.True_):
+        with pytest.raises(ValueError, match="^accuracies must be a real number, got "):
+            BlockSpec(10, (0.9, bad))
+    block = BlockSpec(5, (0.9, np.float32(0.8), 0.7))
+    for n in (3.0, True, "3"):
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            SyntheticStreamConfig(blocks=(block,), seed=0, n=n)
+    for seed in (True, 1.5, "1", None):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            SyntheticStreamConfig(blocks=(block,), seed=seed, n=3)
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+        SyntheticStreamConfig(blocks=(block,), seed=-1, n=3)
+    numpy_ints = generate_synthetic(SyntheticStreamConfig(blocks=(block,), seed=np.int64(7), n=np.int64(3)))
+    python_ints = generate_synthetic(SyntheticStreamConfig(blocks=(block,), seed=7, n=3))
+    assert np.array_equal(numpy_ints.votes, python_ints.votes)
 
 
 def test_generate_shapes_and_annotations():

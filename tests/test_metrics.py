@@ -194,6 +194,10 @@ def test_summarize_windowed_run():
     assert s.f1 == pytest.approx(0.5)
     assert s.histogram == {1: 1, 2: 1, 4: 2}
     assert s.rolling.tolist() == [0.5, 0.5, 0.5, 0.0]
+    # no lookahead, no series; the headline numbers stay
+    bare = summarize(reports, lookahead=None)
+    assert bare.rolling is None
+    assert bare.to_json_dict() == s.to_json_dict()
     doc = s.to_json_dict()
     assert doc["window_histogram"] == {"1": 1, "2": 1, "4": 2}
     assert "rolling" not in doc

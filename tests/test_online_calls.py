@@ -162,6 +162,12 @@ MAJORITY_CASES = {
     "inf": [1.0, np.inf],
     "opposite-infs": [np.inf, -np.inf, 1.0],  # the reference warns before it raises
     "ragged": [[1, -1], [1]],
+    # a 1-d array is read by one tolist(), any other shape through a flat view
+    "strided": np.array([1, 7, -1, 7, -1, 7], dtype=np.int8)[::2],
+    "column": np.array([[1, -1], [-1, 1], [-1, 1]])[:, 0],
+    "fortran": np.asfortranarray([[1, -1, -1], [1, 1, -1]]),
+    "object": np.array([1, -1, 1], dtype=object),
+    "uint8": np.array([1, 0, 1], dtype=np.uint8),
 }
 
 

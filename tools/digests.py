@@ -5,7 +5,7 @@ Run:  python3 tools/digests.py [ROOT]
 
 ROOT is the checkout whose ``src/`` and ``demos/`` are run (default: the
 checkout holding this script), so one script lists any two checkouts, and
-``diff`` of the two listings is the check.  The 72 outputs:
+``diff`` of the two listings is the check.  The 76 outputs:
 
 * ``simulate`` of the block-drift preset (block length 400, JSONL) and of
   two-block streams at n = 8 (JSONL) and n = 32 (CSV), and the columns
@@ -19,9 +19,10 @@ checkout holding this script), so one script lists any two checkouts, and
   each row, a ``t`` column and ``label`` before the vote columns, the
   columns ``read_stream`` gives of it and ``run`` majority and adaptive
   on it;
-* ``eval`` of each strategy's three report files, and the rolling-accuracy
-  CSVs it writes under ``--series-dir``; the columns ``read_reports``
-  gives of the adaptive report of the block-drift stream;
+* ``eval`` of each strategy's three report files, with ``--series-dir``
+  and the rolling-accuracy CSVs it writes there, and without it; the
+  columns ``read_reports`` gives of the adaptive report of the
+  block-drift stream;
 * a labeled n = 8 stream of 12,500 steps (``simulate``) and its unlabeled
   copy (``write_stream`` of its votes alone); ``run --strategy majority``
   on each, whose report files cross ``run``'s 1024-row blocks and
@@ -171,6 +172,9 @@ def cli_outputs(work: Path) -> dict[str, str]:
         cli("eval", "--reports", *reports, "--out", str(summary), "--series-dir", str(rolling))
         out[f"eval/{strategy}.json"] = sha(summary.read_bytes())
         out[f"series/{strategy}"] = series(rolling)
+        bare = work / f"eval-{strategy}-no-series.json"
+        cli("eval", "--reports", *reports, "--out", str(bare))
+        out[f"eval/{strategy}-no-series.json"] = sha(bare.read_bytes())
     out["read/bd-adaptive"] = report_columns(work / "bd-adaptive.jsonl")
     for name, flags in BOUNDS.items():
         path = work / f"bound-{name}.json"
