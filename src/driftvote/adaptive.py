@@ -11,13 +11,12 @@ the larger window is stale, and the walk stops.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import count, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import STOP_HORIZON, STOP_SCHEDULE, STOP_THRESHOLD, STOPS, AdaptiveConfig, _record
+from .core import STOP_HORIZON, STOP_SCHEDULE, STOP_THRESHOLD, STOPS, AdaptiveConfig, _Record, _record
 from .corrwin import CorrelationBank
 
 
@@ -34,8 +33,7 @@ class GapProbe(NamedTuple):
     threshold: float
 
 
-@dataclass(frozen=True)
-class WindowDecision:
+class WindowDecision(_Record, frozen=True):
     """Outcome of one window search.
 
     ``stop_reason`` is ``threshold_exceeded`` when a comparison failed,

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import replace
 
 import numpy as np
 
 from .adaptive import _walk
-from .core import AdaptiveConfig, Reports
+from .core import AdaptiveConfig, Reports, replace
 from .corrwin import CorrelationBank, _all_plus_minus_one, as_vote_matrix
 from .triplet import _float_array, _recover_raw, _witness_table
 

@@ -18,7 +18,9 @@ for surfacing these numbers to users.
 It also holds the records that the layers pass between them, a vote
 :class:`Stream` and the per-step :class:`Reports` with their columns and
 stop-reason names, so that reading, writing and evaluating files needs no engine.
-Nothing here imports numpy.
+Nothing here imports numpy or dataclasses: every record of the library is a
+:class:`_Record`, because ``dataclasses`` loads ``inspect``, which would be
+most of the start-up of ``bound`` and ``eval``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
@@ -48,11 +49,87 @@ STOP_HORIZON = "horizon_reached"
 STOPS = (STOP_THRESHOLD, STOP_HORIZON, STOP_SCHEDULE)
 
 
+class _Record:
+    """The base of every record of the library, in place of ``@dataclass``.
+
+    A subclass's fields are its annotated names, in order, kept as the
+    tuple ``_fields``; a class attribute of the same name is its default.
+    ``__init__`` takes them by position or name and then runs
+    ``__post_init__``; ``repr``, ``==`` and ``hash`` read them with
+    ``getattr``, so an attribute computed on first read is computed.  The
+    class keywords are those of ``@dataclass``: ``frozen=True`` refuses
+    every assignment and deletion with ``dataclasses.FrozenInstanceError``
+    and hashes the fields, and ``eq=False`` keeps identity equality; a
+    record that is neither is unhashable.
+    """
+
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, *, frozen: bool = False, eq: bool = True) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        elif frozen:
+            cls.__hash__ = _Record._hash
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _Record._refuse
+
+    def __init__(self, *args, **kwargs) -> None:
+        names, where = self._fields, f"{type(self).__qualname__}.__init__()"
+        if len(args) > len(names):
+            raise TypeError(f"{where} takes {len(names)} arguments but {len(args)} were given")
+        given = dict(zip(names, args))
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
+            if name in given:
+                raise TypeError(f"{where} got multiple values for argument {name!r}")
+        given = {**self._defaults, **given, **kwargs}
+        missing = [name for name in names if name not in given]
+        if missing:
+            raise TypeError(f"{where} missing required arguments: {', '.join(map(repr, missing))}")
+        # in field order, so that vars() lists the fields as the class does
+        self.__dict__.update({name: given[name] for name in names})
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def _hash(self) -> int:
+        return hash(self._values())
+
+    def _refuse(self, name: str, *value) -> None:
+        """A frozen record's ``__setattr__`` and ``__delattr__``."""
+        from dataclasses import FrozenInstanceError  # only here: dataclasses loads inspect
+
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def replace(record, **changes):
+    """A copy of ``record`` with ``changes``, built through ``__init__`` (so
+    ``__post_init__`` checks it again), as :func:`dataclasses.replace` does."""
+    return type(record)(**{**{name: getattr(record, name) for name in record._fields}, **changes})
+
+
 def _record(cls, fields: dict):
-    """A ``cls`` instance holding ``fields``, built without ``__init__``: a
-    frozen dataclass's sets each field through ``object.__setattr__``,
-    which the per-step calls would pay on every record.  The caller passes
-    every field, already checked."""
+    """A ``cls`` instance holding ``fields``, built without ``__init__``,
+    whose argument matching and checks the per-step calls would pay on
+    every record.  The caller passes every field, already checked."""
     record = object.__new__(cls)
     record.__dict__.update(fields)
     return record
@@ -71,8 +148,12 @@ def integer(value, what: str) -> int:
 
 def real(value, what: str):
     """``value`` if it is a real number, such as a Python or numpy int or
-    float (not a bool), else a :class:`ValueError` naming ``what``."""
+    float (not a bool), else a :class:`ValueError` naming ``what``; a
+    Python int too large for a float, which the theory numbers would
+    overflow on, is one too."""
     if not isinstance(value, bool):
+        if isinstance(value, int) and not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ValueError(f"{what} must be in float range, got an int of {value.bit_length()} bits")
         if isinstance(value, (int, float)):
             return value
         import numbers  # only for other types, so that a plain number loads nothing
@@ -118,7 +199,7 @@ def union_bound_constant(n: int, m: int, delta: float) -> float:
         raise ValueError(f"need at least 3 labelers, got n={n}")
     if m < 2:
         raise ValueError(f"need at least 2 windows, got m={m}")
-    if not 0.0 < delta < 1.0:
+    if not 0.0 < real(delta, "delta") < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return math.sqrt(2.0 * math.log((2 * m - 1) * n * (n - 1) / delta))
 
@@ -129,7 +210,7 @@ def statistical_error(r: int, bound_const: float) -> float:
     r = integer(r, "a window size")
     if r < 1:
         raise ValueError(f"window size must be positive, got {r}")
-    return bound_const / math.sqrt(r)
+    return real(bound_const, "bound_const") / math.sqrt(r)
 
 
 def drift_threshold(r_small: int, r_large: int, beta: float, bound_const: float) -> float:
@@ -140,17 +221,16 @@ def drift_threshold(r_small: int, r_large: int, beta: float, bound_const: float)
     overlapping estimates; the first is slack for the drift the walk
     tolerates before it shrinks the window.  The two sizes are a :func:`window_sizes` ladder."""
     r_small, r_large = window_sizes((r_small, r_large), 2)
-    if not 0.0 <= beta < math.inf:  # NaN fails
+    if not 0.0 <= real(beta, "beta") < math.inf:  # NaN fails
         raise ValueError(f"beta must be nonnegative and finite, got {beta}")
-    if bound_const <= 0.0:
+    if real(bound_const, "bound_const") <= 0.0:
         raise ValueError(f"bound_const must be positive, got {bound_const}")
     return bound_const * (
         2.0 * beta / math.sqrt(r_small) + math.sqrt((1.0 - r_small / r_large) / r_small)
     )
 
 
-@dataclass(frozen=True)
-class WindowSchedule:
+class WindowSchedule(_Record, frozen=True):
     """Ladder of candidate window sizes, checked and kept as Python ints by :func:`window_sizes`.
 
     The adaptive rule walks the ladder from the smallest size upward and
@@ -203,15 +283,14 @@ def selection_overhead(schedule: WindowSchedule, beta: float) -> float:
     power schedule the two arguments balance at ``beta = g``; optimizing
     the schedule ratio jointly with beta lands both at ``sqrt(2) - 1``.
     """
-    if not 0.0 < beta < math.inf:  # NaN fails
+    if not 0.0 < real(beta, "beta") < math.inf:  # NaN fails
         raise ValueError(f"beta must be positive and finite, got {beta}")
     g, big_g = schedule.min_ratio, schedule.max_ratio
     scale = 2.0 * beta + 2.0
     return 1.0 + max(scale / (g * (1.0 - big_g)), scale / (beta * (1.0 - big_g)))
 
 
-@dataclass(frozen=True)
-class AdaptiveConfig:
+class AdaptiveConfig(_Record, frozen=True):
     """Run configuration shared by the estimation and aggregation layers.
 
     Parameters
@@ -231,7 +310,7 @@ class AdaptiveConfig:
     """
 
     n: int
-    schedule: WindowSchedule = field(default_factory=lambda: WindowSchedule.doubling(20))
+    schedule: WindowSchedule = WindowSchedule.doubling(20)  # one instance, immutable
     beta: float = 0.1
     delta: float = 0.1
     clip_lo: float = 0.1
@@ -264,8 +343,7 @@ class AdaptiveConfig:
         return selection_overhead(self.schedule, self.beta)
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(_Record, frozen=True):
     """Static theory numbers for a configuration, for reporting only.
 
     ``statistical`` maps each window size to its stationary deviation band
@@ -291,7 +369,7 @@ class ErrorBudget:
 
 def error_budget(config: AdaptiveConfig, margin: float | None = None) -> ErrorBudget:
     """Assemble the :class:`ErrorBudget` for ``config``."""
-    if margin is not None and not 0.0 < margin <= 0.5:
+    if margin is not None and not 0.0 < real(margin, "margin") <= 0.5:
         raise ValueError(f"margin must lie in (0, 0.5], got {margin}")
     stat = {r: statistical_error(r, config.bound_const) for r in config.schedule.sizes}
     return ErrorBudget(
@@ -302,8 +380,7 @@ def error_budget(config: AdaptiveConfig, margin: float | None = None) -> ErrorBu
     )
 
 
-@dataclass
-class Stream:
+class Stream(_Record):
     """Column-oriented stream: (T, n) votes plus optional truth/block arrays."""
 
     votes: np.ndarray
@@ -331,8 +408,7 @@ REPORT_COLUMNS = {
 }
 
 
-@dataclass(eq=False)
-class Reports:
+class Reports(_Record, eq=False):
     """Everything the engine decided over a stream, one row per step.
 
     Row ``i`` is step ``t = i + 1``.  Each field is a column of

@@ -15,12 +15,11 @@ matched-pair experiments stay matched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .core import Stream, integer, real
+from .core import Stream, _Record, integer, real
 
 _ROLES = ("truth", "votes", "abstain", "permute")
 
@@ -37,8 +36,7 @@ def _as_rng(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(_Record, frozen=True):
     """One stationary stretch: ``length`` steps at fixed ``accuracies``."""
 
     length: int
@@ -54,8 +52,7 @@ class BlockSpec:
                 raise ValueError(f"accuracies must lie in (0, 1), got {p}")
 
 
-@dataclass(frozen=True)
-class SyntheticStreamConfig:
+class SyntheticStreamConfig(_Record, frozen=True):
     """Block layout plus the master seed for one synthetic stream."""
 
     blocks: tuple[BlockSpec, ...]

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import eq, sub, truediv
 
-from .core import ROLLING_LOOKAHEAD, Reports, integer
+from .core import ROLLING_LOOKAHEAD, Reports, _Record, integer
 
 
 def _truth_pairs(reports: Reports) -> tuple[list, list]:
@@ -85,8 +84,7 @@ def _known(fields: dict) -> dict:
     return {key: value for key, value in fields.items() if value is not None}
 
 
-@dataclass
-class RunSummary:
+class RunSummary(_Record):
     """Headline numbers for one run.  ``accuracy``, ``f1`` and ``rolling``
     (the full series, an ``array('d')``) are None for an unlabeled run,
     ``rolling`` also when no lookahead was given, and ``histogram`` for a

@@ -20,12 +20,11 @@ part of the map; an exactly-zero pick falls back to ``p_h = 1/2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import _record
+from .core import _Record, _record, real
 
 #: below this magnitude a witness correlation is treated as exactly zero
 ZERO_TOL = 1e-15
@@ -33,8 +32,7 @@ ZERO_TOL = 1e-15
 _SYM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class AccuracyEstimate:
+class AccuracyEstimate(_Record, frozen=True):
     """Recovered accuracies: ``raw`` pre-clip, ``accuracies`` clipped into
     the configured band, and the window length the correlations came from."""
 
@@ -147,7 +145,7 @@ def recover_accuracies(
         raise ValueError("correlation matrix must be symmetric with entries in [-1, 1]")
     if not all(abs(x - 1.0) <= _SYM_TOL for x in c.diagonal().tolist()):
         raise ValueError("correlation matrix must have unit diagonal")
-    if not 0.0 < clip_lo < 0.5 < clip_hi < 1.0:
+    if not 0.0 < real(clip_lo, "clip_lo") < 0.5 < real(clip_hi, "clip_hi") < 1.0:
         raise ValueError(f"clip band must satisfy 0 < lo < 0.5 < hi < 1, got [{clip_lo}, {clip_hi}]")
     if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 0:
         raise ValueError(f"window must be a nonnegative integer, got {window!r}")

@@ -1,6 +1,8 @@
 """What each entry point imports: ``import driftvote`` and every command
 load only the modules they use, and the lazy package still resolves every
-public name and submodule."""
+public name and submodule.  No command loads ``dataclasses``, and ``bound``
+and ``eval``, which load no numpy, load no ``inspect`` either: the two are
+most of their start-up."""
 
 import json
 import os
@@ -14,14 +16,16 @@ import driftvote
 from driftvote.cli import main
 
 ENGINE = ("driftvote.corrwin", "driftvote.adaptive", "driftvote.triplet")
+#: standard modules that ``site`` does not load and start-up should not
+SLOW = ("dataclasses", "inspect")
 
 
 def loaded_after(code: str) -> set[str]:
-    """The numpy and driftvote modules a fresh interpreter holds after ``code``."""
+    """The numpy, driftvote and :data:`SLOW` modules a fresh interpreter holds after ``code``."""
     code += (
         "\nimport json, sys\n"
         "print(json.dumps(sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('numpy', 'driftvote'))))\n"
+        f" if m.split('.')[0] in ('numpy', 'driftvote', *{SLOW!r}))))\n"
     )
     env = dict(os.environ)
     src = str(Path(driftvote.__file__).resolve().parents[1])
@@ -52,7 +56,7 @@ def test_bound_with_a_layout_loads_the_generator_only():
     )
     loaded = loaded_after(code)
     assert "driftvote.driftgen" in loaded
-    assert loaded.isdisjoint(ENGINE + ("driftvote.io", "driftvote.metrics"))
+    assert loaded.isdisjoint(ENGINE + ("driftvote.io", "driftvote.metrics", "dataclasses"))
 
 
 def test_simulate_and_eval_load_no_engine(tmp_path):
@@ -63,10 +67,14 @@ def test_simulate_and_eval_load_no_engine(tmp_path):
     )
     loaded = loaded_after(code)
     assert {"driftvote.driftgen", "driftvote.io"} <= loaded
-    assert loaded.isdisjoint(ENGINE + ("driftvote.metrics",))
+    assert loaded.isdisjoint(ENGINE + ("driftvote.metrics", "dataclasses"))
 
-    main(["run", "--input", str(stream), "--m", "4", "--out", str(reports)])
-    # eval loads no numpy either, with or without series files
+    code = (
+        "from driftvote.cli import main\n"
+        f"assert main(['run', '--input', {str(stream)!r}, '--m', '4', '--out', {str(reports)!r}]) == 0\n"
+    )
+    assert "dataclasses" not in loaded_after(code)
+    # eval loads no numpy, dataclasses or inspect, with or without series files
     for series in ([], ["--series-dir", str(tmp_path / "series")]):
         code = (
             "from driftvote.cli import main\n"

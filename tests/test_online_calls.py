@@ -37,6 +37,7 @@ from driftvote import (
     select_window,
     weighted_vote,
 )
+from driftvote.core import replace
 from driftvote.triplet import _SYM_TOL, ZERO_TOL, _witness_table
 
 
@@ -415,7 +416,7 @@ def test_copies_of_an_unread_decision_are_whole(n):
                 assert all(type(p) is GapProbe for d in pair for p in d.probes)
         # replace reads the original's fields, the probes too, and builds an eager record
         decision = select_window(bank, config)
-        assert [repr(dataclasses.replace(decision)), repr(decision)] == [want, want]
+        assert [repr(replace(decision)), repr(decision)] == [want, want]
         if not any(math.isnan(p.gap) for p in decision.probes):
             twin = copy.copy(select_window(bank, config))
             assert twin == decision and hash(twin) == hash(decision)
@@ -444,7 +445,7 @@ def test_a_read_decision_holds_its_four_fields():
         decision, want = select_window(bank, config), ref_select_window(bank, config)
         assert vars(decision) != vars(want)  # unread: the walk's gaps, no probes
         decision.probes
-        assert list(vars(decision)) == list(vars(want)) == [f.name for f in dataclasses.fields(want)]
+        assert list(vars(decision)) == list(vars(want)) == list(WindowDecision._fields)
         assert repr(vars(decision)) == repr(vars(want))
         with pytest.raises(AttributeError, match="no attribute 'gaps'"):
             decision.gaps

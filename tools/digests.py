@@ -5,7 +5,7 @@ Run:  python3 tools/digests.py [ROOT]
 
 ROOT is the checkout whose ``src/`` and ``demos/`` are run (default: the
 checkout holding this script), so one script lists any two checkouts, and
-``diff`` of the two listings is the check.  The 76 outputs:
+``diff`` of the two listings is the check.  The 79 outputs:
 
 * ``simulate`` of the block-drift preset (block length 400, JSONL) and of
   two-block streams at n = 8 (JSONL) and n = 32 (CSV), and the columns
@@ -22,7 +22,7 @@ checkout holding this script), so one script lists any two checkouts, and
 * ``eval`` of each strategy's three report files, with ``--series-dir``
   and the rolling-accuracy CSVs it writes there, and without it; the
   columns ``read_reports`` gives of the adaptive report of the
-  block-drift stream;
+  block-drift stream, and the ``repr`` of ``summarize`` of them;
 * a labeled n = 8 stream of 12,500 steps (``simulate``) and its unlabeled
   copy (``write_stream`` of its votes alone); ``run --strategy majority``
   on each, whose report files cross ``run``'s 1024-row blocks and
@@ -44,7 +44,8 @@ checkout holding this script), so one script lists any two checkouts, and
   votes alone), ``run`` adaptive and ``fixed:64`` on it and ``eval`` of
   each report file, so that every kind of report line end is listed;
 * ``bound`` with a margin and a beta sweep, and with the drift terms of
-  the block-drift preset (block length 400) at step 900;
+  the block-drift preset (block length 400) at step 900; the ``repr`` of
+  ``AdaptiveConfig(3)`` and of its ``error_budget`` with margin 0.2;
 * the stdout of the four narrative demos (``engine_scaling`` prints
   timings, so it is left out);
 * every ``run_strategy`` column of the same four strategies at n = 3, 8
@@ -65,7 +66,6 @@ checkout holding this script), so one script lists any two checkouts, and
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import subprocess
@@ -124,10 +124,11 @@ def series(directory: Path) -> str:
 
 def report_columns(path: Path) -> str:
     """The digest of the columns ``read_reports`` gives of a report file."""
+    from driftvote.core import REPORT_COLUMNS
     from driftvote.io import read_reports
 
     back = read_reports(path)
-    return columns(*(getattr(back, field.name) for field in dataclasses.fields(back)))
+    return columns(*(getattr(back, name) for name in REPORT_COLUMNS))
 
 
 def stream_columns(path: Path) -> str:
@@ -135,7 +136,7 @@ def stream_columns(path: Path) -> str:
     from driftvote.io import read_stream
 
     stream = read_stream(path)
-    return columns(stream.votes, stream.truth)
+    return columns(stream.votes, stream.truth, stream.block)
 
 
 def cli_outputs(work: Path) -> dict[str, str]:
@@ -176,10 +177,19 @@ def cli_outputs(work: Path) -> dict[str, str]:
         cli("eval", "--reports", *reports, "--out", str(bare))
         out[f"eval/{strategy}-no-series.json"] = sha(bare.read_bytes())
     out["read/bd-adaptive"] = report_columns(work / "bd-adaptive.jsonl")
+    from driftvote.io import read_reports
+    from driftvote.metrics import summarize
+
+    summary = summarize(read_reports(work / "bd-adaptive.jsonl"))
+    out["repr/summarize-bd-adaptive"] = sha(repr(summary).encode())
     for name, flags in BOUNDS.items():
         path = work / f"bound-{name}.json"
         cli("bound", *flags, "--out", str(path))
         out[f"bound/{name}.json"] = sha(path.read_bytes())
+    from driftvote.core import AdaptiveConfig, error_budget
+
+    out["repr/AdaptiveConfig"] = sha(repr(AdaptiveConfig(3)).encode())
+    out["repr/error_budget"] = sha(repr(error_budget(AdaptiveConfig(3), margin=0.2)).encode())
     out.update(long_majority_outputs(cli, work))
     out.update(block_edge_outputs(cli, work))
     out.update(unlabeled_outputs(cli, work))
@@ -340,6 +350,7 @@ def two_block_votes(n: int):
 
 def engine_columns() -> str:
     from driftvote import AdaptiveConfig, WindowSchedule, run_strategy
+    from driftvote.core import REPORT_COLUMNS
 
     h = hashlib.sha256()
     for n in STEPS:
@@ -347,10 +358,10 @@ def engine_columns() -> str:
         for label, (_, strategy, sizes) in STRATEGIES.items():
             config = AdaptiveConfig(n, WindowSchedule(sizes)) if sizes else AdaptiveConfig(n)
             reports = run_strategy(votes, strategy, config, truths=truth)
-            for field in dataclasses.fields(reports):
-                col = getattr(reports, field.name)
+            for name in REPORT_COLUMNS:
+                col = getattr(reports, name)
                 spec = "None" if col is None else f"{col.dtype.str} {col.shape}"
-                h.update(f"{n} {label} {field.name} {spec}\n".encode())
+                h.update(f"{n} {label} {name} {spec}\n".encode())
                 if col is not None:
                     h.update(col.tobytes())
     return h.hexdigest()
